@@ -16,24 +16,6 @@ A registered driver therefore must honor the contract the engines assume:
 
 The rule finds the registry by path (``repro/experiments/__init__.py``
 within the analyzed set), so the fixture corpus can mirror the layout.
-
-Drivers ported to the declarative DAG layer (:mod:`repro.dag`) get a
-second, static half of the stage contract: every ``Stage(...)``
-declaration in a module defining ``build_graph()`` is checked —
-
-* ``fn`` must be a module-level function of the driver (the warm-pool
-  workers re-resolve it by name);
-* the declared ``inputs`` + ``consts`` keys (+ the injected ``seed``
-  when ``seed_label`` is set) must match the function's actual
-  signature: no undeclared values, every required parameter covered
-  (``**kwargs`` opts the function out);
-* when every ``return`` in the function is a dict literal with constant
-  string keys, those keys must equal the declared ``outputs``.
-
-Dynamic declarations (computed names, comprehension-built tuples) are
-skipped — the scheduler's runtime checks
-(:meth:`repro.dag.node.Stage.check_signature` / ``check_outputs``)
-still cover them.
 """
 
 from __future__ import annotations
@@ -128,153 +110,14 @@ def _module_contract(parsed: ParsedFile, module_name: str) -> list[str]:
     return problems
 
 
-def _const_str_items(node: ast.AST | None) -> list[str] | None:
-    """The strings of a tuple/list display of constants, else None."""
-    if not isinstance(node, (ast.Tuple, ast.List)):
-        return None
-    items: list[str] = []
-    for element in node.elts:
-        if (isinstance(element, ast.Constant)
-                and isinstance(element.value, str)):
-            items.append(element.value)
-        else:
-            return None
-    return items
-
-
-def _function_params(
-        fn: ast.FunctionDef | ast.AsyncFunctionDef
-) -> tuple[set[str], set[str], bool]:
-    """``(accepted, required, has_var_keyword)`` of a def's signature."""
-    args = fn.args
-    if args.kwarg is not None:
-        return set(), set(), True
-    named = list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
-    accepted = {a.arg for a in named}
-    positional = list(args.posonlyargs) + list(args.args)
-    required = {a.arg for a in
-                positional[:len(positional) - len(args.defaults)]}
-    required |= {a.arg for a, default
-                 in zip(args.kwonlyargs, args.kw_defaults)
-                 if default is None}
-    return accepted, required, False
-
-
-def _literal_return_keys(
-        fn: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str] | None:
-    """The union of returned dict-literal keys, or None when any return
-    is not a dict literal with constant string keys (skip the check)."""
-    keys: set[str] = set()
-    saw_return = False
-    stack: list[ast.AST] = list(fn.body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
-            continue  # nested scopes return elsewhere
-        if isinstance(node, ast.Return):
-            saw_return = True
-            value = node.value
-            if not isinstance(value, ast.Dict):
-                return None
-            for key in value.keys:
-                if (isinstance(key, ast.Constant)
-                        and isinstance(key.value, str)):
-                    keys.add(key.value)
-                else:
-                    return None
-        stack.extend(ast.iter_child_nodes(node))
-    return keys if saw_return else None
-
-
-def _stage_declarations(parsed: ParsedFile) -> list[ast.Call]:
-    """Every ``Stage(...)`` call in a module defining ``build_graph``."""
-    top_defs = {n.name for n in parsed.tree.body
-                if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
-    if "build_graph" not in top_defs:
-        return []
-    return [node for node in ast.walk(parsed.tree)
-            if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "Stage"]
-
-
-def _stage_contract(parsed: ParsedFile) -> list[tuple[ast.AST, str]]:
-    """Static stage-declaration violations of one DAG-ported driver."""
-    problems: list[tuple[ast.AST, str]] = []
-    top_defs = {n.name: n for n in parsed.tree.body
-                if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
-    for call in _stage_declarations(parsed):
-        keywords = {k.arg: k.value for k in call.keywords
-                    if k.arg is not None}
-        name_node = call.args[0] if call.args else keywords.get("name")
-        label = (name_node.value
-                 if isinstance(name_node, ast.Constant)
-                 and isinstance(name_node.value, str) else "<dynamic>")
-        fn_node = (call.args[1] if len(call.args) > 1
-                   else keywords.get("fn"))
-        if not (isinstance(fn_node, ast.Name)
-                and fn_node.id in top_defs):
-            problems.append((call, (
-                f"Stage {label!r}: fn must be a module-level function "
-                f"of the driver (workers re-resolve it by name)")))
-            continue
-        fn_def = top_defs[fn_node.id]
-        inputs = _const_str_items(keywords.get("inputs"))
-        if "inputs" not in keywords:
-            inputs = []
-        outputs = _const_str_items(keywords.get("outputs"))
-        if "outputs" not in keywords:
-            outputs = []
-        consts_node = keywords.get("consts")
-        consts: list[str] | None = []
-        if consts_node is not None:
-            if (isinstance(consts_node, ast.Dict)
-                    and all(isinstance(k, ast.Constant)
-                            and isinstance(k.value, str)
-                            for k in consts_node.keys)):
-                consts = [k.value for k in consts_node.keys]
-            else:
-                consts = None
-        seed_node = keywords.get("seed_label")
-        seeded = (seed_node is not None
-                  and not (isinstance(seed_node, ast.Constant)
-                           and seed_node.value is None))
-        accepted, required, var_keyword = _function_params(fn_def)
-        if not var_keyword and inputs is not None and consts is not None:
-            provided = set(inputs) | set(consts)
-            if seeded:
-                provided.add("seed")
-            unknown = sorted(provided - accepted)
-            if unknown:
-                problems.append((call, (
-                    f"Stage {label!r}: declared values {unknown} are "
-                    f"not parameters of {fn_node.id}()")))
-            missing = sorted(required - provided)
-            if missing:
-                problems.append((call, (
-                    f"Stage {label!r}: required parameters {missing} "
-                    f"of {fn_node.id}() are not declared as inputs or "
-                    f"consts")))
-        if outputs is not None:
-            returned = _literal_return_keys(fn_def)
-            if returned is not None and returned != set(outputs):
-                problems.append((call, (
-                    f"Stage {label!r}: {fn_node.id}() returns keys "
-                    f"{sorted(returned)} but declares outputs "
-                    f"{sorted(outputs)}")))
-    return problems
-
-
 @register_rule
 class ExperimentContractRule(Rule):
     """Registered experiment drivers must honor the engine contract."""
 
     rule_id = "experiment-contract"
     description = ("registered driver missing run/render, a declared "
-                   "COLUMNS schema, a manifest-keyed ExperimentResult, "
-                   "or a Stage declaration that contradicts its "
-                   "function's signature or returned outputs")
+                   "COLUMNS schema, or a manifest-keyed "
+                   "ExperimentResult")
 
     def check(self, project: Project) -> Iterator[Finding]:
         by_path = {parsed.path.resolve(): parsed for parsed in project}
@@ -296,9 +139,5 @@ class ExperimentContractRule(Rule):
                 for problem in _module_contract(driver, module_name):
                     found = self.finding(driver, None, problem,
                                          line=1, col=0)
-                    if found is not None:
-                        yield found
-                for node_, problem in _stage_contract(driver):
-                    found = self.finding(driver, node_, problem)
                     if found is not None:
                         yield found

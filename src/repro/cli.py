@@ -7,12 +7,7 @@ Commands:
   printing each rendering and writing CSVs + run manifests; ``--jobs N``
   fans the drivers out to a process pool with identical artifacts;
   ``--cache`` replays unchanged drivers from the content-addressed
-  result cache (``<output-dir>/.cache``, see :mod:`repro.cache`);
-  ``--dag`` routes ported drivers through their declarative stage graph
-  (:mod:`repro.dag`) with byte-identical artifacts — ``--jobs`` then
-  parallelizes graph nodes and ``--cache`` becomes stage-granular.
-* ``dag show EXPERIMENT`` — print one experiment's declarative stage
-  graph: nodes, dataflow, dependencies, per-node policy (docs/DAG.md).
+  result cache (``<output-dir>/.cache``, see :mod:`repro.cache`).
 * ``fleet`` — run the population-scale closed-loop fleet
   (:mod:`repro.fleet`): vectorized cohorts with per-cohort decoder
   family, link loss, and tuning drift, written as the cohort dashboard
@@ -173,9 +168,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         max_retries = fault_plan.retry.max_retries
         backoff_s = fault_plan.retry.backoff_s
         timeout_s = fault_plan.retry.timeout_s
-    if args.dag:
-        return _evaluate_dag(args, selected, fault_plan, injector,
-                             max_retries, backoff_s, timeout_s)
     if args.jobs != 1 and len(selected) > 1:
         from repro.perf import run_parallel
         results = run_parallel([module for _, module in selected],
@@ -221,75 +213,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         _print_cache_summary(results)
     if injector is not None:
         _print_fault_summary(injector, results, args.output_dir)
-    return 0
-
-
-def _evaluate_dag(args: argparse.Namespace, selected: list,
-                  fault_plan, injector, max_retries: int,
-                  backoff_s: float, timeout_s: float | None) -> int:
-    """``evaluate --dag``: run each driver through its declarative
-    graph (``--jobs`` = node-level parallelism; artifacts byte-identical
-    to the imperative path)."""
-    from repro.dag import has_graph, run_module_dag
-
-    store = None
-    if args.cache:
-        from repro.cache import store_for
-        store = store_for(args.output_dir)
-
-    def dag_runner(module, seed=None):
-        if not has_graph(module):
-            # Drivers without graphs keep their imperative path.
-            return run_module(module, seed=seed)
-        return run_module_dag(module, seed=seed, jobs=args.jobs,
-                              store=store, fault_plan=fault_plan,
-                              injector=injector,
-                              max_retries=max_retries,
-                              backoff_s=backoff_s, timeout_s=timeout_s)
-
-    results = []
-    for _, module in selected:
-        # Node-level retries happen inside the scheduler; a node that
-        # exhausts its budget raises DagNodeError, which degrades here
-        # (max_retries=0: no whole-graph reruns) to the recorded-failure
-        # row naming the failed node.  The injector is not passed down —
-        # the scheduler already accounts the failure.
-        result = run_module_resilient(module, seed=args.seed,
-                                      max_retries=0,
-                                      backoff_s=backoff_s,
-                                      runner=dag_runner)
-        result.save_csv(args.output_dir)
-        results.append(result)
-        if not args.quiet:
-            print(f"== {result.title} ==")
-            print(render_result(module, result))
-            print()
-    if injector is not None:
-        _print_fault_summary(injector, results, args.output_dir)
-    return 0
-
-
-def _cmd_dag_show(args: argparse.Namespace) -> int:
-    from repro.dag import GraphError, graph_for, has_graph
-
-    known = _known_experiments()
-    graphed = sorted(name for name, module in known.items()
-                     if has_graph(module))
-    if args.experiment not in known:
-        print(f"unknown experiment {args.experiment!r}; "
-              f"graphs available: {graphed}", file=sys.stderr)
-        return 2
-    module = known[args.experiment]
-    if not has_graph(module):
-        print(f"{args.experiment} has no experiment graph (imperative "
-              f"driver); graphs available: {graphed}", file=sys.stderr)
-        return 2
-    try:
-        graph = graph_for(module)
-    except GraphError as error:
-        print(f"dag: {error}", file=sys.stderr)
-        return 2
-    print(graph.render())
     return 0
 
 
@@ -342,10 +265,14 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
     from repro.experiments import fleet as fleet_driver
     from repro.obs.events import driver_scope
+    from repro.perf.parallel import resolve_jobs
     from repro.perf.seeds import derive_driver_seed
 
     if _jobs_error(args.jobs):
         return 2
+    # run_fleet treats jobs <= 1 as serial, so 0 ("all CPUs") must be
+    # resolved here.
+    jobs = resolve_jobs(args.jobs)
     try:
         spec = fleet_driver.default_fleet(sessions=args.sessions,
                                           decoder=args.decoder)
@@ -356,7 +283,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     with driver_scope("fleet"):
         start = time.perf_counter()
         result = fleet_driver.run_spec(spec, base_seed=derived,
-                                       jobs=args.jobs)
+                                       jobs=jobs)
         result.duration_s = time.perf_counter() - start
     result.seed = args.seed
     result.derived_seed = derived
@@ -726,9 +653,16 @@ def _cmd_obs_bench_gate(args: argparse.Namespace) -> int:
         except (OSError, json.JSONDecodeError) as error:
             print(f"obs: bad bench input: {error}", file=sys.stderr)
             return 2
-        record = bench.history_record(payload["entries"],
-                                      quick=payload.get("quick", False),
-                                      cpus=payload.get("cpus", 1))
+        try:
+            record = bench.history_record(payload["entries"],
+                                          quick=payload.get("quick", False),
+                                          cpus=payload.get("cpus", 1))
+        except (KeyError, TypeError, ValueError) as error:
+            # Valid JSON of the wrong shape; exit 1 would read as a
+            # regression.
+            print(f"obs: bad bench input: {type(error).__name__}: "
+                  f"{error}", file=sys.stderr)
+            return 2
         if args.append:
             bench.append_history(record, args.history)
     elif history:
@@ -817,13 +751,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="inject faults from this plan (schema in "
              "docs/ROBUSTNESS.md) and apply its retry policy; writes "
              "<output-dir>/fault_log.json")
-    evaluate.add_argument(
-        "--dag", action="store_true",
-        help="run each driver through its declarative stage graph "
-             "(repro.dag); --jobs then parallelizes independent graph "
-             "nodes instead of whole drivers, and --cache enables "
-             "stage-granular incremental recompute — artifacts are "
-             "byte-identical to the imperative path")
     evaluate.add_argument(
         "--max-retries", type=int, default=2,
         help="bounded retry budget per driver; a driver that still "
@@ -966,17 +893,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-bytes", type=int, default=None,
         help="gc: then remove oldest entries until the store fits")
     cache_cmd.set_defaults(func=_cmd_cache)
-
-    dag_cmd = sub.add_parser(
-        "dag",
-        help="inspect declarative experiment graphs (repro.dag)")
-    dag_sub = dag_cmd.add_subparsers(dest="dag_command", required=True)
-    dag_show = dag_sub.add_parser(
-        "show", help="print one experiment's stage graph: nodes, "
-                     "dataflow, dependencies, per-node policy")
-    dag_show.add_argument("experiment",
-                          help="experiment id (e.g. fig7, fleet)")
-    dag_show.set_defaults(func=_cmd_dag_show)
 
     obs_cmd = sub.add_parser(
         "obs",

@@ -5,17 +5,11 @@ efficiency that keeps P_soc within P_budget.  The aggregate curve averages
 the SoCs whose transceivers are realizable at today's ~15 % efficiency
 standard at the 1024-channel anchor (the consistent set the paper's
 multipliers — ~2x at 20 %, ~4x at 100 % — refer to).
-
-The experiment is written as stage functions composed two ways: the
-imperative :func:`run` chains them directly (the parity oracle), and
-:func:`build_graph` declares them as a :class:`repro.dag.ExperimentGraph`
-for the DAG scheduler.  Both paths produce byte-identical artifacts.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any
 
 from repro.core.qam_design import (
     evaluate_qam_design,
@@ -23,7 +17,6 @@ from repro.core.qam_design import (
 )
 from repro.core.scaling import scale_to_standard
 from repro.core.socs import wireless_socs
-from repro.dag import ExperimentGraph, Stage
 from repro.experiments.base import ExperimentResult, mean_of
 from repro.experiments.report import ascii_plot, format_table
 from repro.link.budget import LinkBudget
@@ -40,16 +33,10 @@ COLUMNS = ["soc", "channels", "bits_per_symbol", "min_efficiency_pct",
            "feasible"]
 
 
-def stage_setup(budget: LinkBudget | None) -> dict[str, Any]:
-    """Resolve the link budget and scale every wireless SoC."""
-    return {
-        "link_budget": budget or LinkBudget(),
-        "socs": [scale_to_standard(r) for r in wireless_socs()],
-    }
-
-
-def stage_sweep(socs: list, link_budget: LinkBudget) -> dict[str, Any]:
-    """Sweep channel count per SoC to build the Fig. 7 curve rows."""
+def run(budget: LinkBudget | None = None) -> ExperimentResult:
+    """Regenerate the Fig. 7 efficiency curves and headline multipliers."""
+    link_budget = budget or LinkBudget()
+    socs = [scale_to_standard(r) for r in wireless_socs()]
     rows = []
     with span("fig7.sweep", n_socs=len(socs),
               channel_counts=len(CHANNEL_COUNTS)):
@@ -66,12 +53,7 @@ def stage_sweep(socs: list, link_budget: LinkBudget) -> dict[str, Any]:
                         else math.inf),
                     "feasible": point.feasible,
                 })
-    return {"rows": rows}
 
-
-def stage_multipliers(socs: list,
-                      link_budget: LinkBudget) -> dict[str, Any]:
-    """Headline multipliers over the realizable SoC set."""
     with span("fig7.multipliers"):
         realizable = [
             soc for soc in socs
@@ -84,15 +66,9 @@ def stage_multipliers(socs: list,
         max_at_100 = {s.name: max_channels_at_efficiency(s, 1.00,
                                                          link_budget)
                       for s in realizable}
-    return {"realizable": [s.name for s in realizable],
-            "max_at_20": max_at_20, "max_at_100": max_at_100}
 
-
-def stage_report(rows: list, realizable: list, max_at_20: dict,
-                 max_at_100: dict) -> dict[str, Any]:
-    """Assemble the summary, gauges, and final result."""
     summary = {
-        "realizable_socs": realizable,
+        "realizable_socs": [s.name for s in realizable],
         "max_channels_at_20pct": max_at_20,
         "max_channels_at_100pct": max_at_100,
         "avg_channels_at_20pct": mean_of(list(max_at_20.values())),
@@ -103,41 +79,10 @@ def stage_report(rows: list, realizable: list, max_at_20: dict,
     set_gauge("fig7.multiplier_at_20pct", summary["multiplier_at_20pct"])
     set_gauge("fig7.multiplier_at_100pct",
               summary["multiplier_at_100pct"])
-    result = ExperimentResult(
+    return ExperimentResult(
         name="fig7",
         title="Fig. 7: minimum QAM efficiency vs channel count",
         rows=rows, summary=summary, columns=COLUMNS)
-    return {"result": result}
-
-
-def build_graph() -> ExperimentGraph:
-    """The Fig. 7 experiment as a declarative stage DAG (sweep and
-    multipliers are independent and may run in parallel)."""
-    return ExperimentGraph(name="fig7", params={"budget": None}, stages=(
-        Stage("setup", stage_setup, inputs=("budget",),
-              outputs=("link_budget", "socs")),
-        Stage("sweep", stage_sweep, inputs=("socs", "link_budget"),
-              outputs=("rows",)),
-        Stage("multipliers", stage_multipliers,
-              inputs=("socs", "link_budget"),
-              outputs=("realizable", "max_at_20", "max_at_100")),
-        Stage("report", stage_report,
-              inputs=("rows", "realizable", "max_at_20", "max_at_100"),
-              outputs=("result",)),
-    ))
-
-
-def run(budget: LinkBudget | None = None) -> ExperimentResult:
-    """Regenerate the Fig. 7 efficiency curves and headline multipliers."""
-    values = stage_setup(budget=budget)
-    values.update(stage_sweep(socs=values["socs"],
-                              link_budget=values["link_budget"]))
-    values.update(stage_multipliers(socs=values["socs"],
-                                    link_budget=values["link_budget"]))
-    return stage_report(rows=values["rows"],
-                        realizable=values["realizable"],
-                        max_at_20=values["max_at_20"],
-                        max_at_100=values["max_at_100"])["result"]
 
 
 def render(result: ExperimentResult) -> str:

@@ -8,19 +8,10 @@ dashboard rows — throughput, Fitts bitrate, and degradation
 p50/p95/p99 — instead of single-session CSVs.  Every cohort stream
 derives from the run seed and the cohort name, so the fleet replays
 byte-identically, serial or sharded across the warm worker pool.
-
-Written as stage functions composed two ways: the imperative
-:func:`run_spec` chains them (the parity oracle, also used by the
-``repro fleet`` CLI) and :func:`build_graph` declares the
-spec -> simulate -> report chain for the DAG scheduler, with the run
-seed flowing in through the ``base_seed`` graph parameter.
 """
 
 from __future__ import annotations
 
-from typing import Any
-
-from repro.dag import ExperimentGraph, Stage
 from repro.experiments.base import ExperimentResult
 from repro.experiments.report import ascii_bars, format_table
 from repro.fleet import CohortSpec, FleetSpec, run_fleet
@@ -78,26 +69,21 @@ def default_fleet(sessions: int | None = None,
     return FleetSpec(cohorts)
 
 
-def stage_spec() -> dict[str, Any]:
-    """Materialize the default evaluation fleet."""
-    return {"fleet": default_fleet()}
+def run_spec(fleet: FleetSpec, base_seed: int | None = None,
+             jobs: int = 1) -> ExperimentResult:
+    """Run a fleet and reduce it to the dashboard result.
 
-
-def stage_simulate(fleet: FleetSpec, base_seed: int | None,
-                   jobs: int = 1) -> dict[str, Any]:
-    """Run every cohort and reduce each to its dashboard row."""
+    Shared by the driver ``run()`` (always serial — pooled experiment
+    runs must not nest pools) and the ``repro fleet`` CLI (which may
+    shard cohorts with ``--jobs``).
+    """
     # No `jobs` attr here: span attrs feed the event timeline, and the
     # fleet contract keeps events.jsonl byte-identical serial vs
     # sharded.
     with span("fleet.run", cohorts=len(fleet.cohorts),
               sessions=fleet.n_sessions):
         results = run_fleet(fleet, base_seed=base_seed, jobs=jobs)
-    return {"cohort_rows": [cohort.summary_row() for cohort in results]}
-
-
-def stage_report(fleet: FleetSpec, cohort_rows: list) -> dict[str, Any]:
-    """Reduce the cohort rows to the fleet summary and gauges."""
-    rows = cohort_rows
+    rows = [cohort.summary_row() for cohort in results]
     clean = [r for r in rows if r["drop_rate_pct"] == 0.0]
     best = max(clean or rows, key=lambda r: r["bitrate_p50_bps"])
     lossy = [r for r in rows if r["drop_rate_pct"] > 0.0]
@@ -112,37 +98,10 @@ def stage_report(fleet: FleetSpec, cohort_rows: list) -> dict[str, Any]:
     set_gauge("fleet.sessions_total", fleet.n_sessions)
     set_gauge("fleet.best_bitrate_p50_bps",
               summary["best_clean_bitrate_p50_bps"])
-    result = ExperimentResult(
+    return ExperimentResult(
         name="fleet",
         title="Extension: population-scale closed-loop fleet dashboard",
         rows=rows, summary=summary, columns=COLUMNS)
-    return {"result": result}
-
-
-def build_graph() -> ExperimentGraph:
-    """The fleet as a spec -> simulate -> report chain; the scheduler
-    fills ``base_seed`` with the derived driver seed."""
-    return ExperimentGraph(name="fleet", params={"base_seed": None},
-                           stages=(
-        Stage("spec", stage_spec, outputs=("fleet",)),
-        Stage("simulate", stage_simulate,
-              inputs=("fleet", "base_seed"), outputs=("cohort_rows",)),
-        Stage("report", stage_report, inputs=("fleet", "cohort_rows"),
-              outputs=("result",)),
-    ))
-
-
-def run_spec(fleet: FleetSpec, base_seed: int | None = None,
-             jobs: int = 1) -> ExperimentResult:
-    """Run a fleet and reduce it to the dashboard result.
-
-    Shared by the driver ``run()`` (always serial — pooled experiment
-    runs must not nest pools) and the ``repro fleet`` CLI (which may
-    shard cohorts with ``--jobs``).
-    """
-    values = stage_simulate(fleet=fleet, base_seed=base_seed, jobs=jobs)
-    return stage_report(fleet=fleet,
-                        cohort_rows=values["cohort_rows"])["result"]
 
 
 def run(seed: int | None = None) -> ExperimentResult:

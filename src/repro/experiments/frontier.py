@@ -5,22 +5,14 @@ wireless design, the maximum safe channel count under every architectural
 strategy the framework models (raw OOK, QAM, compression, event streaming,
 on-implant DNNs, partitioning, multi-implant tiling), plus which strategy
 wins at the 2048-channel short-term target.
-
-Written as stage functions composed two ways: the imperative :func:`run`
-chains them (the parity oracle) and :func:`build_graph` declares one
-explore node per SoC, so the DAG scheduler can fan the per-SoC
-exploration across the warm worker pool.
 """
 
 from __future__ import annotations
-
-from typing import Any
 
 from repro.core.explorer import explore
 from repro.core.multi_implant import max_implants
 from repro.core.scaling import scale_to_standard
 from repro.core.socs import wireless_socs
-from repro.dag import ExperimentGraph, Stage
 from repro.experiments.base import ExperimentResult
 from repro.experiments.report import format_table
 from repro.obs.metrics import set_gauge
@@ -33,45 +25,31 @@ COLUMNS = ["soc", "strategy", "max_channels", "power_ratio_at_2048",
            "feasible_at_2048"]
 
 
-def stage_socs() -> dict[str, Any]:
-    """Scale every wireless SoC to the comparison standard."""
-    return {"socs": [scale_to_standard(r) for r in wireless_socs()]}
-
-
-def stage_explore(socs: list, index: int) -> dict[str, Any]:
-    """Explore one SoC's strategy frontier (one node per SoC)."""
-    soc = socs[index]
+def run() -> ExperimentResult:
+    """Build the frontier table."""
+    socs = [scale_to_standard(r) for r in wireless_socs()]
     rows = []
-    with span("frontier.explore", soc=soc.name):
-        report = explore(soc, target_channels=TARGET_CHANNELS)
-    for outcome in report.outcomes:
+    best_at_target = {}
+    for soc in socs:
+        with span("frontier.explore", soc=soc.name):
+            report = explore(soc, target_channels=TARGET_CHANNELS)
+        for outcome in report.outcomes:
+            rows.append({
+                "soc": soc.name,
+                "strategy": outcome.strategy,
+                "max_channels": outcome.max_channels,
+                "power_ratio_at_2048": outcome.power_ratio_at_target,
+                "feasible_at_2048": outcome.feasible_at_target,
+            })
         rows.append({
             "soc": soc.name,
-            "strategy": outcome.strategy,
-            "max_channels": outcome.max_channels,
-            "power_ratio_at_2048": outcome.power_ratio_at_target,
-            "feasible_at_2048": outcome.feasible_at_target,
+            "strategy": "multi-implant tiling",
+            "max_channels": max_implants(soc) * soc.n_channels,
+            "power_ratio_at_2048": float("nan"),
+            "feasible_at_2048": max_implants(soc) >= 2,
         })
-    rows.append({
-        "soc": soc.name,
-        "strategy": "multi-implant tiling",
-        "max_channels": max_implants(soc) * soc.n_channels,
-        "power_ratio_at_2048": float("nan"),
-        "feasible_at_2048": max_implants(soc) >= 2,
-    })
-    best = report.best_strategy()
-    return {f"explored_{index}": {
-        "soc": soc.name,
-        "rows": rows,
-        "best": best.strategy if best else None,
-    }}
-
-
-def stage_report(**explored: dict) -> dict[str, Any]:
-    """Merge the per-SoC blocks into the frontier table and summary."""
-    blocks = [explored[f"explored_{i}"] for i in range(len(explored))]
-    rows = [row for block in blocks for row in block["rows"]]
-    best_at_target = {block["soc"]: block["best"] for block in blocks}
+        best = report.best_strategy()
+        best_at_target[soc.name] = best.strategy if best else None
     summary = {
         "best_strategy_at_2048": best_at_target,
         "n_socs_with_feasible_2048": sum(
@@ -79,34 +57,10 @@ def stage_report(**explored: dict) -> dict[str, Any]:
     }
     set_gauge("frontier.n_socs_with_feasible_2048",
               float(summary["n_socs_with_feasible_2048"]))
-    result = ExperimentResult(
+    return ExperimentResult(
         name="frontier",
         title="Extension: strategy frontier across wireless SoCs",
         rows=rows, summary=summary, columns=COLUMNS)
-    return {"result": result}
-
-
-def build_graph() -> ExperimentGraph:
-    """The frontier as a fan-out/fan-in DAG: one explore node per SoC."""
-    n = len(wireless_socs())
-    stages = [Stage("socs", stage_socs, outputs=("socs",))]
-    for i in range(n):
-        stages.append(Stage(f"explore_{i}", stage_explore,
-                            inputs=("socs",), consts={"index": i},
-                            outputs=(f"explored_{i}",)))
-    stages.append(Stage("report", stage_report,
-                        inputs=tuple(f"explored_{i}" for i in range(n)),
-                        outputs=("result",)))
-    return ExperimentGraph(name="frontier", stages=tuple(stages))
-
-
-def run() -> ExperimentResult:
-    """Build the frontier table."""
-    socs = stage_socs()["socs"]
-    explored: dict[str, dict] = {}
-    for i in range(len(socs)):
-        explored.update(stage_explore(socs=socs, index=i))
-    return stage_report(**explored)["result"]
 
 
 def render(result: ExperimentResult) -> str:

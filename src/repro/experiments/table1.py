@@ -1,16 +1,8 @@
-"""Table 1 reproduction: the published implanted SoC designs.
-
-Written as stage functions composed two ways: the imperative :func:`run`
-chains them (the parity oracle) and :func:`build_graph` declares the
-same three stages for the DAG scheduler.
-"""
+"""Table 1 reproduction: the published implanted SoC designs."""
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.core.socs import TABLE1
-from repro.dag import ExperimentGraph, Stage
 from repro.experiments.base import ExperimentResult
 from repro.experiments.report import format_table
 from repro.obs.metrics import set_gauge
@@ -22,8 +14,8 @@ COLUMNS = ["number", "name", "ni_type", "channels", "area_mm2",
            "below_budget"]
 
 
-def stage_rows() -> dict[str, Any]:
-    """Flatten the published designs into structured rows."""
+def run() -> ExperimentResult:
+    """Regenerate Table 1 as structured rows."""
     rows = []
     with span("table1.rows", n_designs=len(TABLE1)):
         for record in TABLE1:
@@ -39,11 +31,6 @@ def stage_rows() -> dict[str, Any]:
                 "wireless": record.wireless,
                 "below_budget": record.below_budget,
             })
-    return {"rows": rows}
-
-
-def stage_summary(rows: list) -> dict[str, Any]:
-    """Aggregate counts and ranges over the table rows."""
     with span("table1.summary"):
         summary = {
             "n_designs": len(rows),
@@ -51,37 +38,11 @@ def stage_summary(rows: list) -> dict[str, Any]:
             "channel_range": (min(r["channels"] for r in rows),
                               max(r["channels"] for r in rows)),
         }
-    return {"summary": summary}
-
-
-def stage_report(rows: list, summary: dict) -> dict[str, Any]:
-    """Publish gauges and assemble the final result."""
     set_gauge("table1.n_designs", float(summary["n_designs"]))
     set_gauge("table1.n_wireless", float(summary["n_wireless"]))
-    result = ExperimentResult(name="table1",
-                              title="Table 1: implanted SoC designs",
-                              rows=rows, summary=summary,
-                              columns=COLUMNS)
-    return {"result": result}
-
-
-def build_graph() -> ExperimentGraph:
-    """Table 1 as a three-stage chain."""
-    return ExperimentGraph(name="table1", stages=(
-        Stage("rows", stage_rows, outputs=("rows",)),
-        Stage("summary", stage_summary, inputs=("rows",),
-              outputs=("summary",)),
-        Stage("report", stage_report, inputs=("rows", "summary"),
-              outputs=("result",)),
-    ))
-
-
-def run() -> ExperimentResult:
-    """Regenerate Table 1 as structured rows."""
-    values = stage_rows()
-    values.update(stage_summary(rows=values["rows"]))
-    return stage_report(rows=values["rows"],
-                        summary=values["summary"])["result"]
+    return ExperimentResult(name="table1",
+                            title="Table 1: implanted SoC designs",
+                            rows=rows, summary=summary, columns=COLUMNS)
 
 
 def render(result: ExperimentResult) -> str:

@@ -172,26 +172,6 @@ class EventLog:
         path.write_text(self.to_jsonl(), encoding="utf-8")
         return path
 
-    def export_tail(self, start: int) -> list[dict[str, Any]]:
-        """Events from position ``start`` onward as JSON-able dicts.
-
-        With :meth:`truncate`, this is the capture primitive the DAG
-        scheduler uses: snapshot ``len(log)`` before a stage, export
-        the stage's block after it, truncate, and re-:meth:`adopt` the
-        blocks in canonical order at the end of the graph — so every
-        valid dispatch order serializes to the same timeline.
-        """
-        with self._lock:
-            return [event.to_dict() for event in self._events[start:]]
-
-    def truncate(self, start: int) -> int:
-        """Drop events from position ``start`` onward; returns how many
-        were removed (see :meth:`export_tail`)."""
-        with self._lock:
-            removed = max(len(self._events) - start, 0)
-            del self._events[start:]
-            return removed
-
     def adopt(self, records: Iterable[dict[str, Any]]) -> int:
         """Append externally recorded events, reassigning sequence
         numbers.

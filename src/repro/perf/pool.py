@@ -105,9 +105,6 @@ def _execute_task(task: dict[str, Any]) -> dict[str, Any]:
         if task.get("kind") == "fleet_cohort":
             from repro.fleet.engine import run_cohort_task
             result = run_cohort_task(task)
-        elif task.get("kind") == "dag_node":
-            from repro.dag.scheduler import run_node_task
-            result = run_node_task(task)
         else:
             from repro.experiments import run_module
             module = importlib.import_module(

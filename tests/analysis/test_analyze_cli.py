@@ -24,7 +24,7 @@ def test_corpus_fails_the_gate(capsys):
     assert "[worker-shared-state]" in out
     assert "[seed-taint]" in out
     assert "[unused-ignore]" in out
-    assert "47 new finding(s)" in out
+    assert "43 new finding(s)" in out
 
 
 def test_json_report_structure(tmp_path, capsys):
@@ -33,7 +33,7 @@ def test_json_report_structure(tmp_path, capsys):
                  "--format", "json", "--output", str(report_path)])
     assert code == 1
     report = json.loads(report_path.read_text(encoding="utf-8"))
-    assert report["counts"]["new"] == 47
+    assert report["counts"]["new"] == 43
     assert report["counts"]["baselined"] == 0
     assert sorted(rule["id"] for rule in report["rules"]) == [
         "determinism", "driver-telemetry", "experiment-contract",
@@ -41,13 +41,13 @@ def test_json_report_structure(tmp_path, capsys):
         "resilience", "resource-lifecycle", "seed-taint", "units",
         "unused-ignore", "worker-shared-state"]
     findings = report["findings"]
-    assert len(findings) == 47
+    assert len(findings) == 43
     sample = findings[0]
     assert {"path", "line", "col", "rule", "message", "fingerprint",
             "baselined"} <= set(sample)
     assert all(not f["baselined"] for f in findings)
     # stdout also carries the JSON document for piping
-    assert json.loads(capsys.readouterr().out)["counts"]["new"] == 47
+    assert json.loads(capsys.readouterr().out)["counts"]["new"] == 43
 
 
 def test_update_baseline_then_gate_passes(tmp_path, capsys):
@@ -56,13 +56,13 @@ def test_update_baseline_then_gate_passes(tmp_path, capsys):
                  "--update-baseline"])
     assert code == 0
     document = json.loads(baseline.read_text(encoding="utf-8"))
-    assert len(document["entries"]) == 47
+    assert len(document["entries"]) == 43
 
     capsys.readouterr()
     code = main(["analyze", str(CORPUS), "--baseline", str(baseline)])
     out = capsys.readouterr().out
     assert code == 0
-    assert "0 new finding(s), 47 baselined" in out
+    assert "0 new finding(s), 43 baselined" in out
 
 
 def test_new_violation_breaks_a_baselined_gate(tmp_path, capsys):
@@ -121,7 +121,7 @@ def test_sarif_format_round_trips(tmp_path, capsys):
     assert document["version"] == "2.1.0"
     run = document["runs"][0]
     assert run["tool"]["driver"]["name"] == "repro-analyze"
-    assert len(run["results"]) == 47
+    assert len(run["results"]) == 43
     assert all(r["baselineState"] == "new" for r in run["results"])
     assert all(r["level"] == "error" for r in run["results"])
     # stdout carries the same document

@@ -48,6 +48,26 @@ class TestEventsFlag:
         assert not (out_dir / "events.jsonl").exists()
 
 
+    def test_cached_run_timelines(self, tmp_path, capsys):
+        # The cache.put span carries a `kind=` attr, which must not
+        # collide with emit()'s own positional `kind` parameter.
+        out_dir = tmp_path / "cached"
+        timelines = []
+        for _ in ("cold", "warm"):
+            assert main(["evaluate", "table1", "--seed", "7", "--cache",
+                         "--events", "--quiet",
+                         "--output-dir", str(out_dir)]) == 0
+            timelines.append([
+                json.loads(line) for line in
+                (out_dir / "events.jsonl").read_text().splitlines()])
+        capsys.readouterr()
+        cold, warm = timelines
+        assert any(e["name"] == "cache.put" and e["kind"] == "span_start"
+                   and e["attrs"].get("kind") == "driver" for e in cold)
+        assert any(e["kind"] == "cache" and e["name"] == "driver.hit"
+                   for e in warm)
+
+
 class TestObsView:
     def test_view_census(self, events_run, capsys):
         _, events_path = events_run
@@ -139,6 +159,20 @@ class TestObsBenchGate:
     def test_empty_history_exits_two(self, tmp_path, capsys):
         assert main(["obs", "bench-gate", "--history",
                      str(tmp_path / "none.jsonl")]) == 2
+
+    @pytest.mark.parametrize("payload", [
+        {"quick": True},
+        {"entries": [{"after_s": 0.01, "speedup": 10.0}]},
+        {"entries": [{"name": "rice_encode", "speedup": 10.0}]},
+    ], ids=["no-entries", "entry-without-name", "entry-without-after_s"])
+    def test_wrong_shape_input_exits_two(self, tmp_path, capsys, payload):
+        history = tmp_path / "bench_history.jsonl"
+        self._seed_history(history, [0.010])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["obs", "bench-gate", "--history", str(history),
+                     "--input", str(bad)]) == 2
+        assert "obs: bad bench input:" in capsys.readouterr().err
 
 
 class TestObsReport:

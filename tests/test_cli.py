@@ -1,10 +1,14 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 
 import pytest
 
 from repro.cli import main
+
+#: Name of the deleted stage-graph engine's subcommand and evaluate flag.
+REMOVED_ENGINE = "dag"
 
 
 class TestList:
@@ -183,6 +187,32 @@ class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize("argv", [
+        [REMOVED_ENGINE, "show", "fig7"],
+        ["evaluate", "fig7", "--" + REMOVED_ENGINE],
+    ], ids=["subcommand", "evaluate-flag"])
+    def test_removed_graph_engine_surface_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
+class TestFleet:
+    ARGS = ["fleet", "--sessions", "2", "--decoder", "kalman",
+            "--seed", "3", "--quiet"]
+
+    def test_jobs_zero_shards_across_all_cpus(self, capsys, tmp_path,
+                                              monkeypatch):
+        assert main([*self.ARGS,
+                     "--output-dir", str(tmp_path / "ser")]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert main([*self.ARGS, "--jobs", "0", "--metrics",
+                     "--output-dir", str(tmp_path / "all")]) == 0
+        assert "fleet.cohorts_sharded" in capsys.readouterr().out
+        assert ((tmp_path / "all" / "fleet.csv").read_bytes()
+                == (tmp_path / "ser" / "fleet.csv").read_bytes())
 
 
 class TestCacheFlag:
