@@ -8,9 +8,6 @@ CSVs — is asserted on the full run; ``REPRO_BENCH_QUICK=1`` (CI) keeps
 the same JSON shape but asserts only sanity (warm faster than cold and
 all drivers hitting), since shared runners make tight wall-clock ratios
 flaky.
-
-A second entry times the stage layer in isolation: a Monte-Carlo BER
-sweep, cold vs warm, through a dedicated store.
 """
 
 from __future__ import annotations
@@ -19,15 +16,9 @@ import json
 import os
 import shutil
 import time
-import timeit
 from pathlib import Path
 
-import numpy as np
-
-from repro.cache import CacheStore, stage_caching
 from repro.experiments import run_all
-from repro.link.channel import measure_ber_sweep
-from repro.link.modulation import MQAM
 
 #: Where the cold/warm numbers land (repo root, next to BENCH_perf.json).
 BENCH_CACHE_PATH = Path(__file__).resolve().parents[1] / "BENCH_cache.json"
@@ -80,30 +71,10 @@ def _bench_run_all(entries: list[dict], tmp_path: Path) -> None:
     shutil.rmtree(plain_dir, ignore_errors=True)
 
 
-def _bench_stage(entries: list[dict], tmp_path: Path) -> None:
-    store = CacheStore(tmp_path / "stage-cache")
-    scheme = MQAM(4)
-    grid = np.linspace(2.0, 12.0, 4 if QUICK else 11)
-    n_bits = 20_000 if QUICK else 400_000
-
-    def sweep() -> np.ndarray:
-        with stage_caching(store):
-            return measure_ber_sweep(scheme, grid, n_bits,
-                                     rng=np.random.default_rng(3))
-
-    cold_s = timeit.timeit(sweep, number=1)
-    cold_result = sweep()  # second call: warm (same key), kept to check
-    warm_s = min(timeit.repeat(sweep, number=1, repeat=3))
-    assert np.array_equal(cold_result, sweep())
-    entries.append(_entry("ber_sweep_stage", cold_s, warm_s,
-                          points=len(grid), n_bits=n_bits))
-
-
 def test_bench_cache(tmp_path):
     """Time cold vs warm runs and persist ``BENCH_cache.json``."""
     entries: list[dict] = []
     _bench_run_all(entries, tmp_path)
-    _bench_stage(entries, tmp_path)
 
     for entry in entries:
         assert entry["warm_s"] > 0

@@ -7,15 +7,11 @@ source fingerprint of the producing module's in-package import closure
 Python/NumPy versions (:mod:`repro.cache.keys`) — so entries invalidate
 exactly when provenance changes and never otherwise.
 
-Two granularities share one on-disk store (:mod:`repro.cache.store`,
-``results/.cache`` by default, multi-process safe):
-
-* **whole-driver** entries (:mod:`repro.cache.runner`) replay a full
-  :class:`~repro.experiments.base.ExperimentResult` including its
-  byte-exact CSV;
-* **stage** entries (:mod:`repro.cache.stages`) memoize the expensive
-  inner computations — BER sweeps, decoder training, thermal solves —
-  so an edited driver still reuses the stages it did not touch.
+One granularity, the whole driver: each entry in the on-disk store
+(:mod:`repro.cache.store`, ``results/.cache`` by default, multi-process
+safe) is keyed by :func:`~repro.cache.keys.driver_key` and replays a
+full :class:`~repro.experiments.base.ExperimentResult` including its
+byte-exact CSV (:mod:`repro.cache.runner`).
 
 Enabled with ``python -m repro evaluate --cache`` (and ``profile
 --cache``); inspected with ``python -m repro cache {stats,clear,gc}``.
@@ -28,32 +24,23 @@ from repro.cache.fingerprint import (
     import_closure,
     module_imports,
     module_source_path,
-    source_digest,
 )
 from repro.cache.keys import (
     KEY_SCHEMA_VERSION,
     driver_key,
     environment_fields,
-    stage_key,
     value_digest,
 )
 from repro.cache.runner import (
     CACHE_DIR_NAME,
     DriverProbe,
+    decode_result,
+    encode_result,
     probe_driver,
     result_from_payload,
     result_payload,
     run_and_save_cached,
     store_for,
-)
-from repro.cache.stages import (
-    active_store,
-    cached_stage,
-    decode_result,
-    encode_result,
-    generator_state,
-    restore_generator,
-    stage_caching,
 )
 from repro.cache.store import STORE_SCHEMA_VERSION, CacheStore
 
@@ -63,8 +50,6 @@ __all__ = [
     "DriverProbe",
     "KEY_SCHEMA_VERSION",
     "STORE_SCHEMA_VERSION",
-    "active_store",
-    "cached_stage",
     "clear_cached_fingerprints",
     "decode_result",
     "default_root",
@@ -72,18 +57,13 @@ __all__ = [
     "encode_result",
     "environment_fields",
     "fingerprint",
-    "generator_state",
     "import_closure",
     "module_imports",
     "module_source_path",
     "probe_driver",
-    "restore_generator",
     "result_from_payload",
     "result_payload",
     "run_and_save_cached",
-    "source_digest",
-    "stage_caching",
-    "stage_key",
     "store_for",
     "value_digest",
 ]

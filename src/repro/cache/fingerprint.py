@@ -13,10 +13,9 @@ shallowly — their sources count, their re-export imports are not
 followed — so sibling drivers sharing a package don't invalidate each
 other (see :func:`import_closure`).
 
-Imports are discovered by parsing, not importing: the walker reuses
-:class:`repro.analysis.engine.ParsedFile` (the AST machinery behind
-``python -m repro analyze``), so a source tree copied into a tmp
-directory can be fingerprinted without being imported.  Only absolute
+Imports are discovered by parsing, not importing (:func:`ast.parse` on
+the file text), so a source tree copied into a tmp directory can be
+fingerprinted without being imported.  Only absolute
 ``repro.*`` imports are followed — the package style enforced across the
 codebase; stdlib and third-party modules are environment concerns and are
 keyed separately (:func:`repro.cache.keys.environment_fields`).  Only
@@ -37,11 +36,8 @@ import ast
 import hashlib
 from pathlib import Path
 
-from repro.analysis.engine import AnalysisError, ParsedFile
-
 __all__ = ["clear_cached_fingerprints", "default_root", "fingerprint",
-           "import_closure", "module_imports", "module_source_path",
-           "source_digest"]
+           "import_closure", "module_imports", "module_source_path"]
 
 #: Top-level package whose internal imports the walker follows.
 PACKAGE = "repro"
@@ -101,7 +97,7 @@ def _module_level_nodes(tree: ast.Module):
             stack.append(child)
 
 
-def module_imports(parsed: ParsedFile, root: Path) -> frozenset[str]:
+def module_imports(tree: ast.Module, root: Path) -> frozenset[str]:
     """In-package modules a parsed module imports at module level.
 
     ``from repro.pkg import name`` resolves ``name`` to
@@ -110,7 +106,7 @@ def module_imports(parsed: ParsedFile, root: Path) -> frozenset[str]:
     imports are excluded (see the module docstring).
     """
     found: set[str] = set()
-    for node in _module_level_nodes(parsed.tree):
+    for node in _module_level_nodes(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if _in_package(alias.name):
@@ -133,23 +129,20 @@ def _in_package(module: str) -> bool:
     return module == PACKAGE or module.startswith(PACKAGE + ".")
 
 
-def source_digest(path: Path) -> str:
-    """sha256 hex digest of a source file's bytes."""
-    try:
-        return hashlib.sha256(path.read_bytes()).hexdigest()
-    except OSError as error:
-        raise AnalysisError(f"cannot read {path}: {error}") from error
-
-
 def _parse(path: Path, root: Path) -> tuple[str, frozenset[str]]:
-    """(source digest, imported modules) of one file, memoized."""
+    """(source digest, imported modules) of one file, memoized.
+
+    The digest is over the utf-8 text as read (universal newlines), so
+    it matches across checkouts that differ only in line endings.
+    """
     resolved = path.resolve()
     cached = _PARSED.get(resolved)
     if cached is not None:
         return cached
-    parsed = ParsedFile.parse(path, str(path))
-    digest = hashlib.sha256(parsed.source.encode("utf-8")).hexdigest()
-    record = (digest, module_imports(parsed, root))
+    source = path.read_text(encoding="utf-8")
+    tree = ast.parse(source, filename=str(path))
+    digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
+    record = (digest, module_imports(tree, root))
     _PARSED[resolved] = record
     return record
 
@@ -168,14 +161,16 @@ def import_closure(module: str, root: Path | None = None,
         transitively imports inside the package.
 
     Raises:
-        AnalysisError: when ``module`` has no source file under ``root``
-            or a closure member fails to parse.
+        FileNotFoundError: when ``module`` has no source file under
+            ``root``.
+        OSError / SyntaxError: when a closure member cannot be read or
+            parsed.
     """
     root = (root or default_root()).resolve()
     start = module_source_path(module, root)
     if start is None:
-        raise AnalysisError(f"no source for module {module!r} under "
-                            f"{root}")
+        raise FileNotFoundError(f"no source for module {module!r} under "
+                                f"{root}")
     closure: dict[str, Path] = {}
     pending = [(module, start)]
     while pending:

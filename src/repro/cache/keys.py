@@ -1,11 +1,10 @@
-"""Cache-key construction: canonical hashing of runs and stage inputs.
+"""Cache-key construction: canonical hashing of driver runs.
 
 A key is a sha256 over everything a result depends on:
 
 * the transitive source fingerprint of the producing code
   (:mod:`repro.cache.fingerprint`);
-* the call inputs — experiment name and seeds for whole-driver entries,
-  the bound arguments (and RNG state) for stage entries;
+* the call inputs — experiment name and base and derived seeds;
 * the environment — Python and NumPy versions
   (:func:`environment_fields`), since numerical kernels may differ
   across either;
@@ -13,20 +12,17 @@ A key is a sha256 over everything a result depends on:
   the key layout itself changes so stale layouts can never collide.
 
 :func:`value_digest` is the canonical structural hash used throughout:
-it feeds type-tagged representations into sha256 so distinct values
-never alias (``1`` vs ``1.0`` vs ``"1"``), NumPy arrays hash by dtype,
-shape, and bytes, and plain objects (dataclasses, modulation schemes,
-thermal grids) hash by class identity plus their instance ``__dict__``.
+it feeds type-tagged representations of JSON-shaped values into sha256
+so distinct values never alias (``1`` vs ``1.0`` vs ``"1"``).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 from typing import Any
 
 __all__ = ["KEY_SCHEMA_VERSION", "driver_key", "environment_fields",
-           "stage_key", "value_digest"]
+           "value_digest"]
 
 #: Bump when the key construction below changes shape.
 KEY_SCHEMA_VERSION = 1
@@ -44,8 +40,6 @@ def environment_fields() -> dict[str, str]:
 
 def _feed(digest: "hashlib._Hash", value: Any) -> None:
     """Feed one value into the digest with unambiguous type tags."""
-    import numpy as np
-
     if value is None:
         digest.update(b"N;")
     elif isinstance(value, bool):
@@ -57,18 +51,6 @@ def _feed(digest: "hashlib._Hash", value: Any) -> None:
     elif isinstance(value, str):
         raw = value.encode("utf-8")
         digest.update(b"s" + str(len(raw)).encode() + b":" + raw + b";")
-    elif isinstance(value, bytes):
-        digest.update(b"y" + str(len(value)).encode() + b":" + value
-                      + b";")
-    elif isinstance(value, np.generic):
-        digest.update(b"g" + str(value.dtype).encode() + b":"
-                      + value.tobytes() + b";")
-    elif isinstance(value, np.ndarray):
-        array = np.ascontiguousarray(value)
-        digest.update(b"a" + str(array.dtype).encode() + b":"
-                      + repr(array.shape).encode() + b":")
-        digest.update(array.tobytes())
-        digest.update(b";")
     elif isinstance(value, (list, tuple)):
         digest.update(b"l" + str(len(value)).encode() + b"[")
         for item in value:
@@ -79,12 +61,6 @@ def _feed(digest: "hashlib._Hash", value: Any) -> None:
         for key in sorted(value, key=str):
             _feed(digest, str(key))
             _feed(digest, value[key])
-        digest.update(b"};")
-    elif dataclasses.is_dataclass(value) or hasattr(value, "__dict__"):
-        cls = type(value)
-        digest.update(b"o" + f"{cls.__module__}.{cls.__qualname__}"
-                      .encode() + b"{")
-        _feed(digest, dict(vars(value)))
         digest.update(b"};")
     else:
         raise TypeError(f"cannot hash {type(value).__name__!r} value "
@@ -111,22 +87,3 @@ def driver_key(name: str, source_fingerprint: str,
         "env": environment_fields(),
     })
 
-
-def stage_key(stage: str, source_fingerprint: str,
-              parts: dict[str, Any]) -> str:
-    """Cache key of one memoized stage call.
-
-    Args:
-        stage: stable stage id (e.g. ``"link.measure_ber_sweep"``).
-        source_fingerprint: closure fingerprint of the stage's module.
-        parts: everything else the result depends on — bound arguments,
-            RNG state, and any stage-specific state.
-    """
-    return value_digest({
-        "schema": KEY_SCHEMA_VERSION,
-        "kind": "stage",
-        "stage": stage,
-        "fingerprint": source_fingerprint,
-        "parts": parts,
-        "env": environment_fields(),
-    })

@@ -6,7 +6,7 @@ source fingerprint of the driver module's import closure, the base and
 derived seeds, and the environment (:func:`repro.cache.keys.driver_key`)
 — and either replays the stored :class:`ExperimentResult` (including the
 byte-exact CSV text captured on the cold run) or executes the driver
-with stage caching active and publishes the outcome.
+and publishes the outcome.
 
 CSV byte-identity is guaranteed by construction: the cold run's CSV file
 is read back and stored verbatim in the entry, and a warm hit writes
@@ -15,6 +15,7 @@ those exact bytes instead of re-rendering rows through the CSV writer.
 
 from __future__ import annotations
 
+import base64
 from dataclasses import dataclass
 from pathlib import Path
 from types import ModuleType
@@ -22,15 +23,14 @@ from typing import Any
 
 from repro.cache.fingerprint import fingerprint
 from repro.cache.keys import driver_key
-from repro.cache.stages import decode_result, encode_result, stage_caching
 from repro.cache.store import CacheStore
 from repro.obs.events import driver_scope, emit as emit_event
 from repro.obs.metrics import inc
 from repro.obs.trace import span
 
-__all__ = ["CACHE_DIR_NAME", "DriverProbe", "probe_driver",
-           "result_from_payload", "result_payload",
-           "run_and_save_cached", "store_for"]
+__all__ = ["CACHE_DIR_NAME", "DriverProbe", "decode_result",
+           "encode_result", "probe_driver", "result_from_payload",
+           "result_payload", "run_and_save_cached", "store_for"]
 
 #: Cache directory name, created inside the run's output directory.
 CACHE_DIR_NAME = ".cache"
@@ -39,6 +39,49 @@ CACHE_DIR_NAME = ".cache"
 def store_for(output_dir: Path | str) -> CacheStore:
     """The cache store shared by runs writing into ``output_dir``."""
     return CacheStore(Path(output_dir) / CACHE_DIR_NAME)
+
+
+def encode_result(value: Any) -> Any:
+    """JSON-able encoding of a driver's rows and summary.
+
+    NumPy arrays round-trip exactly (dtype, shape, raw bytes in
+    base64); NumPy scalars become their Python equivalents; tuples
+    become lists.
+    """
+    import numpy as np
+
+    if isinstance(value, np.ndarray):
+        array = np.ascontiguousarray(value)
+        return {"__ndarray__": {
+            "dtype": str(array.dtype),
+            "shape": list(array.shape),
+            "data": base64.b64encode(array.tobytes()).decode("ascii"),
+        }}
+    if isinstance(value, np.generic):
+        return value.item()
+    if isinstance(value, (list, tuple)):
+        return [encode_result(item) for item in value]
+    if isinstance(value, dict):
+        return {str(key): encode_result(item)
+                for key, item in value.items()}
+    return value
+
+
+def decode_result(value: Any) -> Any:
+    """Inverse of :func:`encode_result` (lists stay lists)."""
+    import numpy as np
+
+    if isinstance(value, dict):
+        packed = value.get("__ndarray__")
+        if isinstance(packed, dict) and set(packed) == {"dtype", "shape",
+                                                        "data"}:
+            raw = base64.b64decode(packed["data"])
+            array = np.frombuffer(raw, dtype=packed["dtype"])
+            return array.reshape(packed["shape"]).copy()
+        return {key: decode_result(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [decode_result(item) for item in value]
+    return value
 
 
 def result_payload(result: Any, csv_text: str) -> dict[str, Any]:
@@ -127,8 +170,7 @@ def run_and_save_cached(module: ModuleType,
     """Run one driver through the cache and save its CSV + manifest.
 
     On a hit the stored result is replayed and its CSV written
-    byte-for-byte; on a miss the driver runs (with stage caching active
-    so its expensive inner computations memoize too) and the outcome is
+    byte-for-byte; on a miss the driver runs and the outcome is
     published for the next run.
 
     Args:
@@ -177,13 +219,11 @@ def run_and_save_cached(module: ModuleType,
 
         inc("cache.driver.misses_total")
         emit_event("cache", "driver.miss", key=key[:12])
-        with stage_caching(store):
-            result = run_module(module, seed=seed)
+        result = run_module(module, seed=seed)
         result.cache_info = {"hit": False, "key": key,
                              "fingerprint": source_fingerprint}
         csv_path = result.save_csv(output_dir)
         with csv_path.open("r", newline="", encoding="utf-8") as handle:
             csv_text = handle.read()
-        store.put(key, result_payload(result, csv_text), kind="driver",
-                  label=name)
+        store.put(key, result_payload(result, csv_text), label=name)
     return result

@@ -19,8 +19,8 @@ the ``cache.corruption`` counter, and is moved into
 damaged bytes stay inspectable.  Temp files orphaned by a killed writer
 (``*.tmp-<pid>`` with a dead pid) are swept on the next put.  Every
 lookup is recorded as a ``cache.get`` span and counted into the metrics
-registry (``cache.hits`` / ``cache.misses`` plus per-kind counters), so
-cached runs stay observable end to end.
+registry (``cache.hits`` / ``cache.misses``), so cached runs stay
+observable end to end.
 """
 
 from __future__ import annotations
@@ -135,33 +135,26 @@ class CacheStore:
             hit = entry is not None
             current.set(hit=hit)
         inc("cache.hits" if hit else "cache.misses")
-        if entry is not None:
-            inc(f"cache.{entry.get('kind', 'unknown')}.hits")
         return entry
 
-    def put(self, key: str, payload: dict[str, Any], kind: str,
-            label: str) -> Path:
+    def put(self, key: str, payload: dict[str, Any], label: str) -> Path:
         """Atomically publish an entry; returns its path.
 
         Args:
             key: content-address (sha256 hex) of the entry.
             payload: JSON-able result payload.
-            kind: entry class (``"driver"`` or ``"stage"``) used by
-                stats and metrics.
-            label: human-readable producer id (experiment or stage
-                name).
+            label: human-readable producer id (the experiment name).
         """
         entry = {
             "schema": STORE_SCHEMA_VERSION,
             "key": key,
-            "kind": kind,
             "label": label,
             "created_unix_s": time.time(),
             "payload": payload,
         }
         text = json.dumps(entry, sort_keys=True)
         path = self.entry_path(key)
-        with span("cache.put", key=key[:12], kind=kind):
+        with span("cache.put", key=key[:12]):
             with self._lock():
                 path.parent.mkdir(parents=True, exist_ok=True)
                 self._sweep_dir(path.parent)
@@ -169,7 +162,6 @@ class CacheStore:
                 tmp.write_text(text, encoding="utf-8")
                 os.replace(tmp, path)
         inc("cache.puts")
-        inc(f"cache.{kind}.puts")
         return path
 
     @staticmethod
@@ -235,9 +227,9 @@ class CacheStore:
                       if not path.name.endswith(".lock"))
 
     def stats(self) -> dict[str, Any]:
-        """Entry counts, byte totals, and per-kind/label breakdowns."""
+        """Entry counts, byte totals, and a per-label breakdown."""
         files = self._entry_files()
-        by_kind: dict[str, int] = {}
+        corrupt = 0
         by_label: dict[str, int] = {}
         total_bytes = 0
         oldest: float | None = None
@@ -247,11 +239,9 @@ class CacheStore:
             try:
                 entry = json.loads(path.read_text(encoding="utf-8"))
             except (OSError, ValueError):
-                by_kind["corrupt"] = by_kind.get("corrupt", 0) + 1
+                corrupt += 1
                 continue
-            kind = str(entry.get("kind", "unknown"))
             label = str(entry.get("label", "unknown"))
-            by_kind[kind] = by_kind.get(kind, 0) + 1
             by_label[label] = by_label.get(label, 0) + 1
             created = entry.get("created_unix_s")
             if isinstance(created, (int, float)):
@@ -263,7 +253,7 @@ class CacheStore:
             "root": str(self.root),
             "entries": len(files),
             "total_bytes": total_bytes,
-            "by_kind": dict(sorted(by_kind.items())),
+            "corrupt": corrupt,
             "by_label": dict(sorted(by_label.items())),
             "oldest_unix_s": oldest,
             "newest_unix_s": newest,

@@ -9,15 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cache.fingerprint import fingerprint
-from repro.cache.keys import stage_key
-from repro.cache.stages import (
-    active_store,
-    decode_result,
-    encode_result,
-    generator_state,
-    restore_generator,
-)
 from repro.dnn.network import Network
 from repro.dnn.train import sgd_train
 from repro.obs.metrics import inc, observe
@@ -46,60 +37,10 @@ class DnnDecoder:
         """True after :meth:`fit` has run at least once."""
         return bool(self.history)
 
-    def _parameters(self) -> list[np.ndarray]:
-        """The live trainable arrays, in stable layer order."""
-        return [param for layer in self.network.layers
-                for param in layer.parameters]
-
     def fit(self, features: np.ndarray, targets: np.ndarray,
             rng: np.random.Generator) -> list[float]:
         """Train the wrapped network; returns (and stores) the loss
-        history.
-
-        Training mutates the network in-place, so the memoization under
-        an active stage cache (:mod:`repro.cache.stages`) is hand-rolled
-        rather than ``@cached_stage``: the key covers the pre-fit
-        parameter values, the data, the hyperparameters, and the
-        generator's pre-call state; a hit writes the trained parameter
-        values back into the live arrays and fast-forwards the
-        generator, leaving the decoder exactly as a real fit would.
-        """
-        store = active_store()
-        if store is None:
-            return self._fit_uncached(features, targets, rng)
-        params = self._parameters()
-        key = stage_key("decoders.dnn.fit", fingerprint(__name__), {
-            "network": self.network.name,
-            "input_shape": list(self.network.input_shape),
-            "params": params,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "features": np.asarray(features, dtype=float),
-            "targets": np.asarray(targets, dtype=float),
-            "rng": generator_state(rng),
-        })
-        entry = store.get(key)
-        if entry is not None:
-            inc("cache.stage_hits")
-            payload = entry["payload"]
-            for param, trained in zip(params,
-                                      decode_result(payload["params"])):
-                param[...] = trained
-            restore_generator(rng, payload["rng_state"])
-            self.history = list(payload["history"])
-            return self.history
-        inc("cache.stage_misses")
-        history = self._fit_uncached(features, targets, rng)
-        store.put(key, {"params": encode_result(params),
-                        "history": history,
-                        "rng_state": generator_state(rng)},
-                  kind="stage", label="decoders.dnn.fit")
-        return history
-
-    def _fit_uncached(self, features: np.ndarray, targets: np.ndarray,
-                      rng: np.random.Generator) -> list[float]:
-        """The real training pass (no cache involvement)."""
+        history."""
         with span("decoders.dnn.fit", network=self.network.name,
                   epochs=self.epochs, samples=len(features)):
             self.history = sgd_train(self.network, features, targets, rng,

@@ -94,8 +94,7 @@ def cache_drill(injector: FaultInjector, root: Path | str,
         keys = [value_digest({"drill": "cache", "index": index})
                 for index in range(_CACHE_DRILL_ENTRIES)]
         for index, key in enumerate(keys):
-            store.put(key, {"index": index}, kind="stage",
-                      label="fault.cache_drill")
+            store.put(key, {"index": index}, label="fault.cache_drill")
         corrupted: dict[str, str] = {}
         for index, key in enumerate(keys):
             if injector.should_corrupt_entry():
@@ -115,8 +114,7 @@ def cache_drill(injector: FaultInjector, root: Path | str,
         for index, key in enumerate(keys):
             if key not in corrupted:
                 continue
-            store.put(key, {"index": index}, kind="stage",
-                      label="fault.cache_drill")
+            store.put(key, {"index": index}, label="fault.cache_drill")
             if store.get(key) is not None:
                 healed += 1
                 injector.record_recovered("cache",

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cache.stages import cached_stage
 from repro.link.modulation import Modulation
 from repro.obs.manifest import seeded_rng
 from repro.obs.metrics import inc
@@ -48,16 +47,11 @@ class AwgnChannel:
         return symbols + noise
 
 
-@cached_stage("link.measure_ber", rng_arg="rng")
 def measure_ber(scheme: Modulation,
                 ebn0_db: float,
                 n_bits: int,
                 rng: np.random.Generator | None = None) -> float:
     """Empirical BER of a modulation scheme over AWGN.
-
-    Memoized under an active stage cache (:mod:`repro.cache.stages`):
-    keyed on the scheme, operating point, bit budget, this module's
-    source fingerprint, and the generator's pre-call state.
 
     Args:
         scheme: modulation under test.
@@ -95,17 +89,12 @@ def measure_ber(scheme: Modulation,
     return n_errors / n_bits
 
 
-@cached_stage("link.measure_ber_sweep", rng_arg="rng")
 def measure_ber_sweep(scheme: Modulation,
                       ebn0_db: np.ndarray,
                       n_bits: int,
                       rng: np.random.Generator | None = None,
                       chunk_bits: int = 1 << 20) -> np.ndarray:
     """Empirical BER over a whole Eb/N0 grid in one batched pass.
-
-    Memoized under an active stage cache (:mod:`repro.cache.stages`),
-    with the caller's generator fast-forwarded to its post-sweep state
-    on a hit so downstream draws match an uncached run exactly.
 
     Each chunk draws one set of random bits, one modulation pass, and one
     unit-variance noise realization, then evaluates every grid point by

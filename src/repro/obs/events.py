@@ -109,7 +109,7 @@ class EventLog:
         """Append one event under the current driver scope.
 
         ``kind`` and ``name`` are positional-only so attrs may reuse
-        those words (e.g. the ``cache.put`` span's ``kind=`` attr).
+        those words.
         """
         with self._lock:
             event = Event(seq=len(self._events), driver=self._driver,

@@ -27,7 +27,6 @@ import numpy as np
 from scipy.sparse import csr_matrix, lil_matrix
 from scipy.sparse.linalg import spsolve
 
-from repro.cache.stages import cached_stage
 from repro.thermal.model import TissueThermalModel
 from repro.units import mm
 
@@ -139,13 +138,8 @@ class ChipThermalGrid:
                 rhs[here] = power_map_w[iy, ix]
         return matrix.tocsr(), rhs
 
-    @cached_stage("thermal.solve")
     def solve(self, power_map_w: np.ndarray) -> np.ndarray:
         """Steady-state temperature rise field [K].
-
-        Memoized under an active stage cache (:mod:`repro.cache.stages`),
-        keyed on the grid's parameters (this frozen dataclass hashes by
-        its fields), the power map, and this module's source fingerprint.
 
         Args:
             power_map_w: (ny, nx) per-cell dissipated power.

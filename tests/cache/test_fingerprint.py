@@ -12,7 +12,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.engine import AnalysisError
 from repro.cache.fingerprint import (
     clear_cached_fingerprints,
     default_root,
@@ -60,7 +59,7 @@ class TestImportClosure:
         assert "repro.link" in closure
 
     def test_unknown_module_raises(self):
-        with pytest.raises(AnalysisError):
+        with pytest.raises(FileNotFoundError):
             import_closure("repro.does_not_exist")
 
 

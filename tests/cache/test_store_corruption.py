@@ -37,7 +37,7 @@ def metrics():
 
 def _seed_entry(store: CacheStore, tag: str = "corruption"):
     key = value_digest({"test": tag})
-    store.put(key, {"tag": tag}, kind="stage", label="test")
+    store.put(key, {"tag": tag}, label="test")
     return key, store.entry_path(key)
 
 
@@ -89,7 +89,7 @@ class TestCorruptEntries:
         key, path = _seed_entry(store)
         path.write_text("{torn", encoding="utf-8")
         assert store.get(key) is None
-        store.put(key, {"tag": "healed"}, kind="stage", label="test")
+        store.put(key, {"tag": "healed"}, label="test")
         entry = store.get(key)
         assert entry is not None
         assert entry["payload"] == {"tag": "healed"}
@@ -116,7 +116,7 @@ class TestStaleTempFiles:
         stale.write_text("{half-written", encoding="utf-8")
 
         # Any put into the same shard sweeps the wreckage first.
-        store.put(key, {"tag": "again"}, kind="stage", label="test")
+        store.put(key, {"tag": "again"}, label="test")
 
         assert not stale.exists()
         assert store.get(key) is not None
@@ -126,7 +126,7 @@ class TestStaleTempFiles:
         key, path = _seed_entry(store)
         live = path.parent / f"other.json.tmp-{os.getpid()}"
         live.write_text("{in-flight", encoding="utf-8")
-        store.put(key, {"tag": "again"}, kind="stage", label="test")
+        store.put(key, {"tag": "again"}, label="test")
         assert live.exists()
         assert _corruption(metrics) == {}
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 
-from repro.cache.stages import encode_result
+from repro.cache.runner import encode_result
 from repro.experiments import ALL_EXPERIMENTS, run_all
 
 

