@@ -24,7 +24,9 @@ from dataclasses import dataclass
 
 from repro.accel.schedule import Schedule, cached_best_schedule
 from repro.accel.tech import TECH_45NM, TechnologyNode
+from repro.core.comp_centric import Workload, _workload_profile
 from repro.core.scaling import ScaledSoC
+from repro.dnn.macs import LayerMacs
 from repro.dnn.network import Network
 from repro.obs.metrics import inc
 from repro.obs.trace import span
@@ -129,7 +131,7 @@ class ClosedLoopPoint:
 
 
 def max_channels_closed_loop(soc: ScaledSoC,
-                             build_network,
+                             workload: Workload = Workload.MLP,
                              tech: TechnologyNode = TECH_45NM,
                              step: int = 256,
                              n_limit: int = 16384,
@@ -138,7 +140,7 @@ def max_channels_closed_loop(soc: ScaledSoC,
 
     Args:
         soc: the anchor design.
-        build_network: channel count -> decoder network factory.
+        workload: decoder network family, scaled to each channel count.
         tech: MAC technology node.
         step / n_limit: scan granularity and ceiling.
         **kwargs: forwarded to :func:`evaluate_closed_loop`.
@@ -146,8 +148,8 @@ def max_channels_closed_loop(soc: ScaledSoC,
     best = 0
     n = step
     while n <= n_limit:
-        point = evaluate_closed_loop(soc, build_network(n), n, tech=tech,
-                                     **kwargs)
+        profiles = _workload_profile(workload, n)[0]
+        point = _evaluate_profiles(soc, profiles, n, tech=tech, **kwargs)
         if point.feasible:
             best = n
         elif best:
@@ -171,6 +173,20 @@ def evaluate_closed_loop(soc: ScaledSoC,
     deadline (a much looser one than the per-sample bound of Fig. 10 —
     closed-loop decoding happens once per decision, not once per sample).
     """
+    return _evaluate_profiles(soc, tuple(network.mac_profiles()),
+                              n_channels, window_samples, stimulation,
+                              tech, deadline_s)
+
+
+def _evaluate_profiles(soc: ScaledSoC,
+                       profiles: tuple[LayerMacs, ...],
+                       n_channels: int,
+                       window_samples: int = 4,
+                       stimulation: StimulationConfig | None = None,
+                       tech: TechnologyNode = TECH_45NM,
+                       deadline_s: float = BRAIN_REACTION_TIME_S,
+                       ) -> ClosedLoopPoint:
+    """:func:`evaluate_closed_loop` on the decoder's MAC profiles."""
     if n_channels <= 0 or window_samples <= 0:
         raise ValueError("channel count and window must be positive")
     if deadline_s <= 0:
@@ -187,8 +203,7 @@ def evaluate_closed_loop(soc: ScaledSoC,
     else:
         with span("closed_loop.schedule", soc=soc.name,
                   n_channels=n_channels):
-            schedule = cached_best_schedule(tuple(network.mac_profiles()),
-                                            compute_budget, tech)
+            schedule = cached_best_schedule(profiles, compute_budget, tech)
         decode = schedule.runtime_s if schedule else math.inf
         comp_power = schedule.power_w(tech) if schedule else math.inf
 

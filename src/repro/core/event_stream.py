@@ -160,16 +160,13 @@ def power_ratio_curve(soc: ScaledSoC,
 def max_channels_event_stream(soc: ScaledSoC,
                               config: EventStreamConfig | None = None,
                               tech: TechnologyNode = TECH_45NM,
-                              step: int = 256,
                               n_limit: int = 1 << 20) -> int:
     """Largest n the event dataflow sustains within the budget.
 
     All terms are linear in n, so feasibility is a prefix property; the
     exact integer frontier is located by vectorized grid narrowing over
-    :func:`power_ratio_curve` (``step`` is retained for API compatibility
-    — the result is no longer quantized to it).
+    :func:`power_ratio_curve`.
     """
-    del step  # legacy granularity knob; the frontier is now exact
     config = config or EventStreamConfig()
     return grid_frontier(
         lambda n: power_ratio_curve(soc, n, config, tech), n_limit)

@@ -116,17 +116,13 @@ def _compressed_stream_ratio(soc: ScaledSoC, n_channels,
 
 def _max_channels_compressed(soc: ScaledSoC, compression_ratio: float,
                              codec_power_w_per_channel: float,
-                             step: int = 256,
                              n_limit: int = 1 << 18) -> int:
     """Exact frontier of the compressed-streaming strategy.
 
     All terms are linear in n, so feasibility is a prefix property and
-    the frontier is located by vectorized grid narrowing.  The curve is
-    never evaluated beyond ``n_limit`` (the old doubling probe tested
-    ``n * 2`` past the limit before clamping); ``step`` is retained for
-    API compatibility — the result is no longer quantized to it.
+    the frontier is located by vectorized grid narrowing; the curve is
+    never evaluated beyond ``n_limit``.
     """
-    del step  # legacy granularity knob; the frontier is now exact
     return grid_frontier(
         lambda n: _compressed_stream_ratio(soc, n, compression_ratio,
                                            codec_power_w_per_channel),
@@ -219,7 +215,7 @@ def explore(soc: ScaledSoC,
                                 target_channels, tech=tech)
     outcomes.append(StrategyOutcome(
         "closed loop (mlp, no telemetry)",
-        max_channels_closed_loop(soc, build_speech_mlp, tech),
+        max_channels_closed_loop(soc, Workload.MLP, tech),
         loop.power_ratio if loop.meets_deadline else math.inf))
 
     return ExplorationReport(soc_name=soc.name,

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.accel.schedule import best_schedule
 from repro.accel.tech import TECH_12NM, TECH_45NM, TechnologyNode
@@ -64,16 +65,32 @@ LADDER: tuple[tuple[str, OptimizationConfig], ...] = (
 )
 
 
-def _implant_power_w(soc: ScaledSoC, net, transmitted: int,
-                     tech: TechnologyNode) -> float:
-    """Compute + communication power of an on-implant sub-network."""
-    deadline = 1.0 / soc.sampling_hz
-    schedule = best_schedule(net.mac_profiles(), deadline, tech)
-    if schedule is None:
-        return math.inf
-    comm = (transmitted * soc.sample_bits * soc.sampling_hz
-            * soc.implied_energy_per_bit_j)
-    return schedule.power_w(tech) + comm
+@lru_cache(maxsize=4096)
+def _implant_options(workload: Workload, active_channels: int,
+                     deadline_s: float, tech: TechnologyNode,
+                     ) -> tuple[tuple[float | None, int], ...]:
+    """(compute power, transmitted values) of every on-implant candidate
+    of the n'-channel network: "no split" first, then each admissible
+    split in layer order.
+
+    Compute power is ``None`` when no schedule meets the deadline.  Only
+    scalars are kept, so the table stays small across the many n' a
+    ladder bisection probes; the SoC-dependent communication term is
+    added by the caller.
+    """
+    net = build_workload(workload, active_channels)
+    profiles = net.mac_profiles()
+    sizes = net.compute_layer_output_values()
+    # A head's MAC profiles are the first ``split`` compute-layer profiles.
+    candidates = [(profiles, net.output_values)]
+    candidates += [(profiles[:split], sizes[split - 1])
+                   for split in admissible_splits(net)]
+    options = []
+    for head, transmitted in candidates:
+        schedule = best_schedule(head, deadline_s, tech)
+        power = None if schedule is None else schedule.power_w(tech)
+        options.append((power, transmitted))
+    return tuple(options)
 
 
 def densified_sensing_area_m2(soc: ScaledSoC, n_channels: int,
@@ -97,14 +114,15 @@ def densified_sensing_area_m2(soc: ScaledSoC, n_channels: int,
 def _design_fits(soc: ScaledSoC, workload: Workload, n_channels: int,
                  active_channels: int, config: OptimizationConfig) -> bool:
     """Feasibility of sensing n channels while computing on n' of them."""
-    net = build_workload(workload, active_channels)
-    non_sensing = _implant_power_w(soc, net, net.output_values, config.tech)
-    if config.layer_reduction:
-        sizes = net.compute_layer_output_values()
-        for split in admissible_splits(net):
-            candidate = _implant_power_w(soc, net.head(split),
-                                         sizes[split - 1], config.tech)
-            non_sensing = min(non_sensing, candidate)
+    options = _implant_options(workload, active_channels,
+                               1.0 / soc.sampling_hz, config.tech)
+    if not config.layer_reduction:
+        options = options[:1]
+    non_sensing = min(
+        math.inf if power is None
+        else power + (transmitted * soc.sample_bits * soc.sampling_hz
+                      * soc.implied_energy_per_bit_j)
+        for power, transmitted in options)
 
     sensing_area = densified_sensing_area_m2(soc, n_channels,
                                              config.density_factor)

@@ -167,8 +167,9 @@ def max_channels_at_efficiency(soc: ScaledSoC,
     historical scalar scan exactly.
 
     Returns:
-        The maximum feasible n; ``soc.n_channels`` - step if even the
-        anchor is infeasible is never returned — the result is floored at 0.
+        The last channel count of the first feasible run on the
+        ``step`` grid from ``soc.n_channels`` to ``n_limit``, or 0 when
+        no grid point is feasible.
     """
     if not 0.0 < efficiency <= 1.0:
         raise ValueError("efficiency must lie in (0, 1]")

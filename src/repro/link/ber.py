@@ -21,6 +21,7 @@ Formulas (coherent detection over AWGN, Gray mapping):
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from scipy.optimize import brentq
 from scipy.special import erfc
@@ -89,16 +90,26 @@ def required_ebn0(target_ber: float,
     """
     if not 0.0 < target_ber < 0.5:
         raise ValueError("target BER must lie in (0, 0.5)")
+    if scheme not in ("qam", "bpsk", "ook"):
+        raise ValueError(f"unknown scheme {scheme!r}")
+    inc("link.ebn0_inversions")
+    return _solve_ebn0(target_ber, bits_per_symbol, scheme)
+
+
+@lru_cache(maxsize=256)
+def _solve_ebn0(target_ber: float, bits_per_symbol: int,
+                scheme: str) -> float:
+    """Memoized root of ``curve(x) = target_ber`` for a validated request.
+
+    A failed bracket raises and is therefore never cached.
+    """
     if scheme == "qam":
         curve = lambda x: ber_mqam(x, bits_per_symbol)  # noqa: E731
     elif scheme == "bpsk":
         curve = ber_bpsk
-    elif scheme == "ook":
-        curve = ber_ook
     else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+        curve = ber_ook
 
-    inc("link.ebn0_inversions")
     lo, hi = 1e-6, 1e-6
     # Grow the bracket until the BER at `hi` is below target.
     while curve(hi) > target_ber:

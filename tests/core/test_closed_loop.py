@@ -8,8 +8,10 @@ from repro.core.closed_loop import (
     BRAIN_REACTION_TIME_S,
     StimulationConfig,
     evaluate_closed_loop,
+    max_channels_closed_loop,
 )
-from repro.dnn.models import build_speech_mlp
+from repro.core.comp_centric import Workload
+from repro.dnn.models import build_speech_dncnn, build_speech_mlp
 
 
 class TestStimulation:
@@ -102,3 +104,41 @@ class TestClosedLoop:
             evaluate_closed_loop(bisc, net, 0)
         with pytest.raises(ValueError):
             evaluate_closed_loop(bisc, net, 128, deadline_s=0.0)
+
+
+def _reference_scan(soc, build_network, step=256, n_limit=16384,
+                    **kwargs):
+    """The closed-loop scan over freshly built networks."""
+    best = 0
+    for n in range(step, n_limit + 1, step):
+        if evaluate_closed_loop(soc, build_network(n), n, **kwargs).feasible:
+            best = n
+        elif best:
+            break
+    return best
+
+
+class TestMaxChannelsClosedLoop:
+    @pytest.mark.parametrize("workload, builder", [
+        (Workload.MLP, build_speech_mlp),
+        (Workload.DNCNN, build_speech_dncnn),
+    ])
+    def test_matches_scan_over_built_networks(self, wireless_scaled,
+                                              workload, builder):
+        for soc in wireless_scaled:
+            assert (max_channels_closed_loop(soc, workload)
+                    == _reference_scan(soc, builder)), soc.name
+
+    def test_forwards_evaluation_options(self, bisc):
+        options = dict(window_samples=64, deadline_s=0.05)
+        assert (max_channels_closed_loop(bisc, step=512, **options)
+                == _reference_scan(bisc, build_speech_mlp, step=512,
+                                   **options))
+
+    def test_counts_one_evaluation_per_scanned_point(self, bisc,
+                                                     counted_metrics):
+        max_channels_closed_loop(bisc, step=1024)
+        scan = counted_metrics.counter("closed_loop.evaluations")
+        counted_metrics.reset()
+        _reference_scan(bisc, build_speech_mlp, step=1024)
+        assert scan == counted_metrics.counter("closed_loop.evaluations") > 0

@@ -1,17 +1,24 @@
 """Tests for the Section 6.2 optimization ladder (Fig. 12)."""
 
+import math
+
+import numpy as np
 import pytest
 
+from repro.accel.schedule import best_schedule
 from repro.accel.tech import TECH_12NM, TECH_45NM
-from repro.core.comp_centric import Workload
+from repro.core.comp_centric import Workload, build_workload
 from repro.core.optimizations import (
     LADDER,
     OptimizationConfig,
+    _design_fits,
     densified_sensing_area_m2,
     evaluate_ladder,
     evaluate_ladder_step,
     max_active_channels,
 )
+from repro.core.partitioning import admissible_splits
+from repro.units import SAFE_POWER_DENSITY
 
 
 class TestLadderStructure:
@@ -150,3 +157,80 @@ class TestLadderAtScale:
             OptimizationConfig(layer_reduction=True, tech=TECH_12NM,
                                density_factor=2.0))
         assert step.model_size_fraction <= 0.02
+
+
+def _reference_implant_power_w(soc, net, transmitted, tech):
+    """Compute + communication power of an on-implant sub-network,
+    scheduled from scratch."""
+    schedule = best_schedule(net.mac_profiles(), 1.0 / soc.sampling_hz, tech)
+    if schedule is None:
+        return math.inf
+    comm = (transmitted * soc.sample_bits * soc.sampling_hz
+            * soc.implied_energy_per_bit_j)
+    return schedule.power_w(tech) + comm
+
+
+def _reference_design_fits(soc, workload, n_channels, active_channels,
+                           config):
+    """The ladder feasibility test written out directly: rebuild the
+    n'-channel network and every head, and schedule each one."""
+    net = build_workload(workload, active_channels)
+    non_sensing = _reference_implant_power_w(soc, net, net.output_values,
+                                             config.tech)
+    if config.layer_reduction:
+        sizes = net.compute_layer_output_values()
+        for split in admissible_splits(net):
+            candidate = _reference_implant_power_w(
+                soc, net.head(split), sizes[split - 1], config.tech)
+            non_sensing = min(non_sensing, candidate)
+    sensing_area = densified_sensing_area_m2(soc, n_channels,
+                                             config.density_factor)
+    budget = (sensing_area + soc.non_sensing_area_m2) * SAFE_POWER_DENSITY
+    return soc.sensing_power_w(n_channels) + non_sensing <= budget
+
+
+def _reference_max_active(soc, n_channels, config, min_active=16):
+    def fits(active):
+        return _reference_design_fits(soc, Workload.MLP, n_channels, active,
+                                      config)
+
+    if fits(n_channels):
+        return n_channels
+    if not fits(min_active):
+        return 0
+    lo, hi = min_active, n_channels
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fits(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+class TestLadderParity:
+    """The memoized ladder probe against the direct formula."""
+
+    @pytest.mark.parametrize("n_channels", [1024, 2048, 4096, 8192])
+    def test_max_active_matches_reference(self, wireless_scaled,
+                                          n_channels):
+        for soc in wireless_scaled:
+            for name, config in LADDER:
+                assert (max_active_channels(soc, Workload.MLP, n_channels,
+                                            config)
+                        == _reference_max_active(soc, n_channels, config)
+                        ), (soc.name, name)
+
+    @pytest.mark.parametrize("n_channels", [2048, 8192])
+    def test_feasibility_is_a_prefix_in_active_channels(
+            self, wireless_scaled, n_channels):
+        # The bisection in max_active_channels assumes that once n'
+        # stops fitting, no larger n' fits again.
+        grid = np.linspace(16, n_channels, 64).astype(int).tolist()
+        for soc in wireless_scaled:
+            for name, config in LADDER:
+                fits = [_design_fits(soc, Workload.MLP, n_channels, active,
+                                     config) for active in grid]
+                first_miss = fits.index(False) if False in fits else None
+                assert first_miss is None or not any(
+                    fits[first_miss:]), (soc.name, name)

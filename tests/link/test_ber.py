@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.link import ber
 from repro.link.ber import (
     ber_bpsk,
     ber_mqam,
@@ -96,6 +97,44 @@ class TestRequiredEbn0:
     def test_rejects_unknown_scheme(self):
         with pytest.raises(ValueError):
             required_ebn0(1e-6, scheme="fsk")
+
+
+class TestEbn0Memo:
+    @pytest.fixture(autouse=True)
+    def cold_memo(self):
+        ber._solve_ebn0.cache_clear()
+        yield
+        ber._solve_ebn0.cache_clear()
+
+    @pytest.mark.parametrize("bits", range(1, 13))
+    def test_root_lies_inside_a_valid_bracket(self, bits):
+        ebn0 = required_ebn0(1e-6, bits)
+        assert ebn0 > 0
+        assert ber_mqam(ebn0, bits) == pytest.approx(1e-6, rel=1e-9)
+
+    def test_repeated_calls_return_the_identical_float(self):
+        cold = required_ebn0(1e-6, 5)
+        warm = required_ebn0(1e-6, 5)
+        assert warm == cold
+        ber._solve_ebn0.cache_clear()
+        assert required_ebn0(1e-6, 5) == cold
+
+    @pytest.mark.parametrize("args, message", [
+        ((1e-6, 1, "fsk"), "unknown scheme"),
+        ((0.6, 1, "qam"), "target BER"),
+        ((1e-6, 48, "qam"), "failed to bracket"),
+    ])
+    def test_errors_raise_on_every_call(self, args, message):
+        for _ in range(3):
+            with pytest.raises(ValueError, match=message):
+                required_ebn0(*args)
+        assert ber._solve_ebn0.cache_info().currsize == 0
+
+    def test_counter_counts_requests_not_solves(self, counted_metrics):
+        for _ in range(3):
+            required_ebn0(1e-6, 4)
+        assert ber._solve_ebn0.cache_info().misses == 1
+        assert counted_metrics.counter("link.ebn0_inversions") == 3
 
 
 class TestShannonLimit:
