@@ -9,7 +9,8 @@ a Project instead of a bare file list — local rules iterate
 
 Everything is built at most once per analysis run and shared across all
 rules, which is what keeps the whole-program analyzer inside its CI
-wall-clock budget (``benchmarks/test_bench_analysis.py``).
+wall-clock budget (the blocking ``analyze`` step runs under
+``timeout 30``).
 """
 
 from __future__ import annotations

@@ -40,8 +40,9 @@ Commands:
   run-vs-run diffs (exit 1 on deltas), structural/timed critical paths,
   the perf-trajectory regression gate over
   ``results/bench_history.jsonl`` (:mod:`repro.obs.bench`, exit 1 on
-  >20 % kernel slowdown), and the markdown/HTML safety-envelope
-  dashboard (:mod:`repro.obs.report`); see docs/OBSERVABILITY.md.
+  >20 % slowdown of a benchmark entry), and the markdown/HTML
+  safety-envelope dashboard (:mod:`repro.obs.report`); see
+  docs/OBSERVABILITY.md.
 
 Fault flags on ``evaluate``: ``--fault-plan PLAN.json`` injects the
 plan's faults and applies its retry policy; ``--max-retries N`` bounds
@@ -655,7 +656,6 @@ def _cmd_obs_bench_gate(args: argparse.Namespace) -> int:
             return 2
         try:
             record = bench.history_record(payload["entries"],
-                                          quick=payload.get("quick", False),
                                           cpus=payload.get("cpus", 1))
         except (KeyError, TypeError, ValueError) as error:
             # Valid JSON of the wrong shape; exit 1 would read as a
@@ -968,7 +968,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--history", default=str(Path("results") / "bench_history.jsonl"),
         help="history ledger (one JSON record per benchmark run)")
     obs_gate.add_argument(
-        "--input", default=None, metavar="BENCH_perf.json",
+        "--input", default=None, metavar="gate_input.json",
         help="gate this benchmark output instead of the ledger's last "
              "entry")
     obs_gate.add_argument(
@@ -976,7 +976,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --input: also append the run to the history ledger")
     obs_gate.add_argument(
         "--threshold", type=float, default=0.20,
-        help="fractional per-kernel slowdown that fails (default 0.20)")
+        help="fractional per-entry slowdown that fails (default 0.20)")
     obs_gate.add_argument(
         "--window", type=int, default=5,
         help="rolling-baseline width (median of the last N comparable "

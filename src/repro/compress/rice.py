@@ -15,8 +15,7 @@ Two implementations live here:
 * the **string codec** (:func:`rice_encode` / :func:`rice_decode`) — the
   original transparent implementation, kept as the *test oracle*: the
   packed codec must produce bit-for-bit identical streams
-  (``tests/compress/test_rice_packed.py`` proves it, and
-  ``benchmarks/test_bench_perf.py`` records the speedup).
+  (``tests/compress/test_rice_packed.py`` proves it).
 """
 
 from __future__ import annotations

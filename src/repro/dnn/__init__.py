@@ -44,12 +44,6 @@ from repro.dnn.snn import (
     SpikingNetwork,
     build_speech_snn,
 )
-from repro.dnn.graph import (
-    GraphCut,
-    best_cut,
-    build_dataflow_graph,
-    enumerate_cuts,
-)
 from repro.dnn.quantize import (
     QuantizationReport,
     quantization_sweep,
@@ -86,10 +80,6 @@ __all__ = [
     "SnnRunResult",
     "SpikingNetwork",
     "build_speech_snn",
-    "GraphCut",
-    "best_cut",
-    "build_dataflow_graph",
-    "enumerate_cuts",
     "QuantizationReport",
     "quantization_sweep",
     "quantize_network",

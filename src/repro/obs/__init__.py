@@ -15,7 +15,7 @@ Every layer of the reproduction pipeline reports into this package:
 Instrumentation is **disabled by default** and the disabled paths are
 deliberate no-ops (a flag check and a cached sentinel object), so the hot
 paths this package watches stay as fast as the uninstrumented code —
-verified by ``benchmarks/test_bench_obs_overhead.py``.
+verified by ``tests/obs/test_overhead.py``.
 """
 
 from __future__ import annotations

@@ -1,19 +1,19 @@
 """Benchmark history and the perf-trajectory regression gate.
 
-``benchmarks/test_bench_perf.py`` measures honest before/after numbers
-for every vectorized kernel, but a single ``BENCH_perf.json`` snapshot
-cannot tell whether *this* commit made a kernel slower than the last
-few.  This module keeps the trajectory: every benchmark run appends one
-line to ``results/bench_history.jsonl`` — keyed by git SHA and the run
-configuration — and :func:`check_regressions` compares the newest run's
-per-kernel timings against a rolling baseline of prior runs with the
-same configuration, failing the CI ``bench-gate`` job when a kernel got
-more than 20 % slower.
+``python -m bench run`` times the jobs a user waits for (paper
+regeneration, cached replay, fleet simulation, design queries) and
+writes their end-to-end seconds to ``.bench_out/gate_input.json``.  A
+single run cannot tell whether *this* commit made a job slower than the
+last few, so this module keeps the trajectory: each run appends one line
+to ``results/bench_history.jsonl`` — keyed by git SHA and host CPU
+count — and :func:`check_regressions` compares the newest run's entries
+against a rolling baseline of prior runs on the same CPU count, failing
+``obs bench-gate`` when an entry got more than 20 % slower.
 
 The baseline is the *median* of the last ``window`` matching runs, so a
-single noisy historical sample cannot poison the gate, and runs under a
-different configuration (``quick`` smoke vs full, different CPU count)
-never compare against each other — a laptop run cannot fail CI's gate.
+single noisy historical sample cannot poison the gate, and runs on hosts
+with a different CPU count never compare against each other — a laptop
+run cannot fail CI's gate.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ __all__ = [
 #: Where the trajectory ledger lives (one JSON object per line).
 DEFAULT_HISTORY_PATH = Path("results") / "bench_history.jsonl"
 
-#: A kernel more than this much slower than its baseline fails the gate.
+#: An entry more than this much slower than its baseline fails the gate.
 DEFAULT_THRESHOLD = 0.20
 
 #: Rolling-baseline width: median of the last N comparable runs.
@@ -48,34 +48,26 @@ DEFAULT_WINDOW = 5
 
 
 def history_record(entries: Iterable[dict[str, Any]],
-                   quick: bool,
                    cpus: int,
                    sha: str | None = None) -> dict[str, Any]:
     """One history line for a benchmark run.
 
     Args:
-        entries: the ``BENCH_perf.json`` entry dicts (``name``,
-            ``after_s``, ``speedup``, ...); only the production-path
-            timing is tracked — the gate watches the code that ships.
-        quick: whether this was a ``REPRO_BENCH_QUICK`` smoke run.
-        cpus: host CPU count (parallel-engine timings scale with it).
+        entries: the ``gate_input.json`` entry dicts (``name``,
+            ``after_s``, ``speedup``).
+        cpus: host CPU count; only runs on equal counts compare.
         sha: commit id; defaults to the checkout's HEAD.
 
-    Entries tagged ``"gated": true`` (e.g. the parallel-engine pairs
-    measured on a single-CPU host, where ``jobs=4`` cannot beat
-    serial) keep their honest numbers in the history but are excluded
-    from gate baselines and never fail the gate themselves.
+    Entries land under ``kernels``, the ledger's original key, so older
+    lines still load.
     """
-    kernels: dict[str, dict[str, Any]] = {}
-    for entry in entries:
-        record = {"after_s": float(entry["after_s"]),
-                  "speedup": round(float(entry["speedup"]), 4)}
-        if entry.get("gated"):
-            record["gated"] = True
-        kernels[entry["name"]] = record
+    kernels = {entry["name"]: {"after_s": float(entry["after_s"]),
+                               "speedup": round(float(entry["speedup"]),
+                                                4)}
+               for entry in entries}
     return {
         "sha": sha if sha is not None else (git_sha() or "unknown"),
-        "config": {"quick": bool(quick), "cpus": int(cpus)},
+        "config": {"cpus": int(cpus)},
         "kernels": kernels,
     }
 
@@ -112,17 +104,11 @@ def load_history(path: Path | str = DEFAULT_HISTORY_PATH,
 
 def _baseline_s(history: list[dict[str, Any]], kernel: str,
                 config: dict[str, Any], window: int) -> float | None:
-    """Median ``after_s`` of the last ``window`` same-config samples.
-
-    Gated samples never enter a baseline: a timing recorded on a host
-    that could not exercise the kernel honestly (single-CPU parallel
-    runs) must not become the bar later runs are held to.
-    """
+    """Median ``after_s`` of the last ``window`` same-config samples."""
     samples = [record["kernels"][kernel]["after_s"]
                for record in history
                if record.get("config") == config
-               and kernel in record.get("kernels", {})
-               and not record["kernels"][kernel].get("gated")]
+               and kernel in record.get("kernels", {})]
     if not samples:
         return None
     return percentile(samples[-window:], 50)
@@ -144,13 +130,11 @@ def check_regressions(current: dict[str, Any],
         window: rolling-baseline width.
 
     Returns:
-        A JSON-able report: per-kernel rows (``current_s``,
+        A JSON-able report: per-entry rows (``current_s``,
         ``baseline_s``, ``ratio``, ``status``) plus ``ok`` — False when
-        any kernel regressed.  Kernels without a comparable baseline
+        any entry regressed.  Entries without a comparable baseline
         report ``no-baseline`` and never fail the gate (the first run
-        on a new host must pass).  Kernels the run itself tagged
-        ``gated`` report ``gated`` and are skipped outright — no
-        comparison, no baseline contribution.
+        on a new host must pass).
     """
     prior = [record for record in history if record is not current]
     rows = []
@@ -158,11 +142,6 @@ def check_regressions(current: dict[str, Any],
     for kernel in sorted(current.get("kernels", {})):
         info = current["kernels"][kernel]
         current_s = info["after_s"]
-        if info.get("gated"):
-            rows.append({"kernel": kernel, "current_s": current_s,
-                         "baseline_s": None, "ratio": None,
-                         "status": "gated"})
-            continue
         baseline = _baseline_s(prior, kernel, current.get("config"),
                                window)
         if baseline is None or baseline <= 0:
@@ -183,22 +162,20 @@ def check_regressions(current: dict[str, Any],
 
 
 def render_gate(report: dict[str, Any]) -> str:
-    """Text verdict of :func:`check_regressions`, one line per kernel."""
+    """Text verdict of :func:`check_regressions`, one line per entry."""
     lines = []
     for row in report["rows"]:
         if row["baseline_s"] is None:
-            note = ("gated on this host" if row["status"] == "gated"
-                    else "no baseline yet")
             lines.append(f"  {row['kernel']:>24}: "
                          f"{to_ms(row['current_s']):9.3f} ms "
-                         f"({note})")
+                         f"(no baseline yet)")
             continue
         lines.append(f"  {row['kernel']:>24}: "
                      f"{to_ms(row['current_s']):9.3f} ms vs "
                      f"{to_ms(row['baseline_s']):9.3f} ms baseline "
                      f"({row['ratio']:.2f}x)  [{row['status']}]")
     verdict = ("PASS" if report["ok"]
-               else f"FAIL: {report['n_regressions']} kernel(s) more "
+               else f"FAIL: {report['n_regressions']} entry(ies) more "
                     f"than {report['threshold']:.0%} slower")
     header = (f"bench gate (window={report['window']}, "
               f"threshold={report['threshold']:.0%}, "

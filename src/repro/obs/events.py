@@ -30,7 +30,7 @@ so the merged timeline is gapless and byte-stable for a fixed seed.
 Collection is disabled by default; :func:`emit` is a no-op (one module
 flag check) until :func:`enable` is called, preserving the <5 %
 disabled-instrumentation budget enforced by
-``benchmarks/test_bench_obs_overhead.py``.  Span and metric events are
+``tests/obs/test_overhead.py``.  Span and metric events are
 emitted *by* the trace and metrics substrates, inside their own enabled
 paths — so a timeline needs tracing and metrics on too.  Use
 ``repro.obs.enable_all()`` (or the CLI's ``--events``, which implies

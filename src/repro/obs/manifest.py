@@ -3,8 +3,7 @@
 A manifest answers "what produced this CSV?": the git commit, interpreter
 and NumPy versions, the RNG seed (if one was set), wall-clock duration,
 and peak resident memory.  ``ExperimentResult.save_csv`` writes one
-``<name>.manifest.json`` next to each ``<name>.csv``; the benchmark
-harness writes one ``bench_manifest.json`` per session.
+``<name>.manifest.json`` next to each ``<name>.csv``.
 
 The module also owns the process-wide *run seed*: ``repro evaluate
 --seed N`` calls :func:`set_run_seed`, stochastic code asks

@@ -21,7 +21,7 @@ text tree (:meth:`Tracer.render_tree`).
 Tracing is disabled by default.  When disabled, :func:`span` returns a
 cached no-op context manager — one flag check and zero allocations — so
 instrumented hot paths cost essentially nothing (see
-``benchmarks/test_bench_obs_overhead.py``).
+``tests/obs/test_overhead.py``).
 """
 
 from __future__ import annotations

@@ -21,9 +21,9 @@ transport, and seed derivation.
 The vectorized hot kernels themselves live with the code they speed up
 (``repro.compress.rice``, ``repro.core.frontier``,
 ``repro.link.channel.measure_ber_sweep`` / ``measure_ber_grid``,
-``repro.thermal.grid``); ``benchmarks/test_bench_perf.py`` records their
-before/after numbers in ``BENCH_perf.json``.  See
-``docs/PERFORMANCE.md``.
+``repro.thermal.grid``), each pinned to its reference implementation
+by a parity test under ``tests/``.  End-to-end timings come from
+``python -m bench run``; see ``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations

@@ -2,12 +2,16 @@
 
 import pytest
 
+from repro.accel.interconnect import InterconnectModel
 from repro.accel.memory import (
     MemoryModel,
     assess_memory_margin,
 )
 from repro.accel.schedule import best_schedule
 from repro.accel.tech import TECH_45NM
+from repro.core.comp_centric import Workload, evaluate_comp_centric
+from repro.core.scaling import scale_to_standard
+from repro.core.socs import soc_by_number
 from repro.dnn.macs import LayerMacs
 from repro.dnn.models import build_speech_mlp
 
@@ -98,7 +102,6 @@ class TestMarginReport:
         # the condition under which the paper's lower bound methodology
         # remains conclusive.
         net, schedule = mlp_and_schedule
-        from repro.core.comp_centric import Workload, evaluate_comp_centric
         point = evaluate_comp_centric(bisc, Workload.MLP, 1024)
         margin = point.budget_w - point.total_power_w
         report = assess_memory_margin(net, schedule, bisc.sampling_hz,
@@ -112,3 +115,21 @@ class TestMarginReport:
                                       TECH_45NM)
         assert not report.still_fits
         assert report.margin_consumed_fraction > 1.0
+
+    @pytest.mark.parametrize("number", [1, 2, 5])
+    def test_memory_and_routing_fit_the_eq13_margin(self, number):
+        # The paper's MAC-only lower bound is conclusive because the
+        # second-order factors fit "using the margin between the lower
+        # bound and the total power budget": on every SoC whose MLP fits
+        # at 1024 channels, memory + routing fit that margin and stay
+        # below the MAC power itself.
+        soc = scale_to_standard(soc_by_number(number))
+        net = build_speech_mlp(1024)
+        point = evaluate_comp_centric(soc, Workload.MLP, 1024)
+        schedule = best_schedule(net.mac_profiles(),
+                                 1.0 / soc.sampling_hz, TECH_45NM)
+        overhead = (MemoryModel().power_w(net, schedule, soc.sampling_hz)
+                    + InterconnectModel().power_w(net, schedule,
+                                                  soc.sampling_hz))
+        assert overhead <= point.budget_w - point.total_power_w
+        assert overhead < point.comp_power_w

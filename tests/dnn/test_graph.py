@@ -1,19 +1,117 @@
-"""Tests for the networkx dataflow-graph partitioner."""
+"""Graph-cut oracle for Section 6.1's prefix-scan partitioning.
 
-import networkx as nx
+An implant/wearable split of a DNN is a downward-closed cut of its
+dataflow DAG, and the edges crossing the cut carry the activations that
+must be transmitted.  For the paper's sequential stacks the cuts are
+exactly the prefixes :mod:`repro.core.partitioning` scans, so a
+brute-force cut search over the dataflow graph is an independent oracle
+for it.  The graph is two plain dicts: node -> MACs, and
+(tail, head) -> activation values on that edge.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
 import pytest
 
-from repro.dnn.graph import (
-    SINK,
-    SOURCE,
-    best_cut,
-    build_dataflow_graph,
-    enumerate_cuts,
-    prefix_cut_equivalence,
-)
+from repro.core.partitioning import admissible_splits
 from repro.dnn.layers import Dense, ReLU
 from repro.dnn.models import build_speech_dncnn, build_speech_mlp
 from repro.dnn.network import Network
+
+#: Node ids for the synthetic endpoints (the NI and the transmitter).
+SOURCE = "source"
+SINK = "sink"
+
+
+@dataclass(frozen=True)
+class Dataflow:
+    macs: dict[str, int]
+    edges: dict[tuple[str, str], int]
+
+    def predecessors(self, node: str) -> list[str]:
+        return [tail for tail, head in self.edges if head == node]
+
+
+@dataclass(frozen=True)
+class Cut:
+    implant_nodes: frozenset[str]
+    crossing_values: int
+    implant_macs: int
+
+
+def build_dataflow_graph(network: Network) -> Dataflow:
+    """source -> layer_1 -> ... -> layer_L -> sink, one node per compute
+    layer; each edge carries the activation count leaving its tail."""
+    sizes = [math.prod(network.input_shape),
+             *network.compute_layer_output_values()]
+    layers = [f"layer_{index}" for index in range(1, len(sizes))]
+    macs = {SOURCE: 0, SINK: 0}
+    macs.update((node, profile.total_macs)
+                for node, profile in zip(layers, network.mac_profiles()))
+    chain = [SOURCE, *layers, SINK]
+    return Dataflow(macs, dict(zip(zip(chain, chain[1:]), sizes)))
+
+
+def topological_order(graph: Dataflow) -> list[str]:
+    """Kahn's algorithm; a cycle leaves nodes unordered and raises."""
+    indegree = dict.fromkeys(graph.macs, 0)
+    for _, head in graph.edges:
+        indegree[head] += 1
+    ready = [node for node, degree in indegree.items() if degree == 0]
+    order = []
+    while ready:
+        node = ready.pop()
+        order.append(node)
+        for tail, head in graph.edges:
+            if tail == node:
+                indegree[head] -= 1
+                if indegree[head] == 0:
+                    ready.append(head)
+    if len(order) != len(indegree):
+        raise ValueError("dataflow graph has a cycle")
+    return order
+
+
+def enumerate_cuts(graph: Dataflow) -> list[Cut]:
+    """Every downward-closed node set holding the source, not the sink."""
+    order = topological_order(graph)
+    seen: set[frozenset[str]] = set()
+    stack = [frozenset({SOURCE})]
+    while stack:
+        current = stack.pop()
+        if current in seen:
+            continue
+        seen.add(current)
+        stack.extend(current | {node} for node in order
+                     if node not in current and node != SINK
+                     and all(pred in current
+                             for pred in graph.predecessors(node)))
+    return [Cut(nodes,
+                sum(values for (tail, head), values in graph.edges.items()
+                    if tail in nodes and head not in nodes),
+                sum(graph.macs[node] for node in nodes))
+            for nodes in sorted(seen, key=len)]
+
+
+def best_cut(graph: Dataflow, max_values: int = 1024) -> Cut:
+    """Least implant MACs among cuts transmitting <= ``max_values``."""
+    admissible = [cut for cut in enumerate_cuts(graph)
+                  if cut.crossing_values <= max_values]
+    if not admissible:
+        raise ValueError(f"no cut transmits <= {max_values} values")
+    return min(admissible, key=lambda cut: cut.implant_macs)
+
+
+def prefix_cut_equivalence(network: Network,
+                           max_values: int = 1024) -> tuple[int | None, int]:
+    """(last implant layer of the best cut or None, its implant MACs)."""
+    cut = best_cut(build_dataflow_graph(network), max_values)
+    layers = [int(node.split("_")[1]) for node in cut.implant_nodes
+              if node.startswith("layer_")]
+    return (max(layers) if layers else None), cut.implant_macs
 
 
 def chain_network():
@@ -25,25 +123,24 @@ def chain_network():
 class TestGraphConstruction:
     def test_node_and_edge_counts(self):
         graph = build_dataflow_graph(chain_network())
-        assert graph.number_of_nodes() == 5  # source + 3 layers + sink
-        assert graph.number_of_edges() == 4
+        assert len(graph.macs) == 5  # source + 3 layers + sink
+        assert len(graph.edges) == 4
 
     def test_is_dag(self):
         graph = build_dataflow_graph(build_speech_mlp(512))
-        assert nx.is_directed_acyclic_graph(graph)
+        assert sorted(topological_order(graph)) == sorted(graph.macs)
 
     def test_edge_values_are_activation_sizes(self):
         graph = build_dataflow_graph(chain_network())
-        assert graph.edges[SOURCE, "layer_1"]["values"] == 100
-        assert graph.edges["layer_1", "layer_2"]["values"] == 50
-        assert graph.edges["layer_2", "layer_3"]["values"] == 2000
-        assert graph.edges["layer_3", SINK]["values"] == 10
+        assert graph.edges[SOURCE, "layer_1"] == 100
+        assert graph.edges["layer_1", "layer_2"] == 50
+        assert graph.edges["layer_2", "layer_3"] == 2000
+        assert graph.edges["layer_3", SINK] == 10
 
     def test_node_macs_match_profiles(self):
         net = chain_network()
         graph = build_dataflow_graph(net)
-        total = sum(graph.nodes[n]["macs"] for n in graph.nodes)
-        assert total == net.total_macs
+        assert sum(graph.macs.values()) == net.total_macs
 
 
 class TestCutEnumeration:
@@ -99,7 +196,6 @@ class TestPrefixEquivalence:
         # must agree with the Section 6.1 prefix machinery.
         net = build_speech_mlp(2048)
         prefix, macs = prefix_cut_equivalence(net, max_values=1024)
-        from repro.core.partitioning import admissible_splits
         splits = admissible_splits(net, max_values=1024)
         # The graph's optimum is the bottleneck split (least implant MACs
         # among admissible prefixes); check consistency.

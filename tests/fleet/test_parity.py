@@ -102,3 +102,4 @@ class TestSingleSessionParity:
         # distinct noise but share geometry.
         assert len({tuple(s.times_to_target_s) for s in sessions}) > 1
         assert all(s.trials == 3 for s in sessions)
+        assert sum(s.hits for s in sessions) > 0  # the decoder steers

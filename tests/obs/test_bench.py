@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.obs.bench import (append_history, check_regressions,
                              history_record, load_history, render_gate)
+
+#: The committed trajectory ledger.
+LEDGER = Path(__file__).resolve().parents[2] / "results" / \
+    "bench_history.jsonl"
 
 ENTRIES = [
     {"name": "rice_encode", "after_s": 0.010, "speedup": 12.0},
@@ -15,17 +20,17 @@ ENTRIES = [
 ]
 
 
-def _record(after_s: float, quick: bool = True, sha: str = "abc") -> dict:
+def _record(after_s: float, sha: str = "abc") -> dict:
     entries = [{"name": "rice_encode", "after_s": after_s,
                 "speedup": 10.0}]
-    return history_record(entries, quick=quick, cpus=4, sha=sha)
+    return history_record(entries, cpus=4, sha=sha)
 
 
 class TestHistoryLedger:
     def test_record_shape_and_config_key(self):
-        record = history_record(ENTRIES, quick=True, cpus=8, sha="deadbee")
+        record = history_record(ENTRIES, cpus=8, sha="deadbee")
         assert record["sha"] == "deadbee"
-        assert record["config"] == {"quick": True, "cpus": 8}
+        assert record["config"] == {"cpus": 8}
         assert record["kernels"]["rice_encode"]["after_s"] == 0.010
 
     def test_append_and_load_round_trip(self, tmp_path):
@@ -89,11 +94,19 @@ class TestRegressionGate:
         assert report["ok"]
 
     def test_different_config_never_compares(self):
-        history = [_record(0.001, quick=False) for _ in range(5)]
-        current = _record(0.010, quick=True)
-        report = check_regressions(current, history)
-        assert report["ok"]
-        assert report["rows"][0]["status"] == "no-baseline"
+        # The ledger's first four lines predate keying records by CPU
+        # count alone: even a new run on their CPU count with their
+        # entry names must find no baseline among them.
+        legacy = load_history(LEDGER)[:4]
+        for old in legacy:
+            current = history_record(
+                [{"name": name, "after_s": 1e3, "speedup": 1.0}
+                 for name in old["kernels"]],
+                cpus=old["config"]["cpus"])
+            report = check_regressions(current, legacy)
+            assert report["ok"]
+            assert {row["status"] for row in report["rows"]} == \
+                {"no-baseline"}
 
     def test_current_excluded_from_its_own_baseline_by_identity(self,
                                                                 tmp_path):
@@ -120,8 +133,7 @@ class TestCpusConfigKeying:
     def _cpu_record(self, after_s: float, cpus: int) -> dict:
         entries = [{"name": "run_all_warm_jobs4", "after_s": after_s,
                     "speedup": 3.0}]
-        return history_record(entries, quick=False, cpus=cpus,
-                              sha="abc")
+        return history_record(entries, cpus=cpus, sha="abc")
 
     def test_different_cpu_counts_never_share_baselines(self):
         # Five fast samples on a 16-core host must not flag a slower
@@ -140,7 +152,7 @@ class TestCpusConfigKeying:
 
     def test_legacy_records_without_cpus_are_excluded(self):
         legacy = {"sha": "old",
-                  "config": {"quick": False},  # pre-cpus schema
+                  "config": {},  # written before the cpus key
                   "kernels": {"run_all_warm_jobs4":
                               {"after_s": 0.5, "speedup": 3.0}}}
         report = check_regressions(self._cpu_record(4.0, cpus=4),
@@ -148,57 +160,3 @@ class TestCpusConfigKeying:
         assert report["ok"]
         assert report["rows"][0]["status"] == "no-baseline"
 
-
-class TestGatedEntries:
-    """Entries tagged gated (e.g. parallel benches on a 1-CPU host)
-    skip the gate and never seed baselines."""
-
-    def _gated_record(self, after_s: float, gated: bool = True,
-                      sha: str = "abc") -> dict:
-        entries = [{"name": "run_all_jobs4", "after_s": after_s,
-                    "speedup": 0.9, "gated": gated}]
-        return history_record(entries, quick=False, cpus=1, sha=sha)
-
-    def test_gated_flag_propagates_to_history(self):
-        record = self._gated_record(0.5)
-        assert record["kernels"]["run_all_jobs4"]["gated"] is True
-        ungated = self._gated_record(0.5, gated=False)
-        assert "gated" not in ungated["kernels"]["run_all_jobs4"]
-
-    def test_gated_current_entry_never_fails(self):
-        history = [self._gated_record(0.1) for _ in range(5)]
-        report = check_regressions(self._gated_record(9.9), history)
-        assert report["ok"]
-        assert report["rows"][0]["status"] == "gated"
-        assert report["rows"][0]["baseline_s"] is None
-        assert "gated on this host" in render_gate(report)
-
-    def test_gated_samples_excluded_from_baselines(self):
-        # Five gated (slow, 1-CPU) samples must not become the bar an
-        # ungated run is compared against: with only gated history the
-        # ungated run has no baseline at all.
-        history = [self._gated_record(9.0) for _ in range(5)]
-        report = check_regressions(
-            self._gated_record(0.5, gated=False), history)
-        assert report["ok"]
-        assert report["rows"][0]["status"] == "no-baseline"
-
-    def test_mixed_history_baselines_on_ungated_only(self):
-        history = ([self._gated_record(9.0) for _ in range(3)]
-                   + [self._gated_record(0.5, gated=False)
-                      for _ in range(3)])
-        report = check_regressions(
-            self._gated_record(0.5, gated=False), history)
-        assert report["ok"]
-        row = report["rows"][0]
-        assert row["status"] == "ok"
-        assert row["baseline_s"] == pytest.approx(0.5)
-
-    def test_committed_bench_perf_tags_single_cpu_parallel(self):
-        from pathlib import Path
-        path = Path(__file__).resolve().parents[2] / "BENCH_perf.json"
-        data = json.loads(path.read_text())
-        for entry in data["entries"]:
-            if entry["name"].startswith("run_all") and entry.get(
-                    "cpus", data["cpus"]) < 2:
-                assert entry.get("gated") is True

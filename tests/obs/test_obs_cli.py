@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.obs.bench import append_history, history_record
+from repro.obs.bench import append_history, history_record, load_history
 
 
 @pytest.fixture
@@ -130,7 +130,7 @@ class TestObsBenchGate:
         for after_s in after_s_list:
             record = history_record(
                 [{"name": "rice_encode", "after_s": after_s,
-                  "speedup": 10.0}], quick=True, cpus=4, sha="seed")
+                  "speedup": 10.0}], cpus=4, sha="seed")
             append_history(record, path)
 
     def test_gate_passes_on_stable_history(self, tmp_path, capsys):
@@ -146,7 +146,7 @@ class TestObsBenchGate:
         slow = tmp_path / "slow.json"
         slow.write_text(json.dumps({"entries": [
             {"name": "rice_encode", "after_s": 0.0125,
-             "speedup": 8.0}], "quick": True, "cpus": 4}),
+             "speedup": 8.0}], "cpus": 4}),
             encoding="utf-8")
         code = main(["obs", "bench-gate", "--history", str(history),
                      "--input", str(slow)])
@@ -154,12 +154,27 @@ class TestObsBenchGate:
         assert code == 1
         assert "FAIL" in out and "regression" in out
 
+    def test_append_records_the_run_keyed_by_cpus(self, tmp_path, capsys):
+        history = tmp_path / "bench_history.jsonl"
+        run = tmp_path / "gate_input.json"
+        run.write_text(json.dumps({"cpus": 2, "entries": [
+            {"name": "e2e.paper.wall_s", "after_s": 1.1, "speedup": 1.0},
+            {"name": "e2e.paper.setup_s", "after_s": 5.5,
+             "speedup": 1.0}]}), encoding="utf-8")
+        assert main(["obs", "bench-gate", "--history", str(history),
+                     "--input", str(run), "--append"]) == 0
+        [record] = load_history(history)
+        assert record["config"] == {"cpus": 2}
+        assert sorted(record["kernels"]) == ["e2e.paper.setup_s",
+                                             "e2e.paper.wall_s"]
+        assert "no baseline yet" in capsys.readouterr().out
+
     def test_empty_history_exits_two(self, tmp_path, capsys):
         assert main(["obs", "bench-gate", "--history",
                      str(tmp_path / "none.jsonl")]) == 2
 
     @pytest.mark.parametrize("payload", [
-        {"quick": True},
+        {"cpus": 4},
         {"entries": [{"after_s": 0.01, "speedup": 10.0}]},
         {"entries": [{"name": "rice_encode", "speedup": 10.0}]},
     ], ids=["no-entries", "entry-without-name", "entry-without-after_s"])

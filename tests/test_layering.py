@@ -4,8 +4,8 @@ The model packages (Eq. 3 power budget, thermal limit, link energy,
 compute deadline, and the decoders and codecs they feed) must load
 without the result cache, the static analyzer, the process pool or the
 fault injector; and the CLI must not load the analyzer unless the
-``analyze`` command runs.  Each case imports one package in a fresh
-interpreter and inspects ``sys.modules``.
+``analyze`` command runs, nor networkx at all.  Each case imports one
+package in a fresh interpreter and inspects ``sys.modules``.
 
 ``repro.fleet`` is out of scope: it is a simulation driver built on
 ``repro.fault`` and ``repro.perf.seeds`` by design.
@@ -31,12 +31,12 @@ INFRASTRUCTURE = ("repro.cache", "repro.analysis", "repro.perf",
                   "repro.fault")
 
 
-def _loaded_after_import(module: str) -> list[str]:
-    """``repro.*`` modules in ``sys.modules`` after importing
-    ``module`` in a fresh interpreter."""
+def _loaded_after_import(module: str, top: str = "repro") -> list[str]:
+    """Modules of the ``top`` package in ``sys.modules`` after
+    importing ``module`` in a fresh interpreter."""
     code = (f"import json, sys, {module}; "
             "print(json.dumps(sorted(m for m in sys.modules "
-            "if m.startswith('repro'))))")
+            f"if m.split('.')[0] == {top!r})))")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
@@ -59,3 +59,7 @@ def test_cli_does_not_load_the_analyzer():
     leaked = [name for name in _loaded_after_import("repro.cli")
               if _within(name, ("repro.analysis",))]
     assert leaked == [], f"repro.cli pulls in {leaked}"
+
+
+def test_cli_does_not_load_networkx():
+    assert _loaded_after_import("repro.cli", "networkx") == []

@@ -63,6 +63,27 @@ class TestHotspotCase:
         assert (thick.hotspot_ratio(BISC_POWER_W)
                 < thin.hotspot_ratio(BISC_POWER_W))
 
+    def test_hotspot_ratio_falls_with_die_thickness(self):
+        # The Section 3.2 uniform-dissipation assumption, quantified: a
+        # worst-case concentrated power map flattens monotonically with
+        # thickness, and a standard 300 um die keeps the hotspot within
+        # 2x of uniform.
+        ratios = [ChipThermalGrid(nx=24, ny=24,
+                                  thickness_m=um * 1e-6).hotspot_ratio(
+                                      BISC_POWER_W, 0.05)
+                  for um in (10, 25, 100, 300)]
+        assert ratios == sorted(ratios, reverse=True)
+        assert ratios[-1] < 2.0
+
+    def test_uniform_rise_independent_of_die_thickness(self):
+        # The uniform field is the 1-D model the budget relies on, so
+        # die thickness must not move it.
+        rises = [float(grid.solve(grid.uniform_map(BISC_POWER_W)).mean())
+                 for grid in (ChipThermalGrid(nx=24, ny=24,
+                                              thickness_m=um * 1e-6)
+                              for um in (10, 300))]
+        assert abs(rises[0] - rises[1]) < 1e-9
+
     def test_hotspot_ratio_above_one(self, grid):
         assert grid.hotspot_ratio(BISC_POWER_W) > 1.0
 
