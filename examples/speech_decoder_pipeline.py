@@ -23,7 +23,6 @@ from repro.core import (
 from repro.decoders import DnnDecoder
 from repro.dnn.models import build_speech_mlp
 from repro.signals import make_speech_dataset
-from repro.signals.audio import SinusoidalVocoder, mel_like_frequencies
 from repro.units import to_mw
 
 #: Small-scale training configuration (the analysis itself runs at any n).
@@ -70,18 +69,6 @@ def main() -> None:
           f"P_soc/P_budget = {part.power_ratio:.2f}")
     saved = full.total_power_w - part.total_power_w
     print(f"partitioning saves {to_mw(saved):.1f} mW on the implant")
-
-    # 4. Close the loop: decoded spectra -> audio (the paper's "40 labels
-    #    ... used to generate audio").
-    vocoder = SinusoidalVocoder(frequencies_hz=mel_like_frequencies(40),
-                                sampling_rate_hz=16_000.0,
-                                frame_rate_hz=100.0)
-    decoded = decoder.decode(data.features[split:split + 100])
-    audio = vocoder.synthesize(np.maximum(decoded, 0.0))
-    print(f"\nsynthesized {audio.size / 16_000.0:.1f} s of audio from "
-          f"{decoded.shape[0]} decoded frames "
-          f"(peak {np.max(np.abs(audio)):.2f}, "
-          f"RMS {np.sqrt(np.mean(audio ** 2)):.3f})")
 
 
 if __name__ == "__main__":

@@ -11,9 +11,8 @@ charging each unit its post-synthesis power.  This package implements:
   (pipelined) that minimize ``#MAChw``,
 * the component-level accelerator power model reproducing the Fig. 9
   design-point study (PE power fraction 25 % -> ~96 %), and
-* a cycle-approximate functional simulator that executes a dense layer on
-  the PE array and checks both results and cycle counts against the
-  analytical model.
+* the second-order memory and interconnect models that check the Eq. 13
+  bound's headroom.
 """
 
 from repro.accel.tech import (
@@ -21,7 +20,6 @@ from repro.accel.tech import (
     TECH_130NM,
     TECH_45NM,
     TECH_12NM,
-    technology_by_name,
 )
 from repro.accel.schedule import (
     Schedule,
@@ -36,7 +34,6 @@ from repro.accel.power import (
     FIG9_DESIGN_POINTS,
     fig9_power_table,
 )
-from repro.accel.simulate import PEArraySimulator, SimulationResult
 from repro.accel.memory import MemoryModel, MarginReport, assess_memory_margin
 from repro.accel.interconnect import InterconnectModel
 
@@ -45,7 +42,6 @@ __all__ = [
     "TECH_130NM",
     "TECH_45NM",
     "TECH_12NM",
-    "technology_by_name",
     "Schedule",
     "schedule_non_pipelined",
     "schedule_pipelined",
@@ -55,8 +51,6 @@ __all__ = [
     "LayerDesignPoint",
     "FIG9_DESIGN_POINTS",
     "fig9_power_table",
-    "PEArraySimulator",
-    "SimulationResult",
     "MemoryModel",
     "MarginReport",
     "assess_memory_margin",

@@ -57,19 +57,3 @@ TECH_12NM = TechnologyNode(name="12nm", t_mac_s=ns(1.0), p_mac_w=mw(0.026))
 #: Fig. 9 accelerator synthesis node (TSMC 130 nm at 100 MHz); constants
 #: back-projected from the 45 nm point (roughly 2x latency, 2x power).
 TECH_130NM = TechnologyNode(name="130nm", t_mac_s=ns(4.0), p_mac_w=mw(0.10))
-
-_NODES = {node.name: node for node in (TECH_130NM, TECH_45NM, TECH_12NM)}
-
-
-def technology_by_name(name: str) -> TechnologyNode:
-    """Look up a built-in node by label.
-
-    Raises:
-        KeyError: for unknown node names.
-    """
-    try:
-        return _NODES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown technology {name!r}; available: {sorted(_NODES)}"
-        ) from None

@@ -323,7 +323,11 @@ def _cmd_explore(args: argparse.Namespace) -> int:
               "wireless designs (SoCs 1-8)", file=sys.stderr)
         return 2
     soc = scale_to_standard(record)
-    report = explore(soc, target_channels=args.channels)
+    try:
+        report = explore(soc, target_channels=args.channels)
+    except ValueError as error:
+        print(f"explore: {error}", file=sys.stderr)
+        return 2
     rows = [{"strategy": o.strategy,
              "max_channels": o.max_channels,
              f"ratio@{args.channels}": o.power_ratio_at_target,
@@ -353,7 +357,11 @@ def _cmd_roadmap(args: argparse.Namespace) -> int:
         return 2
     from repro.core.roadmap import ChannelRoadmap
     soc = scale_to_standard(record)
-    roadmap = ChannelRoadmap(doubling_years=args.doubling_years)
+    try:
+        roadmap = ChannelRoadmap(doubling_years=args.doubling_years)
+    except ValueError as error:
+        print(f"roadmap: {error}", file=sys.stderr)
+        return 2
     report = explore(soc, target_channels=2048)
     rows = []
     for outcome in report.outcomes:
@@ -478,12 +486,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print(f"analyze: {error}", file=sys.stderr)
         return 2
     new, grandfathered = analysis.split_by_baseline(fingerprinted, entries)
-    # Only entries whose file was actually analyzed can be judged stale
-    # (a restricted `analyze PATH` run says nothing about the rest).
+    # An unmatched entry is stale when its file was analyzed (a
+    # restricted `analyze PATH` run says nothing about the rest) or no
+    # longer exists.  Entry paths are display paths: relative to the
+    # working directory, or absolute.
     analyzed = {parsed.display_path for parsed in files}
     stale = [entry
              for entry in analysis.stale_entries(entries, fingerprinted)
-             if entry.get("path") in analyzed]
+             if entry.get("path") in analyzed
+             or not Path(str(entry.get("path"))).exists()]
     if stale and not getattr(args, "quiet", False):
         for entry in stale:
             print(f"analyze: stale baseline entry "

@@ -27,14 +27,12 @@ from repro.core.comm_centric import (
     DesignHypothesis,
     budget_crossing_channels,
     evaluate_comm_centric,
-    sweep_comm_centric,
 )
 from repro.core.qam_design import (
     QamDesignPoint,
     bits_per_symbol_for,
     evaluate_qam_design,
     max_channels_at_efficiency,
-    sweep_qam_efficiency,
 )
 from repro.core.comp_centric import (
     CompCentricPoint,
@@ -42,7 +40,6 @@ from repro.core.comp_centric import (
     build_workload,
     evaluate_comp_centric,
     max_feasible_channels,
-    sweep_comp_centric,
 )
 from repro.core.partitioning import (
     admissible_splits,
@@ -56,7 +53,6 @@ from repro.core.partitioning import (
 from repro.core.event_stream import (
     EventStreamConfig,
     EventStreamPoint,
-    break_even_spike_rate_hz,
     evaluate_event_stream,
     max_channels_event_stream,
 )
@@ -74,7 +70,6 @@ from repro.core.multi_implant import (
 from repro.core.roadmap import ChannelRoadmap
 from repro.core.sensitivity import (
     SensitivityResult,
-    sweep_noise_figure,
     sweep_record_parameter,
     tornado,
 )
@@ -107,18 +102,15 @@ __all__ = [
     "DesignHypothesis",
     "budget_crossing_channels",
     "evaluate_comm_centric",
-    "sweep_comm_centric",
     "QamDesignPoint",
     "bits_per_symbol_for",
     "evaluate_qam_design",
     "max_channels_at_efficiency",
-    "sweep_qam_efficiency",
     "CompCentricPoint",
     "Workload",
     "build_workload",
     "evaluate_comp_centric",
     "max_feasible_channels",
-    "sweep_comp_centric",
     "PartitionedPoint",
     "admissible_splits",
     "PartitioningGain",
@@ -128,7 +120,6 @@ __all__ = [
     "partitioning_gain",
     "EventStreamConfig",
     "EventStreamPoint",
-    "break_even_spike_rate_hz",
     "evaluate_event_stream",
     "max_channels_event_stream",
     "BRAIN_REACTION_TIME_S",
@@ -140,7 +131,6 @@ __all__ = [
     "explore",
     "ChannelRoadmap",
     "SensitivityResult",
-    "sweep_noise_figure",
     "sweep_record_parameter",
     "tornado",
     "MultiImplantSystem",

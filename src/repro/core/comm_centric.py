@@ -106,15 +106,6 @@ def evaluate_comm_centric(soc: ScaledSoC, n_channels: int,
     )
 
 
-def sweep_comm_centric(soc: ScaledSoC,
-                       channel_counts: list[int],
-                       hypothesis: DesignHypothesis,
-                       ) -> list[CommCentricPoint]:
-    """Evaluate a design hypothesis across a channel sweep."""
-    return [evaluate_comm_centric(soc, n, hypothesis)
-            for n in channel_counts]
-
-
 def power_ratio_curve(soc: ScaledSoC,
                       channel_counts: np.ndarray,
                       hypothesis: DesignHypothesis) -> np.ndarray:

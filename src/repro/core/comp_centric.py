@@ -157,16 +157,6 @@ def evaluate_comp_centric(soc: ScaledSoC,
     )
 
 
-def sweep_comp_centric(soc: ScaledSoC,
-                       workload: Workload,
-                       channel_counts: list[int],
-                       tech: TechnologyNode = TECH_45NM,
-                       ) -> list[CompCentricPoint]:
-    """Fig. 10 series for one SoC and workload."""
-    return [evaluate_comp_centric(soc, workload, n, tech)
-            for n in channel_counts]
-
-
 def power_ratio_curve(soc: ScaledSoC,
                       workload: Workload,
                       channel_counts: np.ndarray,

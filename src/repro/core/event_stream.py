@@ -170,15 +170,3 @@ def max_channels_event_stream(soc: ScaledSoC,
     config = config or EventStreamConfig()
     return grid_frontier(
         lambda n: power_ratio_curve(soc, n, config, tech), n_limit)
-
-
-def break_even_spike_rate_hz(soc: ScaledSoC,
-                             config: EventStreamConfig | None = None,
-                             ) -> float:
-    """Firing rate at which event words cost as much as raw samples.
-
-    Above this rate the event dataflow transmits more bits than raw
-    streaming: r* = d * f / bits_per_event.
-    """
-    config = config or EventStreamConfig()
-    return (soc.sample_bits * soc.sampling_hz) / config.bits_per_event

@@ -102,15 +102,6 @@ def evaluate_qam_design(soc: ScaledSoC, n_channels: int,
     )
 
 
-def sweep_qam_efficiency(soc: ScaledSoC,
-                         channel_counts: list[int],
-                         budget: LinkBudget | None = None,
-                         ) -> list[QamDesignPoint]:
-    """Fig. 7 series: minimum efficiency across a channel sweep."""
-    budget = budget or LinkBudget()
-    return [evaluate_qam_design(soc, n, budget) for n in channel_counts]
-
-
 def _ideal_energy_per_bit(bits_per_symbol: int,
                           budget: LinkBudget) -> float:
     """Eb(b) at 100 % efficiency, ``inf`` for unreachable orders."""

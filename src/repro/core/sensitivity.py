@@ -20,7 +20,6 @@ from repro.core.comp_centric import Workload, max_feasible_channels
 from repro.core.qam_design import max_channels_at_efficiency
 from repro.core.scaling import ScaledSoC, scale_to_standard
 from repro.core.socs import SoCRecord
-from repro.link.budget import LinkBudget
 
 
 @dataclass(frozen=True)
@@ -98,22 +97,6 @@ def sweep_record_parameter(record: SoCRecord,
     return SensitivityResult(parameter=parameter, metric=metric,
                              values=tuple(values),
                              outcomes=tuple(outcomes))
-
-
-def sweep_noise_figure(record: SoCRecord,
-                       values: tuple[float, ...],
-                       efficiency: float = 0.20) -> SensitivityResult:
-    """Sweep the link-budget noise figure against the QAM frontier."""
-    if not values:
-        raise ValueError("sweep needs at least one value")
-    soc = scale_to_standard(record)
-    outcomes = tuple(
-        float(max_channels_at_efficiency(
-            soc, efficiency, LinkBudget(noise_figure_db=nf)))
-        for nf in values)
-    return SensitivityResult(parameter="noise_figure_db",
-                             metric=f"qam_channels_at_{efficiency:.0%}",
-                             values=tuple(values), outcomes=outcomes)
 
 
 def tornado(record: SoCRecord,

@@ -13,12 +13,10 @@ from repro.decoders.kalman import KalmanFilterDecoder
 from repro.decoders.wiener import WienerFilterDecoder
 from repro.decoders.spikesort import (
     SpikeDetector,
-    TemplateMatcher,
     channel_activity_ranking,
     select_active_channels,
 )
 from repro.decoders.dnn_decoder import DnnDecoder
-from repro.decoders.lda import LdaClassifier
 from repro.decoders.cluster import (
     SortResult,
     align_snippets,
@@ -32,11 +30,9 @@ __all__ = [
     "KalmanFilterDecoder",
     "WienerFilterDecoder",
     "SpikeDetector",
-    "TemplateMatcher",
     "channel_activity_ranking",
     "select_active_channels",
     "DnnDecoder",
-    "LdaClassifier",
     "SortResult",
     "align_snippets",
     "extract_snippets",

@@ -1,12 +1,12 @@
-"""Spike detection, template matching, and channel-activity ranking.
+"""Spike detection and channel-activity ranking.
 
 This is the substrate behind the paper's *channel dropout* optimization
 (Section 6.2): "computational methods such as spike sorting are often used
 to reduce the amount of neural data ... filter out data from inactive
 neurons."  The pipeline here is the standard hardware-friendly one (cf.
-NOEMA, MICRO'21): robust threshold detection per channel, optional template
-matching to separate units, and an activity ranking that selects the n'
-most informative channels.
+NOEMA, MICRO'21): robust threshold detection per channel and an activity
+ranking that selects the n' most informative channels.  Unit separation
+lives in :mod:`repro.decoders.cluster`.
 """
 
 from __future__ import annotations
@@ -77,64 +77,6 @@ class SpikeDetector:
             events = [self.detect(row) for row in data]
         inc("decoders.spikes_detected", sum(len(e) for e in events))
         return events
-
-
-class TemplateMatcher:
-    """Nearest-template spike classifier (unit separation).
-
-    Args:
-        templates: (n_units, waveform_len) reference waveforms.
-    """
-
-    def __init__(self, templates: np.ndarray) -> None:
-        templates = np.asarray(templates, dtype=float)
-        if templates.ndim != 2 or templates.shape[0] == 0:
-            raise ValueError("templates must be (n_units, waveform_len)")
-        norms = np.linalg.norm(templates, axis=1, keepdims=True)
-        if np.any(norms == 0):
-            raise ValueError("templates must be non-zero")
-        self.templates = templates
-        self._normalized = templates / norms
-
-    @property
-    def n_units(self) -> int:
-        """Number of reference units."""
-        return self.templates.shape[0]
-
-    @property
-    def waveform_len(self) -> int:
-        """Template length in samples."""
-        return self.templates.shape[1]
-
-    def classify(self, snippet: np.ndarray) -> tuple[int, float]:
-        """Best-matching unit for a waveform snippet.
-
-        Returns:
-            (unit index, cosine similarity in [-1, 1]).
-        """
-        snippet = np.asarray(snippet, dtype=float)
-        if snippet.shape != (self.waveform_len,):
-            raise ValueError(
-                f"snippet must have length {self.waveform_len}")
-        norm = np.linalg.norm(snippet)
-        if norm == 0:
-            return 0, 0.0
-        similarity = self._normalized @ (snippet / norm)
-        unit = int(np.argmax(similarity))
-        return unit, float(similarity[unit])
-
-    def classify_events(self, signal: np.ndarray,
-                        spike_indices: np.ndarray) -> list[tuple[int, float]]:
-        """Classify each detected spike in a continuous signal."""
-        out = []
-        signal = np.asarray(signal, dtype=float)
-        for idx in np.asarray(spike_indices, dtype=int):
-            snippet = signal[idx:idx + self.waveform_len]
-            if snippet.size < self.waveform_len:
-                snippet = np.pad(snippet,
-                                 (0, self.waveform_len - snippet.size))
-            out.append(self.classify(snippet))
-        return out
 
 
 def channel_activity_ranking(data: np.ndarray,

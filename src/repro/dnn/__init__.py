@@ -38,18 +38,6 @@ from repro.dnn.models import (
     build_speech_dncnn,
 )
 from repro.dnn.train import cross_entropy_loss, mse_loss, sgd_train
-from repro.dnn.snn import (
-    LIFLayer,
-    SnnRunResult,
-    SpikingNetwork,
-    build_speech_snn,
-)
-from repro.dnn.quantize import (
-    QuantizationReport,
-    quantization_sweep,
-    quantize_network,
-    quantize_tensor,
-)
 
 __all__ = [
     "LayerMacs",
@@ -76,12 +64,4 @@ __all__ = [
     "cross_entropy_loss",
     "mse_loss",
     "sgd_train",
-    "LIFLayer",
-    "SnnRunResult",
-    "SpikingNetwork",
-    "build_speech_snn",
-    "QuantizationReport",
-    "quantization_sweep",
-    "quantize_network",
-    "quantize_tensor",
 ]

@@ -22,7 +22,6 @@ from repro.link.modulation import (
     BPSK,
     QPSK,
     MQAM,
-    modulation_for_bits_per_symbol,
 )
 from repro.link.budget import (
     LinkBudget,
@@ -54,7 +53,6 @@ __all__ = [
     "BPSK",
     "QPSK",
     "MQAM",
-    "modulation_for_bits_per_symbol",
     "LinkBudget",
     "transmit_energy_per_bit",
     "communication_power",

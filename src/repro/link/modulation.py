@@ -147,24 +147,6 @@ class QPSK(MQAM):
         return "QPSK"
 
 
-def modulation_for_bits_per_symbol(bits_per_symbol: int) -> Modulation:
-    """Factory matching the paper's escalation: 1 bit -> OOK, else M-QAM.
-
-    Odd orders above 1 round up to the next even order for symbol-level use;
-    analytical power modeling should call :func:`repro.link.ber.ber_mqam`
-    directly with the exact odd order instead.
-    """
-    if bits_per_symbol < 1:
-        raise ValueError("bits_per_symbol must be >= 1")
-    if bits_per_symbol == 1:
-        return OOK()
-    if bits_per_symbol == 2:
-        return QPSK()
-    if bits_per_symbol % 2 != 0:
-        bits_per_symbol += 1
-    return MQAM(bits_per_symbol)
-
-
 def _as_bits(bits: np.ndarray) -> np.ndarray:
     bits = np.asarray(bits)
     if bits.size and not np.isin(bits, (0, 1)).all():

@@ -10,19 +10,16 @@ waveforms into digitized frames at the sensing throughput of Eq. 6.
 from repro.ni.geometry import (
     ArrayGeometry,
     GridArray,
-    ShankArray,
     channel_spacing,
     volumetric_efficiency,
 )
 from repro.ni.afe import AnalogFrontEnd, nef_input_current, afe_channel_power
-from repro.ni.adc import AdcModel, quantize, sqnr_db
+from repro.ni.adc import AdcModel, quantize
 from repro.ni.interface import NeuralInterface, sensing_throughput
-from repro.ni.spad import SpadImager
 
 __all__ = [
     "ArrayGeometry",
     "GridArray",
-    "ShankArray",
     "channel_spacing",
     "volumetric_efficiency",
     "AnalogFrontEnd",
@@ -30,8 +27,6 @@ __all__ = [
     "afe_channel_power",
     "AdcModel",
     "quantize",
-    "sqnr_db",
     "NeuralInterface",
     "sensing_throughput",
-    "SpadImager",
 ]

@@ -1,10 +1,10 @@
-"""ADC digitization model: mid-rise quantization and SQNR accounting.
+"""ADC digitization model: mid-rise quantization.
 
 The digitized sample bitwidth ``d`` enters MINDFUL's throughput equation
 (Eq. 6: T_sensing = d * n / t_s) and therefore every communication-power
 result downstream.  This module provides the actual quantizer the simulation
-substrate uses, plus the signal-to-quantization-noise metric that justifies
-the 8-16 bit range used in published designs.
+substrate uses, plus the ideal SQNR that justifies the 8-16 bit range used
+in published designs.
 """
 
 from __future__ import annotations
@@ -38,34 +38,6 @@ def quantize(signal: np.ndarray, bits: int,
     lsb = 2.0 * full_scale / levels
     codes = np.floor(np.asarray(signal, dtype=float) / lsb)
     return np.clip(codes, -levels // 2, levels // 2 - 1).astype(np.int32)
-
-
-def dequantize(codes: np.ndarray, bits: int,
-               full_scale: float = 1.0) -> np.ndarray:
-    """Map integer codes back to analog mid-points of their cells."""
-    if bits < 1:
-        raise ValueError("bit depth must be >= 1")
-    levels = 2 ** bits
-    lsb = 2.0 * full_scale / levels
-    return (np.asarray(codes, dtype=float) + 0.5) * lsb
-
-
-def sqnr_db(signal: np.ndarray, bits: int, full_scale: float = 1.0) -> float:
-    """Empirical signal-to-quantization-noise ratio in dB.
-
-    Raises:
-        ValueError: if the signal has zero power.
-    """
-    signal = np.asarray(signal, dtype=float)
-    power = np.mean(signal ** 2)
-    if power == 0:
-        raise ValueError("signal has zero power; SQNR undefined")
-    reconstructed = dequantize(quantize(signal, bits, full_scale),
-                               bits, full_scale)
-    noise = np.mean((signal - reconstructed) ** 2)
-    if noise == 0:
-        return float("inf")
-    return 10.0 * np.log10(power / noise)
 
 
 @dataclass(frozen=True)

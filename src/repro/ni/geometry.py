@@ -4,9 +4,8 @@ The paper's area requirements (Section 3.2) reduce to two geometric
 quantities: the channel spacing (target <= 20 um for one channel per neuron)
 and the *volumetric efficiency* — the fraction of implant area devoted to
 sensing, which Eq. 4 demands approach 1 as channel count grows.  This module
-provides concrete array geometries (planar grids for ECoG/SPAD implants,
-shank stacks for Neuropixels-style probes) plus the two metrics as free
-functions usable on raw areas.
+provides a concrete planar-grid geometry (ECoG/SPAD implants) plus the two
+metrics as free functions usable on raw areas.
 """
 
 from __future__ import annotations
@@ -112,32 +111,3 @@ class GridArray(ArrayGeometry):
             raise ValueError(f"channel {channel} out of range")
         row, col = divmod(channel, self.cols)
         return ((col + 0.5) * self.pitch_m, (row + 0.5) * self.pitch_m)
-
-
-class ShankArray(ArrayGeometry):
-    """A stack of penetrating shanks, each carrying a fixed channel strip.
-
-    Matches the paper's special case for Neuropixels (Section 4.1): the
-    design scales by *adding shanks*, so area and power scale linearly with
-    channel count rather than by Eq. 1.
-    """
-
-    def __init__(self, n_shanks: int, channels_per_shank: int,
-                 shank_area_m2: float, overhead_area_m2: float = 0.0) -> None:
-        if n_shanks <= 0 or channels_per_shank <= 0:
-            raise ValueError("shank counts must be positive")
-        if shank_area_m2 <= 0:
-            raise ValueError("shank area must be positive")
-        super().__init__(n_channels=n_shanks * channels_per_shank,
-                         sensing_area_m2=n_shanks * shank_area_m2,
-                         overhead_area_m2=overhead_area_m2)
-        object.__setattr__(self, "n_shanks", n_shanks)
-        object.__setattr__(self, "channels_per_shank", channels_per_shank)
-        object.__setattr__(self, "shank_area_m2", shank_area_m2)
-
-    def with_shanks(self, n_shanks: int) -> "ShankArray":
-        """A new array with a different shank count (linear scaling)."""
-        return ShankArray(n_shanks=n_shanks,
-                          channels_per_shank=self.channels_per_shank,
-                          shank_area_m2=self.shank_area_m2,
-                          overhead_area_m2=self.overhead_area_m2)

@@ -32,7 +32,6 @@ from repro.signals.spectral import (
     band_power_features,
     welch_psd,
 )
-from repro.signals.audio import SinusoidalVocoder, mel_like_frequencies
 from repro.signals.datasets import (
     CursorDataset,
     SpeechDataset,
@@ -63,6 +62,4 @@ __all__ = [
     "band_power",
     "band_power_features",
     "welch_psd",
-    "SinusoidalVocoder",
-    "mel_like_frequencies",
 ]

@@ -5,24 +5,24 @@ given cortical blood perfusion — translates into a safe implant power
 density of 40 mW/cm^2.  ``power_budget`` is Eq. 3; ``TissueThermalModel``
 is the first-order uniform-dissipation heating model (after Serrano et al.)
 that justifies using a flat density limit in the first place.
+
+The finite-volume chip heat solver (hot-spot check on a non-uniform power
+map) is not re-exported: import it from :mod:`repro.thermal.grid`, so
+that importing this package does not load it.
 """
 
 from repro.thermal.budget import (
     power_budget,
     power_density,
-    is_safe,
     SafetyReport,
     assess,
 )
 from repro.thermal.model import TissueThermalModel
-from repro.thermal.grid import ChipThermalGrid
 
 __all__ = [
     "power_budget",
     "power_density",
-    "is_safe",
     "SafetyReport",
     "assess",
     "TissueThermalModel",
-    "ChipThermalGrid",
 ]

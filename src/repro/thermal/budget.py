@@ -37,12 +37,6 @@ def power_budget(area_m2: float,
     return area_m2 * density_limit_w_m2
 
 
-def is_safe(power_w: float, area_m2: float,
-            density_limit_w_m2: float = SAFE_POWER_DENSITY) -> bool:
-    """True when the implant's density is within the safe limit."""
-    return power_density(power_w, area_m2) <= density_limit_w_m2
-
-
 @dataclass(frozen=True)
 class SafetyReport:
     """Safety assessment of one implant design point.

@@ -7,7 +7,6 @@ from repro.accel.tech import (
     TECH_45NM,
     TECH_130NM,
     TechnologyNode,
-    technology_by_name,
 )
 
 
@@ -32,16 +31,6 @@ class TestPublishedNodes:
 
     def test_steps_per_second(self):
         assert TECH_45NM.steps_per_second() == pytest.approx(5e8)
-
-
-class TestLookup:
-    def test_by_name(self):
-        assert technology_by_name("45nm") is TECH_45NM
-        assert technology_by_name("12nm") is TECH_12NM
-
-    def test_unknown_raises_with_choices(self):
-        with pytest.raises(KeyError, match="45nm"):
-            technology_by_name("7nm")
 
 
 class TestValidation:

@@ -161,3 +161,28 @@ def test_stale_baseline_entries_are_reported(tmp_path, capsys):
     assert code == 0
     assert "stale baseline entry" in err
     assert "violation no longer exists" in err
+
+
+def test_baseline_entry_for_a_deleted_file_is_stale(tmp_path, capsys):
+    fixture_dir = tmp_path / "pkg"
+    fixture_dir.mkdir()
+    (fixture_dir / "power.py").write_text("BUDGET_W = 40e-3\n",
+                                          encoding="utf-8")
+    (fixture_dir / "other.py").write_text("AREA_M2 = 144e-6\n",
+                                          encoding="utf-8")
+    gone = fixture_dir / "gone.py"
+    gone.write_text("LIMIT_HZ = 30e3\n", encoding="utf-8")
+    baseline = tmp_path / "baseline.json"
+    assert main(["analyze", str(fixture_dir), "--baseline", str(baseline),
+                 "--update-baseline"]) == 0
+    gone.unlink()
+
+    # A run restricted to power.py still reports the entry whose file
+    # is gone, but says nothing about other.py, which it did not read.
+    capsys.readouterr()
+    code = main(["analyze", str(fixture_dir / "power.py"),
+                 "--baseline", str(baseline)])
+    err = capsys.readouterr().err
+    assert code == 0
+    assert err.count("stale baseline entry") == 1
+    assert "gone.py" in err

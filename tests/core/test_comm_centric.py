@@ -6,7 +6,6 @@ from repro.core.comm_centric import (
     DesignHypothesis,
     budget_crossing_channels,
     evaluate_comm_centric,
-    sweep_comm_centric,
 )
 
 SWEEP = [1024, 2048, 4096, 8192]
@@ -16,18 +15,20 @@ class TestNaiveDesign:
     def test_power_ratio_constant(self, wireless_scaled):
         # Fig. 5 claim: the naive ratio does not change with n.
         for soc in wireless_scaled:
-            points = sweep_comm_centric(soc, SWEEP, DesignHypothesis.NAIVE)
+            points = [evaluate_comm_centric(soc, n, DesignHypothesis.NAIVE)
+                      for n in SWEEP]
             ratios = [p.power_ratio for p in points]
             assert max(ratios) - min(ratios) < 1e-12, soc.name
 
     def test_always_within_budget(self, wireless_scaled):
         for soc in wireless_scaled:
-            for point in sweep_comm_centric(soc, SWEEP,
-                                            DesignHypothesis.NAIVE):
+            for n in SWEEP:
+                point = evaluate_comm_centric(soc, n, DesignHypothesis.NAIVE)
                 assert point.within_budget, soc.name
 
     def test_sensing_fraction_flat(self, bisc):
-        points = sweep_comm_centric(bisc, SWEEP, DesignHypothesis.NAIVE)
+        points = [evaluate_comm_centric(bisc, n, DesignHypothesis.NAIVE)
+                  for n in SWEEP]
         fractions = [p.sensing_area_fraction for p in points]
         assert max(fractions) - min(fractions) < 1e-12
 
@@ -64,8 +65,9 @@ class TestHighMarginDesign:
     def test_sensing_fraction_grows_toward_one(self, wireless_scaled):
         # Fig. 6 claim: normalized sensing area grows and dominates.
         for soc in wireless_scaled:
-            points = sweep_comm_centric(soc, SWEEP,
-                                        DesignHypothesis.HIGH_MARGIN)
+            points = [evaluate_comm_centric(soc, n,
+                                            DesignHypothesis.HIGH_MARGIN)
+                      for n in SWEEP]
             fractions = [p.sensing_area_fraction for p in points]
             assert all(a < b for a, b in zip(fractions, fractions[1:]))
             assert fractions[-1] > 0.8, soc.name

@@ -10,7 +10,6 @@ from repro.core.comp_centric import (
     build_workload,
     evaluate_comp_centric,
     max_feasible_channels,
-    sweep_comp_centric,
 )
 
 
@@ -77,8 +76,8 @@ class TestFig10Claims:
 
 class TestEvaluation:
     def test_power_ratio_grows_with_channels(self, bisc):
-        sweep = sweep_comp_centric(bisc, Workload.MLP,
-                                   [1024, 2048, 4096])
+        sweep = [evaluate_comp_centric(bisc, Workload.MLP, n)
+                 for n in (1024, 2048, 4096)]
         ratios = [p.power_ratio for p in sweep]
         assert ratios[0] < ratios[1] < ratios[2]
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.event_stream import (
     EventStreamConfig,
-    break_even_spike_rate_hz,
     evaluate_event_stream,
     max_channels_event_stream,
 )
@@ -72,17 +71,13 @@ class TestScaling:
             assert event_max == 0 or event_max > raw_cross, soc.name
 
     def test_busy_population_can_exceed_raw(self, bisc):
-        # Above the break-even rate the event stream is *worse* than raw.
-        rate = break_even_spike_rate_hz(bisc)
+        # Above the break-even rate r* = d * f / bits_per_event the event
+        # stream is *worse* than raw.
+        rate = (bisc.sample_bits * bisc.sampling_hz
+                / EventStreamConfig().bits_per_event)
         busy = EventStreamConfig(spike_rate_hz=rate * 2)
         point = evaluate_event_stream(bisc, 1024, busy)
         assert point.data_reduction < 1.0
-
-    def test_break_even_rate_formula(self, bisc):
-        config = EventStreamConfig()
-        rate = break_even_spike_rate_hz(bisc, config)
-        assert rate == pytest.approx(
-            bisc.sample_bits * bisc.sampling_hz / config.bits_per_event)
 
     def test_max_channels_monotone_in_spike_rate(self, neuralink):
         sparse = max_channels_event_stream(

@@ -8,7 +8,6 @@ from repro.core.qam_design import (
     bits_per_symbol_for,
     evaluate_qam_design,
     max_channels_at_efficiency,
-    sweep_qam_efficiency,
 )
 
 
@@ -33,7 +32,8 @@ class TestEvaluation:
         assert point.min_efficiency == pytest.approx(0.07, abs=0.05)
 
     def test_min_efficiency_increases_with_channels(self, bisc):
-        sweep = sweep_qam_efficiency(bisc, [1024, 2048, 3072, 4096])
+        sweep = [evaluate_qam_design(bisc, n)
+                 for n in (1024, 2048, 3072, 4096)]
         effs = [p.min_efficiency for p in sweep]
         assert all(a < b for a, b in zip(effs, effs[1:]))
 

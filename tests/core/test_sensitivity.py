@@ -2,13 +2,15 @@
 
 import pytest
 
+from repro.core.qam_design import max_channels_at_efficiency
+from repro.core.scaling import scale_to_standard
 from repro.core.sensitivity import (
     SensitivityResult,
-    sweep_noise_figure,
     sweep_record_parameter,
     tornado,
 )
 from repro.core.socs import soc_by_number
+from repro.link.budget import LinkBudget
 
 
 @pytest.fixture(scope="module")
@@ -47,9 +49,13 @@ class TestSweeps:
             assert result.relative_swing < 1.0, result.parameter
 
     def test_noise_figure_sweep_monotone(self, bisc_record):
-        result = sweep_noise_figure(bisc_record, (5.0, 7.0, 9.0))
-        assert list(result.outcomes) == sorted(result.outcomes,
-                                               reverse=True)
+        # A noisier receiver never admits more channels at 20 % QAM
+        # efficiency.
+        soc = scale_to_standard(bisc_record)
+        outcomes = [max_channels_at_efficiency(
+            soc, 0.20, LinkBudget(noise_figure_db=nf))
+            for nf in (5.0, 7.0, 9.0)]
+        assert outcomes == sorted(outcomes, reverse=True)
 
     def test_swing_computation(self):
         result = SensitivityResult(parameter="p", metric="m",

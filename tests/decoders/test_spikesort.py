@@ -5,7 +5,6 @@ import pytest
 
 from repro.decoders.spikesort import (
     SpikeDetector,
-    TemplateMatcher,
     channel_activity_ranking,
     mad_noise_estimate,
     select_active_channels,
@@ -75,42 +74,6 @@ class TestSpikeDetector:
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):
             SpikeDetector(threshold_sigmas=0.0)
-
-
-class TestTemplateMatcher:
-    def test_classifies_own_templates(self, rng):
-        t1 = biphasic_spike_template(FS, depolarization_s=2e-4)
-        t2 = biphasic_spike_template(FS, depolarization_s=4e-4)
-        matcher = TemplateMatcher(np.stack([t1, t2]))
-        unit, similarity = matcher.classify(t2 + 0.05 * rng.standard_normal(
-            t2.size))
-        assert unit == 1
-        assert similarity > 0.9
-
-    def test_similarity_range(self, rng):
-        matcher = TemplateMatcher(rng.standard_normal((3, 32)))
-        _, similarity = matcher.classify(rng.standard_normal(32))
-        assert -1.0 <= similarity <= 1.0
-
-    def test_zero_snippet(self):
-        matcher = TemplateMatcher(np.ones((1, 8)))
-        unit, similarity = matcher.classify(np.zeros(8))
-        assert similarity == 0.0
-
-    def test_classify_events_pads_tail(self, rng):
-        matcher = TemplateMatcher(rng.standard_normal((2, 16)))
-        signal = rng.standard_normal(20)
-        events = matcher.classify_events(signal, np.array([10]))
-        assert len(events) == 1
-
-    def test_rejects_zero_template(self):
-        with pytest.raises(ValueError):
-            TemplateMatcher(np.zeros((1, 8)))
-
-    def test_rejects_wrong_snippet_length(self, rng):
-        matcher = TemplateMatcher(rng.standard_normal((1, 16)))
-        with pytest.raises(ValueError):
-            matcher.classify(rng.standard_normal(8))
 
 
 class TestChannelSelection:

@@ -5,19 +5,14 @@ import pytest
 
 from repro.compress import NeuralCompressor
 from repro.compress.rice import PackedBits
-from repro.core.closed_loop import evaluate_closed_loop
 from repro.core.event_stream import EventStreamConfig, evaluate_event_stream
 from repro.core.explorer import explore
 from repro.core.comm_centric import DesignHypothesis, evaluate_comm_centric
 from repro.core.comp_centric import Workload, evaluate_comp_centric
 from repro.core.qam_design import evaluate_qam_design
 from repro.decoders.spikesort import SpikeDetector
-from repro.dnn.models import build_speech_mlp
-from repro.dnn.quantize import quantize_network
-from repro.dnn.snn import build_speech_snn
 from repro.link.packetizer import Packetizer
 from repro.ni.adc import quantize
-from repro.ni.spad import SpadImager
 from repro.signals.lfp import synthesize_ecog
 from repro.signals.spikes import (
     biphasic_spike_template,
@@ -87,47 +82,6 @@ class TestEventPipeline:
         config = EventStreamConfig(spike_rate_hz=measured_rate)
         point = evaluate_event_stream(bisc, 1024, config)
         assert point.data_reduction > 50
-
-
-class TestSpadPipeline:
-    def test_spad_frames_compress_and_stream(self, rng):
-        spad = SpadImager(n_pixels=256, counter_bits=8,
-                          frame_rate_hz=1e3)
-        frames = np.stack([spad.capture_frame(rng) for _ in range(50)],
-                          axis=1)  # (pixels, frames)
-        codec = NeuralCompressor(sample_bits=spad.counter_bits)
-        result = codec.analyze(frames)
-        # Poisson counts around a stable mean are compressible.
-        assert result.ratio > 1.1
-
-    def test_spad_throughput_matches_gilhotra_scale(self):
-        # The Gilhotra design: 49152 pixels at a 1024-equivalent config.
-        spad = SpadImager(n_pixels=49152, counter_bits=8,
-                          frame_rate_hz=1e3)
-        assert 100e6 < spad.throughput_bps < 1e9
-
-
-class TestQuantizedClosedLoop:
-    def test_quantized_decoder_in_loop(self, rng, bisc):
-        net = build_speech_mlp(128, rng=rng)
-        quantize_network(net, bits=8)
-        point = evaluate_closed_loop(bisc, net, 128)
-        assert point.feasible
-        # The quantized network still runs.
-        x = rng.standard_normal((1,) + net.input_shape)
-        assert net.forward(x).shape == (1, 40)
-
-    def test_snn_energy_beats_loop_mlp(self, rng, bisc):
-        # An SNN decoder at sparse activity undercuts the MLP the loop
-        # would otherwise run.
-        from repro.accel.tech import TECH_45NM
-        mlp = build_speech_mlp(256)
-        snn = build_speech_snn(256, rng=rng)
-        timesteps = 16
-        sops = snn.expected_sops(0.05, timesteps)
-        snn_energy = snn.energy_per_inference_j(sops, timesteps)
-        mlp_energy = mlp.total_macs * TECH_45NM.energy_per_mac_j
-        assert snn_energy < mlp_energy
 
 
 class TestExplorerConsistency:

@@ -8,7 +8,6 @@ from repro.link.modulation import (
     MQAM,
     OOK,
     QPSK,
-    modulation_for_bits_per_symbol,
 )
 
 ALL_SCHEMES = [OOK(), BPSK(), QPSK(), MQAM(4), MQAM(6), MQAM(8)]
@@ -51,24 +50,6 @@ class TestValidation:
     def test_mqam_rejects_order_below_two(self):
         with pytest.raises(ValueError):
             MQAM(0)
-
-
-class TestFactory:
-    def test_one_bit_gives_ook(self):
-        assert isinstance(modulation_for_bits_per_symbol(1), OOK)
-
-    def test_two_bits_gives_qpsk(self):
-        assert isinstance(modulation_for_bits_per_symbol(2), QPSK)
-
-    def test_even_orders_pass_through(self):
-        assert modulation_for_bits_per_symbol(4).bits_per_symbol == 4
-
-    def test_odd_orders_round_up(self):
-        assert modulation_for_bits_per_symbol(5).bits_per_symbol == 6
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            modulation_for_bits_per_symbol(0)
 
 
 class TestNames:

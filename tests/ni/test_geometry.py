@@ -7,7 +7,6 @@ import pytest
 from repro.ni.geometry import (
     ArrayGeometry,
     GridArray,
-    ShankArray,
     channel_spacing,
     volumetric_efficiency,
 )
@@ -99,22 +98,3 @@ class TestGridArray:
     def test_spacing_equals_pitch(self):
         grid = GridArray(rows=8, cols=8, pitch_m=um(20))
         assert grid.spacing_m == pytest.approx(20e-6)
-
-
-class TestShankArray:
-    def test_linear_scaling(self):
-        base = ShankArray(n_shanks=1, channels_per_shank=384,
-                          shank_area_m2=mm2(22))
-        scaled = base.with_shanks(4)
-        assert scaled.n_channels == 4 * 384
-        assert scaled.sensing_area_m2 == pytest.approx(
-            4 * base.sensing_area_m2)
-
-    def test_overhead_preserved(self):
-        base = ShankArray(n_shanks=2, channels_per_shank=10,
-                          shank_area_m2=1e-6, overhead_area_m2=5e-7)
-        assert base.with_shanks(3).overhead_area_m2 == pytest.approx(5e-7)
-
-    def test_rejects_invalid(self):
-        with pytest.raises(ValueError):
-            ShankArray(n_shanks=0, channels_per_shank=1, shank_area_m2=1.0)

@@ -14,7 +14,6 @@ from repro.compress.rice import (
     unzigzag,
     zigzag,
 )
-from repro.dnn.quantize import quantize_tensor
 from repro.link.wpt import InductiveLink
 
 
@@ -68,29 +67,6 @@ def test_optimal_parameter_dominates(values):
 def test_delta_round_trip(values):
     array = np.array(values, dtype=np.int64)
     np.testing.assert_array_equal(delta_decode(delta_encode(array)), array)
-
-
-# -------------------------------------------------------------- quantize
-@given(st.integers(min_value=2, max_value=16),
-       st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=40)
-def test_quantize_error_bound(bits, seed):
-    rng = np.random.default_rng(seed)
-    tensor = rng.standard_normal(64)
-    quantized = quantize_tensor(tensor, bits)
-    step = np.max(np.abs(tensor)) / (2 ** (bits - 1) - 1)
-    assert np.max(np.abs(tensor - quantized)) <= step / 2 + 1e-12
-
-
-@given(st.integers(min_value=2, max_value=16),
-       st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=30)
-def test_quantize_idempotent(bits, seed):
-    rng = np.random.default_rng(seed)
-    tensor = rng.standard_normal(32)
-    once = quantize_tensor(tensor, bits)
-    twice = quantize_tensor(once, bits)
-    np.testing.assert_allclose(twice, once, atol=1e-12)
 
 
 # ------------------------------------------------------------------- wpt

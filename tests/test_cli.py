@@ -75,6 +75,11 @@ class TestExplore:
     def test_explore_unknown(self, capsys):
         assert main(["explore", "42"]) == 2
 
+    def test_explore_target_below_standard(self, capsys):
+        assert main(["explore", "1", "--channels", "512"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("explore: ") and err.count("\n") == 1
+
 
 class TestRoadmap:
     def test_roadmap_bisc(self, capsys):
@@ -87,6 +92,11 @@ class TestRoadmap:
 
     def test_roadmap_unknown(self, capsys):
         assert main(["roadmap", "42"]) == 2
+
+    def test_roadmap_non_positive_doubling(self, capsys):
+        assert main(["roadmap", "1", "--doubling-years", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("roadmap: ") and err.count("\n") == 1
 
 
 class TestValidate:

@@ -49,9 +49,6 @@ def test_expected_examples_present():
         "cursor_decoding_comparison",
         "closed_loop_bci",
         "data_reduction_study",
-        "snn_vs_dnn_energy",
-        "full_system_tour",
-        "motor_imagery_classification",
         "spike_sorting_walkthrough",
         "online_cursor_session",
     }

@@ -1,19 +1,31 @@
-"""Import direction: the science core imports no infrastructure.
+"""Import direction and reachability of the ``repro`` package.
 
 The model packages (Eq. 3 power budget, thermal limit, link energy,
 compute deadline, and the decoders and codecs they feed) must load
 without the result cache, the static analyzer, the process pool or the
 fault injector; and the CLI must not load the analyzer unless the
-``analyze`` command runs, nor networkx at all.  Each case imports one
-package in a fresh interpreter and inspects ``sys.modules``.
+``analyze`` command runs, nor networkx, nor the chip heat-grid solver.
+Each of these cases imports one package in a fresh interpreter and
+inspects ``sys.modules``.
 
-``repro.fleet`` is out of scope: it is a simulation driver built on
-``repro.fault`` and ``repro.perf.seeds`` by design.
+``repro.fleet`` is out of scope of the import-direction cases: it is a
+simulation driver built on ``repro.fault`` and ``repro.perf.seeds`` by
+design.
+
+Two static scans keep every module and public definition earning its
+place.  The module walk follows imports (function-local ones included)
+from the CLI entry points; the definition scan looks for a use of each
+public science function or class in ``src/``, ``bench/`` or
+``examples/``.  Both name their known exceptions explicitly, with the
+ROADMAP item or EXPERIMENTS.md row that justifies each, so the lists
+can only shrink.
 """
 
 from __future__ import annotations
 
+import ast
 import json
+import re
 import os
 import subprocess
 import sys
@@ -21,7 +33,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+REPO = Path(__file__).resolve().parents[1]
+SRC = REPO / "src"
 
 SCIENCE = ["repro.core", "repro.link", "repro.ni", "repro.dnn",
            "repro.accel", "repro.thermal", "repro.signals",
@@ -63,3 +76,221 @@ def test_cli_does_not_load_the_analyzer():
 
 def test_cli_does_not_load_networkx():
     assert _loaded_after_import("repro.cli", "networkx") == []
+
+
+#: Modules deleted because no command reached them; none may return.
+DELETED = ("repro.wearable", "repro.dnn.snn", "repro.dnn.quantize",
+           "repro.decoders.lda", "repro.accel.simulate", "repro.ni.spad",
+           "repro.signals.audio")
+
+
+def test_cli_loads_neither_the_heat_grid_nor_a_deleted_module():
+    leaked = [name for name in _loaded_after_import("repro.cli")
+              if _within(name, ("repro.thermal.grid",) + DELETED)]
+    assert leaked == [], f"repro.cli pulls in {leaked}"
+
+
+# ------------------------------------------------------------ static scans
+
+def _module_files(src: Path) -> dict[str, Path]:
+    """Dotted module name -> source file, for every module under
+    ``src`` (a package is named by its ``__init__.py``)."""
+    modules = {}
+    for path in sorted(src.rglob("*.py")):
+        parts = list(path.relative_to(src).with_suffix("").parts)
+        if parts[-1] == "__init__":
+            parts.pop()
+        modules[".".join(parts)] = path
+    return modules
+
+
+def _imported_names(module: str, path: Path):
+    """Every dotted name an ``import`` anywhere in the file may load:
+    ``from a import b`` yields both ``a`` and ``a.b`` (``b`` may be a
+    submodule); relative imports are resolved against ``module``."""
+    package = module if path.name == "__init__.py" else \
+        module.rpartition(".")[0]
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                parts = package.split(".")
+                base = ".".join(parts[:len(parts) - node.level + 1]
+                                + ([node.module] if node.module else []))
+            else:
+                base = node.module
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+def _unreached_modules(src: Path, roots: tuple[str, ...]) -> set[str]:
+    """Modules under ``src`` that no import chain from ``roots``
+    loads.  Loading ``a.b.c`` also loads the packages ``a`` and
+    ``a.b``."""
+    modules = _module_files(src)
+    reached: set[str] = set()
+    pending = list(roots)
+    while pending:
+        parts = pending.pop().split(".")
+        for depth in range(1, len(parts) + 1):
+            name = ".".join(parts[:depth])
+            if name in modules and name not in reached:
+                reached.add(name)
+                pending.extend(_imported_names(name, modules[name]))
+    return set(modules) - reached
+
+
+def _names_used(node: ast.AST) -> set[str]:
+    """Identifiers a statement uses: names, attributes, and words in
+    its strings (a docstring cross-reference or a span name counts).
+    Import statements bind names without using them and yield none."""
+    used = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            used.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            used.add(sub.attr)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            used.update(re.findall(r"[A-Za-z_]\w*", sub.value))
+    return used
+
+
+def _is_dunder_all(stmt: ast.stmt) -> bool:
+    return isinstance(stmt, ast.Assign) and any(
+        isinstance(target, ast.Name) and target.id == "__all__"
+        for target in stmt.targets)
+
+
+def _unreferenced_definitions(src: Path, packages: tuple[str, ...],
+                              search: list[Path]) -> set[str]:
+    """Public top-level functions and classes of ``packages`` (under
+    ``src``) whose name no statement of the ``search`` files uses,
+    other than the definition itself and ``__all__``.  Returned as
+    ``module.name``."""
+    uses: dict[str, set[tuple[Path, int]]] = {}
+    for path in search:
+        for index, stmt in enumerate(ast.parse(path.read_text()).body):
+            if _is_dunder_all(stmt):
+                continue
+            for name in _names_used(stmt):
+                uses.setdefault(name, set()).add((path.resolve(), index))
+    unused = set()
+    for module, path in _module_files(src).items():
+        if not _within(module, packages):
+            continue
+        for index, stmt in enumerate(ast.parse(path.read_text()).body):
+            if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+                    and not stmt.name.startswith("_")
+                    and not uses.get(stmt.name, set())
+                    - {(path.resolve(), index)}):
+                unused.add(f"{module}.{stmt.name}")
+    return unused
+
+
+#: CLI entry points: ``python -m repro`` and the ``mindful-repro``
+#: console script.
+ENTRY_POINTS = ("repro.__main__", "repro.cli")
+
+#: Packages and modules no command reaches yet -> the ROADMAP item
+#: that wires them.
+UNREACHED_PACKAGES = {
+    "repro.compress": "ROADMAP item 6: measure explore's compression "
+                      "ratio with the Rice codec",
+    "repro.signals": "ROADMAP item 4: the null-signal decoder control",
+    "repro.thermal.grid": "ROADMAP item 4: the thermal-uniformity claim "
+                          "in validate (see UNREFERENCED_KEEP)",
+}
+
+#: Science packages whose public definitions must each be used.
+SCIENCE_DEFINITIONS = ("repro.core", "repro.link", "repro.ni",
+                       "repro.dnn", "repro.accel", "repro.thermal",
+                       "repro.decoders", "repro.fleet", "repro.simulate")
+
+#: Definitions no command, benchmark or example uses yet -> the
+#: EXPERIMENTS.md row their tier-1 tests back (ROADMAP item 4 wires
+#: them into ``validate``).
+UNREFERENCED_KEEP = {
+    "repro.accel.interconnect.InterconnectModel":
+        "Second-order memory (memory + routing fit the Eq. 13 margin)",
+    "repro.accel.memory.assess_memory_margin":
+        "Second-order memory (activation buffers vs the Eq. 13 bound)",
+    "repro.thermal.grid.ChipThermalGrid": "Thermal uniformity",
+    "repro.core.multi_implant.channels_vs_single_implant":
+        "Multi-implant tiling",
+}
+
+
+def _search_files(repo: Path) -> list[Path]:
+    """Python files outside tests under ``src/``, ``bench/`` and
+    ``examples/``."""
+    return [path for top in ("src", "bench", "examples")
+            for path in sorted((repo / top).rglob("*.py"))
+            if "tests" not in path.relative_to(repo).parts]
+
+
+def test_every_module_is_reached_from_the_cli():
+    unreached = _unreached_modules(SRC, ENTRY_POINTS)
+    expected = {name for name in _module_files(SRC)
+                if _within(name, tuple(UNREACHED_PACKAGES))}
+    assert unreached - expected == set(), (
+        "no command imports these modules: wire them to a command or "
+        "delete them")
+    assert expected - unreached == set(), (
+        "now reached from the CLI: drop their package from "
+        "UNREACHED_PACKAGES")
+
+
+def test_every_public_definition_is_used():
+    unused = _unreferenced_definitions(SRC, SCIENCE_DEFINITIONS,
+                                       _search_files(REPO))
+    assert unused - set(UNREFERENCED_KEEP) == set(), (
+        "only tests use these definitions: use them or delete them")
+    assert set(UNREFERENCED_KEEP) - unused == set(), (
+        "now used or removed: drop them from UNREFERENCED_KEEP")
+
+
+def _write(root: Path, files: dict[str, str]) -> None:
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+
+
+def test_scans_on_a_toy_package(tmp_path):
+    src = tmp_path / "src"
+    _write(src, {
+        "pkg/__init__.py": "",
+        "pkg/cli.py": (
+            "from pkg.sci import near\n"
+            "def main():\n"
+            "    from pkg.sci.far import helper\n"
+            "    return near.run() + helper()\n"),
+        "pkg/orphan.py": "def lost():\n    return 0\n",
+        "pkg/sci/__init__.py": (
+            "from pkg.sci.far import only_tested\n"
+            "__all__ = ['only_tested']\n"),
+        "pkg/sci/near.py": (
+            "from . import rel\n"
+            "def run():\n"
+            "    return rel.used()\n"),
+        "pkg/sci/rel.py": "def used():\n    return 1\n",
+        "pkg/sci/far.py": (
+            "def helper():\n"
+            "    return 2\n"
+            "def only_tested(n):\n"
+            "    return only_tested(n - 1) if n else 0\n"),
+    })
+    _write(tmp_path, {"tests/test_far.py": (
+        "from pkg.sci.far import only_tested\n"
+        "def test_it():\n"
+        "    assert only_tested(2) == 0\n")})
+
+    # A function-local import reaches pkg.sci.far, a relative one
+    # pkg.sci.rel; nothing imports pkg.orphan.
+    assert _unreached_modules(src, ("pkg.cli",)) == {"pkg.orphan"}
+    # A re-export, __all__, recursion and a test do not count as use.
+    assert _unreferenced_definitions(
+        src, ("pkg.sci",), _search_files(tmp_path)) == \
+        {"pkg.sci.far.only_tested"}

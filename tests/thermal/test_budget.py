@@ -5,7 +5,6 @@ import pytest
 from repro.thermal.budget import (
     SafetyReport,
     assess,
-    is_safe,
     power_budget,
     power_density,
 )
@@ -48,14 +47,14 @@ class TestPowerBudget:
 
 class TestSafety:
     def test_safe_design(self):
-        assert is_safe(mw(38.88), mm2(144))
+        assert assess(mw(38.88), mm2(144)).safe
 
     def test_unsafe_design(self):
         # HALO as reported: 1500 mW/cm^2.
-        assert not is_safe(mw(15.0), mm2(1.0))
+        assert not assess(mw(15.0), mm2(1.0)).safe
 
     def test_boundary_is_safe(self):
-        assert is_safe(mw(57.6), mm2(144))
+        assert assess(mw(57.6), mm2(144)).safe
 
     def test_assess_margins(self):
         report = assess(mw(38.88), mm2(144))
