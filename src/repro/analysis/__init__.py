@@ -4,11 +4,11 @@ The MINDFUL results are analytical: every figure is only as right as the
 unit discipline (mW vs W against the 40 mW/cm^2 safety budget) and seed
 discipline (byte-identical parallel runs) of the code computing it.  This
 package moves those conventions from prose into tooling.  It began as a
-per-file AST linter; the parallel engine's cross-process protocols
-(shared-memory segment lifecycles, lock discipline, pipe-transfer
-safety) made it whole-program: :mod:`repro.analysis.graph` builds a
-cross-module symbol table, an import/call graph, and per-function CFGs
-with a bounded path-sensitive dataflow solver, and rules receive that
+per-file AST linter; cross-module checks (lock discipline, seed
+provenance through helper chains) made it whole-program:
+:mod:`repro.analysis.graph` builds a cross-module symbol table, an
+import/call graph, and per-function CFGs with a bounded path-sensitive
+dataflow solver, and rules receive that
 :class:`~repro.analysis.graph.project.Project` context.
 
 Entry point: ``python -m repro analyze`` (see :mod:`repro.cli`), which
@@ -35,11 +35,7 @@ Rules shipped (see ``docs/STATIC_ANALYSIS.md`` for the catalog):
   metrics.
 * ``resilience`` — no bare ``except:``; retry loops stay bounded.
 * ``resource-lifecycle`` — path-sensitive acquire/release balance for
-  shm segments, file handles, fcntl locks, and spans.
-* ``pipe-transfer`` — only allowlisted primitive shapes enter worker
-  dispatch payloads (checked interprocedurally from the submit sites).
-* ``worker-shared-state`` — functions reachable from worker entry
-  points never write module-level mutable globals.
+  file handles, fcntl locks, and spans.
 * ``seed-taint`` — interprocedural wall-clock/entropy provenance must
   not reach ``ExperimentResult`` / ``seed=`` arguments.
 * ``unused-ignore`` — inline suppressions that no longer suppress

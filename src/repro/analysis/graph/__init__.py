@@ -1,10 +1,9 @@
 """repro.analysis.graph — whole-program structure for the analyzer.
 
-The per-file AST linter of PR 3 could not see the cross-module
-invariants PR 7 introduced (shared-memory segment lifecycles split
-between worker and parent, lock discipline in the cache store, transfer
-safety of worker dispatch payloads).  This subpackage is the substrate
-that makes those checkable:
+A per-file AST linter cannot see cross-module invariants such as lock
+discipline in the cache store or wall-clock provenance reaching a
+recorded seed two calls away.  This subpackage is the substrate that
+makes those checkable:
 
 * :mod:`symbols` — cross-module symbol table (defs, classes, imports);
 * :mod:`callgraph` — resolved import/call graph with reachability and

@@ -50,7 +50,7 @@ class FunctionInfo:
 
     qname: str
     module: str
-    local: str  # "run" or "WarmPool.submit"
+    local: str  # "run" or "Launcher.submit"
     node: ast.AST
     parsed: ParsedFile
     #: resolved callee qnames, in first-call order (deduplicated).
@@ -91,9 +91,9 @@ class CallGraph:
     def _scope_symbols(self, info: FunctionInfo) -> ModuleSymbols:
         """Module symbols extended with the function's own imports.
 
-        Worker-side code imports lazily inside function bodies (the
-        fork-safe idiom of :mod:`repro.perf.pool`); those aliases must
-        resolve too or the whole worker subtree falls off the graph.
+        Code that imports lazily inside function bodies (as the CLI
+        handlers do) must resolve those aliases too, or the whole
+        subtree behind them falls off the graph.
         """
         base = self.table.of(info.parsed)
         overlay: dict[str, str] = {}

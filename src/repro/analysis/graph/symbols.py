@@ -4,8 +4,8 @@ One :class:`ModuleSymbols` per analyzed file records what the module
 *defines* (top-level functions, classes with their methods, module-level
 assignments) and what it *imports* (local alias -> dotted target).  The
 table is purely syntactic — nothing is executed — and resolution is
-name-based: ``repro.perf.shm`` resolves to the analyzed file whose path
-ends in ``repro/perf/shm.py``, and a plain ``import helper`` inside a
+name-based: ``repro.perf.parallel`` resolves to the analyzed file whose
+path ends in ``repro/perf/parallel.py``, and a plain ``import helper`` inside a
 fixture directory resolves to the sibling ``helper.py``.  Unresolvable
 imports (numpy, stdlib) stay as dotted strings so rules can still match
 on them.
@@ -26,9 +26,9 @@ def module_name_for(path: Path) -> str:
     """Dotted module name inferred from a file path.
 
     Files under a ``repro`` package directory get their real dotted name
-    (``.../src/repro/perf/shm.py`` -> ``repro.perf.shm``); anything else
-    (tests, corpus fixtures) is addressed by its stem, which is how
-    sibling fixtures import each other.
+    (``.../src/repro/perf/parallel.py`` -> ``repro.perf.parallel``);
+    anything else (tests, corpus fixtures) is addressed by its stem,
+    which is how sibling fixtures import each other.
     """
     parts = list(path.parts)
     stem = path.stem
@@ -169,8 +169,8 @@ class SymbolTable:
                        ) -> tuple[ModuleSymbols, str] | None:
         """Split a dotted target into (defining module, local name).
 
-        ``repro.perf.shm.pack_payload`` -> (shm's symbols,
-        ``"pack_payload"``) when that module is in the analyzed set and
+        ``repro.perf.parallel.run_parallel`` -> (parallel's symbols,
+        ``"run_parallel"``) when that module is in the analyzed set and
         defines the name.
         """
         module = self.resolve_module(dotted, importer)

@@ -13,12 +13,9 @@ from repro.analysis.rules import (  # noqa: F401  (import == registration)
     parity,
     resilience,
     seedtaint,
-    sharedstate,
     telemetry,
-    transfer,
     units,
 )
 
 __all__ = ["contracts", "determinism", "exports", "lifecycle", "parity",
-           "resilience", "seedtaint", "sharedstate", "telemetry",
-           "transfer", "units"]
+           "resilience", "seedtaint", "telemetry", "units"]

@@ -2,7 +2,7 @@
 
 ``repro.experiments`` registers every figure/table driver in
 ``ALL_EXPERIMENTS`` / ``EXTENSION_EXPERIMENTS``; the CLI, the serial
-engine, and the process-pool engine all discover work from those tuples.
+engine, and the parallel engine all discover work from those tuples.
 A registered driver therefore must honor the contract the engines assume:
 
 * ``run()`` and ``render(result)`` exist at module level;

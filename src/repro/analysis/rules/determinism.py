@@ -1,9 +1,9 @@
 """Rule ``determinism``: RNGs are threaded, never ambient.
 
-PR 2's parallel experiment engine guarantees byte-identical CSVs between
-serial and process-pool runs because every random draw flows from a
+The parallel experiment engine guarantees byte-identical CSVs between
+serial and ``--jobs N`` runs because every random draw flows from a
 ``numpy.random.Generator`` derived per driver from the run seed
-(:mod:`repro.perf.seeds`).  Ambient randomness breaks that silently, so
+(:mod:`repro.seeds`).  Ambient randomness breaks that silently, so
 this rule forbids:
 
 * legacy global-state NumPy randomness (``np.random.seed``,
@@ -146,7 +146,7 @@ class DeterminismRule(Rule):
                         parsed, clock,
                         "time-derived RNG seed defeats reproducible "
                         "runs; derive seeds from the run seed "
-                        "(repro.perf.seeds)")
+                        "(repro.seeds)")
         for keyword in node.keywords:
             if keyword.arg and "seed" in keyword.arg.lower():
                 clock = _contains_time_call(keyword.value)
@@ -154,7 +154,7 @@ class DeterminismRule(Rule):
                     yield from self._emit(
                         parsed, clock,
                         f"time-derived value for {keyword.arg!r}; derive "
-                        "seeds from the run seed (repro.perf.seeds)")
+                        "seeds from the run seed (repro.seeds)")
 
     def _check_seed_assign(self, parsed: ParsedFile,
                            node: ast.Assign) -> Iterator[Finding]:
@@ -167,7 +167,7 @@ class DeterminismRule(Rule):
             yield from self._emit(
                 parsed, clock,
                 f"time-derived value for {names[0]!r}; derive seeds "
-                "from the run seed (repro.perf.seeds)")
+                "from the run seed (repro.seeds)")
 
     def _emit(self, parsed: ParsedFile, node: ast.AST,
               message: str) -> Iterator[Finding]:

@@ -1,23 +1,17 @@
 """Rule ``resource-lifecycle``: acquire/release balance on all paths.
 
-PR 7 split resource ownership across processes: a shared-memory segment
-is *created* by the worker (which must close its mapping and unregister
-it from the resource tracker) and *unlinked* by the parent (which must
-close and unlink after decoding) — see :mod:`repro.perf.shm`.  The
-cache store holds an ``fcntl`` lock that must be dropped on every exit,
-and tracer spans must end.  A release that only happens on the happy
-path is exactly the bug class this rule exists for, so the check is
-*path-sensitive*: each acquisition is tracked through every enumerated
-CFG path (:mod:`repro.analysis.graph.dataflow`) and flagged unless each
-required release happens on **all** of them.
+The cache store holds an ``fcntl`` lock that must be dropped on every
+exit, bare ``open()`` handles must be closed, and tracer spans must
+end.  A release that only happens on the happy path is exactly the bug
+class this rule exists for, so the check is *path-sensitive*: each
+acquisition is tracked through every enumerated CFG path
+(:mod:`repro.analysis.graph.dataflow`) and flagged unless each required
+release happens on **all** of them.
 
 Protocol table (kind -> required release groups; each group is
 satisfied by any one of its operations on every path):
 
 =============  =====================================================
-``shm``        ``close()``; then ``unlink()`` *or* ownership escape
-               (passed to a call such as ``_untrack``/
-               ``resource_tracker.unregister``, returned, or stored)
 ``file``       ``close()`` (or escape) for bare ``open()`` handles
 ``flock``      ``fcntl.flock(h, LOCK_UN)`` matching the ``LOCK_EX``
 ``span``       ``end()``/``close()``/``finish()`` for spans acquired
@@ -51,7 +45,6 @@ __all__ = ["LifecycleRule", "RELEASE_GROUPS"]
 #: kind -> ordered release groups; one method of each group must run
 #: on every path (escape satisfies every group at once).
 RELEASE_GROUPS: dict[str, tuple[tuple[str, ...], ...]] = {
-    "shm": (("close",), ("unlink",)),
     "file": (("close",),),
     "span": (("end", "close", "finish"),),
     # flock's release is the positional LOCK_UN call, matched against
@@ -61,7 +54,6 @@ RELEASE_GROUPS: dict[str, tuple[tuple[str, ...], ...]] = {
 
 #: Human labels for findings, per kind.
 _KIND_LABEL = {
-    "shm": "shared-memory segment",
     "file": "file handle",
     "span": "tracer span",
     "flock": "fcntl lock",
@@ -69,7 +61,6 @@ _KIND_LABEL = {
 
 _GROUP_LABEL = {
     ("close",): "closed",
-    ("unlink",): "unlinked (or ownership-transferred)",
     ("end", "close", "finish"): "ended",
 }
 
@@ -88,8 +79,6 @@ def _call_expansion(call: ast.Call, symbols) -> str:
 def _acquisition_kind(call: ast.Call, symbols) -> str | None:
     """The resource kind a call acquires, or None."""
     expanded = _call_expansion(call, symbols)
-    if expanded.endswith("SharedMemory"):
-        return "shm"
     if expanded == "open":  # builtin only; Path.open is method-dotted
         return "file"
     tail = expanded.rpartition(".")[2]
@@ -136,9 +125,8 @@ class LifecycleRule(Rule):
     """Resources acquired in a function must be released on all paths."""
 
     rule_id = "resource-lifecycle"
-    description = ("shm segment / file handle / fcntl lock / span not "
-                   "released on every control-flow path (use with or "
-                   "try/finally)")
+    description = ("file handle / fcntl lock / span not released on "
+                   "every control-flow path (use with or try/finally)")
 
     def check(self, project: Project) -> Iterator[Finding]:
         for parsed in project:
@@ -289,7 +277,7 @@ class LifecycleRule(Rule):
                     tracked.satisfied.add(group)
             return
         # A tracked handle passed as an argument escapes (ownership
-        # transfer: ``_untrack(shm)``, ``resource_tracker.unregister``).
+        # transfer to the callee).
         for arg in list(call.args) + [k.value for k in call.keywords]:
             self._mark_escapes(live, arg, method_call=True)
 

@@ -146,7 +146,7 @@ def probe_driver(module: ModuleType,
     """
     from repro.experiments import experiment_name
     from repro.obs.manifest import current_seed
-    from repro.perf.seeds import derive_driver_seed
+    from repro.seeds import derive_driver_seed
 
     if store is None:
         if output_dir is None:
@@ -188,7 +188,7 @@ def run_and_save_cached(module: ModuleType,
     """
     from repro.experiments import experiment_name, run_module
     from repro.obs.manifest import current_seed
-    from repro.perf.seeds import derive_driver_seed
+    from repro.seeds import derive_driver_seed
 
     if store is None:
         store = store_for(output_dir)

@@ -5,13 +5,14 @@ Commands:
 * ``list`` — list the Table 1 designs.
 * ``evaluate [NAMES...]`` — regenerate paper tables/figures (default all),
   printing each rendering and writing CSVs + run manifests; ``--jobs N``
-  fans the drivers out to a process pool with identical artifacts;
+  runs each driver attempt in its own forked child, at most N at a
+  time, with identical artifacts;
   ``--cache`` replays unchanged drivers from the content-addressed
   result cache (``<output-dir>/.cache``, see :mod:`repro.cache`).
 * ``fleet`` — run the population-scale closed-loop fleet
   (:mod:`repro.fleet`): vectorized cohorts with per-cohort decoder
   family, link loss, and tuning drift, written as the cohort dashboard
-  CSV; ``--jobs N`` shards cohorts across the warm worker pool with
+  CSV; ``--jobs N`` runs each cohort in its own forked child with
   byte-identical artifacts.
 * ``assess SOC`` — scale one Table 1 design to 1024 channels and print its
   safety report and headline feasibility numbers.
@@ -80,6 +81,7 @@ from repro.experiments import (
     experiment_name,
     is_recorded_failure,
     render_result,
+    run_all,
     run_module,
     run_module_resilient,
 )
@@ -146,7 +148,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
                   f"available: {sorted(known)}", file=sys.stderr)
             return 2
     default = {experiment_name(module) for module in ALL_EXPERIMENTS}
-    selected = [(name, module) for name, module in known.items()
+    selected = [module for name, module in known.items()
                 if (name in wanted if wanted else name in default)]
     if _jobs_error(args.jobs):
         return 2
@@ -155,9 +157,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         return 2
     fault_plan = None
     injector = None
-    max_retries = args.max_retries
-    backoff_s = 0.25
-    timeout_s = None
     if args.fault_plan:
         from repro.fault import FaultInjector, FaultPlan
         try:
@@ -166,50 +165,12 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             print(f"evaluate: bad fault plan: {error}", file=sys.stderr)
             return 2
         injector = FaultInjector(fault_plan)
-        max_retries = fault_plan.retry.max_retries
-        backoff_s = fault_plan.retry.backoff_s
-        timeout_s = fault_plan.retry.timeout_s
-    if args.jobs != 1 and len(selected) > 1:
-        from repro.perf import run_parallel
-        results = run_parallel([module for _, module in selected],
-                               output_dir=args.output_dir, jobs=args.jobs,
-                               seed=args.seed, cache=args.cache,
-                               max_retries=max_retries,
-                               backoff_s=backoff_s, timeout_s=timeout_s,
-                               fault_plan=fault_plan, injector=injector)
-        if not args.quiet:
-            for (_, module), result in zip(selected, results):
-                print(f"== {result.title} ==")
-                print(render_result(module, result))
-                print()
-        if args.cache:
-            _print_cache_summary(results)
-        if injector is not None:
-            _print_fault_summary(injector, results, args.output_dir)
-        return 0
-    runner = None
-    if args.cache:
-        from repro.cache import run_and_save_cached, store_for
-        store = store_for(args.output_dir)
-
-        def runner(module, seed=None):
-            return run_and_save_cached(module, args.output_dir,
-                                       seed=seed, store=store)
-    results = []
-    for _, module in selected:
-        result = run_module_resilient(
-            module, seed=args.seed, max_retries=max_retries,
-            backoff_s=backoff_s, fault_plan=fault_plan,
-            injector=injector, runner=runner)
-        if not args.cache or is_recorded_failure(result):
-            result.save_csv(args.output_dir)
-        elif result.fault_info is not None:
-            result.save_manifest(args.output_dir)
-        results.append(result)
-        if not args.quiet:
-            print(f"== {result.title} ==")
-            print(render_result(module, result))
-            print()
+    results = run_all(output_dir=args.output_dir,
+                      verbose=not args.quiet, seed=args.seed,
+                      jobs=args.jobs, cache=args.cache,
+                      max_retries=args.max_retries,
+                      fault_plan=fault_plan, injector=injector,
+                      modules=selected)
     if args.cache:
         _print_cache_summary(results)
     if injector is not None:
@@ -267,7 +228,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     from repro.experiments import fleet as fleet_driver
     from repro.obs.events import driver_scope
     from repro.perf.parallel import resolve_jobs
-    from repro.perf.seeds import derive_driver_seed
+    from repro.seeds import derive_driver_seed
 
     if _jobs_error(args.jobs):
         return 2
@@ -396,7 +357,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     obs.enable_tracing()
     obs.enable_metrics()
     if args.experiment == "all":
-        from repro.experiments import run_all
         run_all(output_dir=DEFAULT_OUTPUT_DIR, seed=args.seed,
                 jobs=args.jobs, cache=args.cache)
         title = f"full evaluation (jobs={args.jobs})"
@@ -936,7 +896,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "scope)")
     obs_query.add_argument("--kind", default=None,
                            choices=("span_start", "span_end", "metric",
-                                    "fault", "cache", "transport"))
+                                    "fault", "cache"))
     obs_query.add_argument("--name", default=None,
                            help="name substring")
     obs_query.add_argument("--limit", type=int, default=None)

@@ -15,6 +15,7 @@ import inspect
 import time
 from pathlib import Path
 from types import ModuleType
+from typing import Sequence
 
 from repro.experiments.base import ExperimentResult
 from repro.experiments.report import DEFAULT_OUTPUT_DIR, format_table
@@ -22,7 +23,7 @@ from repro.obs.events import driver_scope
 from repro.obs.manifest import current_seed, set_run_seed
 from repro.obs.metrics import inc
 from repro.obs.trace import span
-from repro.perf.seeds import derive_driver_seed
+from repro.seeds import derive_driver_seed
 from repro.experiments import (  # noqa: F401 (re-exported driver modules)
     fault_sweep,
     fig4,
@@ -68,7 +69,7 @@ def run_module(module: ModuleType,
 
     ``seed`` (or, when omitted, the process run seed) is the *base* run
     seed; the driver actually runs under a per-driver seed derived from
-    it (:func:`repro.perf.seeds.derive_driver_seed`) — forwarded to
+    it (:func:`repro.seeds.derive_driver_seed`) — forwarded to
     drivers whose ``run`` accepts a ``seed`` and installed as the process
     run seed for the driver's duration so ``seeded_rng()`` users see it
     too.  Deriving per driver rather than sharing one stream is what
@@ -233,17 +234,21 @@ def run_all(output_dir: Path | str = DEFAULT_OUTPUT_DIR,
             backoff_s: float = 0.25,
             timeout_s: float | None = None,
             fault_plan=None,
-            injector=None) -> list[ExperimentResult]:
-    """Run every experiment, saving one CSV (+ manifest) per
+            injector=None,
+            modules: Sequence[ModuleType] | None = None
+            ) -> list[ExperimentResult]:
+    """Run experiment drivers, saving one CSV (+ manifest) per
     figure/table.
 
     Args:
         output_dir: destination for the CSV artifacts.
         verbose: print each rendering as it completes.
-        include_extensions: also run the extension experiments.
+        include_extensions: also run the extension experiments (when
+            ``modules`` is not given).
         seed: RNG seed threaded to stochastic drivers and manifests.
-        jobs: worker processes; above 1 the drivers fan out to a process
-            pool (:func:`repro.perf.run_parallel`) with identical
+        jobs: children alive at once; with more than one driver and
+            ``jobs != 1`` each driver attempt runs in its own forked
+            child (:func:`repro.perf.run_parallel`) with identical
             artifacts — per-driver seed derivation keeps the CSVs
             byte-identical to a serial run of the same seed.
         cache: route every driver through the content-addressed cache
@@ -257,20 +262,23 @@ def run_all(output_dir: Path | str = DEFAULT_OUTPUT_DIR,
             when a plan is given.
         backoff_s: exponential-backoff base between attempts; likewise
             overridden by the plan's retry policy.
-        timeout_s: per-driver wall-clock bound (parallel engine only;
+        timeout_s: per-attempt wall-clock bound (parallel engine only;
             a serial run cannot preempt a hung driver).
         fault_plan: optional :class:`repro.fault.plan.FaultPlan`; its
             worker faults are injected and its retry policy replaces
             the three arguments above.
         injector: optional :class:`repro.fault.injector.FaultInjector`
             shared across drivers so fault accounting aggregates into
-            one log (the chaos CLI passes one).
+            one log (the CLI passes one to print its summary).
+        modules: the drivers to run, in order; defaults to the paper
+            artifacts (plus extensions with ``include_extensions``).
 
     Returns:
-        The results in paper order (extensions last).
+        The results in the order of ``modules``.
     """
-    modules = ALL_EXPERIMENTS + (EXTENSION_EXPERIMENTS
-                                 if include_extensions else ())
+    if modules is None:
+        modules = ALL_EXPERIMENTS + (EXTENSION_EXPERIMENTS
+                                     if include_extensions else ())
     if fault_plan is not None:
         max_retries = fault_plan.retry.max_retries
         backoff_s = fault_plan.retry.backoff_s
@@ -278,7 +286,7 @@ def run_all(output_dir: Path | str = DEFAULT_OUTPUT_DIR,
         if injector is None:
             from repro.fault.injector import FaultInjector
             injector = FaultInjector(fault_plan)
-    if jobs != 1:
+    if jobs != 1 and len(modules) > 1:
         from repro.perf.parallel import run_parallel
         results = run_parallel(modules, output_dir=output_dir, jobs=jobs,
                                seed=seed, cache=cache,
@@ -287,11 +295,8 @@ def run_all(output_dir: Path | str = DEFAULT_OUTPUT_DIR,
                                fault_plan=fault_plan, injector=injector)
         if verbose:
             for module, result in zip(modules, results):
-                print(f"== {result.title} ==")
-                print(render_result(module, result))
-                print()
+                _print_result(module, result)
         return results
-    results = []
     runner = None
     if cache:
         from repro.cache import run_and_save_cached, store_for
@@ -301,22 +306,26 @@ def run_all(output_dir: Path | str = DEFAULT_OUTPUT_DIR,
                    seed: int | None = None) -> ExperimentResult:
             return run_and_save_cached(module, output_dir, seed=seed,
                                        store=store)
-    with span("experiments.run_all", n_experiments=len(modules)):
-        for module in modules:
-            result = run_module_resilient(
-                module, seed=seed, max_retries=max_retries,
-                backoff_s=backoff_s, fault_plan=fault_plan,
-                injector=injector, runner=runner)
-            if not cache or is_recorded_failure(result):
-                result.save_csv(output_dir)
-            elif result.fault_info is not None:
-                result.save_manifest(output_dir)
-            if verbose:
-                print(f"== {result.title} ==")
-                print(render_result(module, result))
-                print()
-            results.append(result)
+    results = []
+    for module in modules:
+        result = run_module_resilient(
+            module, seed=seed, max_retries=max_retries,
+            backoff_s=backoff_s, fault_plan=fault_plan,
+            injector=injector, runner=runner)
+        if not cache or is_recorded_failure(result):
+            result.save_csv(output_dir)
+        elif result.fault_info is not None:
+            result.save_manifest(output_dir)
+        if verbose:
+            _print_result(module, result)
+        results.append(result)
     return results
+
+
+def _print_result(module: ModuleType, result: ExperimentResult) -> None:
+    print(f"== {result.title} ==")
+    print(render_result(module, result))
+    print()
 
 
 __all__ = ["ALL_EXPERIMENTS", "EXTENSION_EXPERIMENTS", "FAILURE_COLUMNS",

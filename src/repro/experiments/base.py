@@ -26,7 +26,7 @@ class ExperimentResult:
         seed: base RNG seed of the run, if any (recorded in the
             manifest).
         derived_seed: the per-driver seed actually installed for the run
-            (:func:`repro.perf.seeds.derive_driver_seed` of ``seed`` and
+            (:func:`repro.seeds.derive_driver_seed` of ``seed`` and
             ``name``), populated by :func:`repro.experiments.run_module`.
         duration_s: wall-clock runtime, populated by
             :func:`repro.experiments.run_module`.

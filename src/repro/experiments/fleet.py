@@ -7,7 +7,7 @@ vectorized engine in :mod:`repro.fleet`, reported as fleet-level
 dashboard rows — throughput, Fitts bitrate, and degradation
 p50/p95/p99 — instead of single-session CSVs.  Every cohort stream
 derives from the run seed and the cohort name, so the fleet replays
-byte-identically, serial or sharded across the warm worker pool.
+byte-identically, serial or with one forked child per cohort.
 """
 
 from __future__ import annotations
@@ -73,9 +73,9 @@ def run_spec(fleet: FleetSpec, base_seed: int | None = None,
              jobs: int = 1) -> ExperimentResult:
     """Run a fleet and reduce it to the dashboard result.
 
-    Shared by the driver ``run()`` (always serial — pooled experiment
-    runs must not nest pools) and the ``repro fleet`` CLI (which may
-    shard cohorts with ``--jobs``).
+    Shared by the driver ``run()`` (always serial — a driver may itself
+    run in a forked child, which must not fork again) and the ``repro
+    fleet`` CLI (which may shard cohorts with ``--jobs``).
     """
     # No `jobs` attr here: span attrs feed the event timeline, and the
     # fleet contract keeps events.jsonl byte-identical serial vs

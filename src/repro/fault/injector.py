@@ -274,7 +274,7 @@ class FaultInjector:
         """Log one plan-driven worker fault (decisions live in
         :meth:`repro.fault.plan.WorkerFaults.fault_for`; the engines
         call this so the log stays single-process and deterministic
-        even when the fault executes inside a pool worker)."""
+        even when the fault executes inside a forked child)."""
         detail: dict[str, Any] = {"attempt": attempt}
         if seconds:
             detail["seconds"] = seconds

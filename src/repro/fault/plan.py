@@ -10,7 +10,7 @@ from which every injection decision derives — same plan, same faults,
 byte-identical fault logs (the acceptance contract of ``python -m repro
 chaos``).
 
-Seed derivation mirrors :mod:`repro.perf.seeds`: each fault domain hashes
+Seed derivation mirrors :mod:`repro.seeds`: each fault domain hashes
 ``(seed, domain)`` so the link injector's draws never depend on how many
 cache faults fired before it — fault streams are order-independent by
 construction, exactly like the per-driver experiment seeds.
@@ -38,8 +38,9 @@ WORKER_FAULT_KINDS = ("crash", "slow", "hang")
 class InjectedWorkerFault(RuntimeError):
     """Deliberate worker crash raised by the fault injector.
 
-    Picklable across the process-pool boundary (workers raise it, the
-    parent engine catches it and retries).
+    Raised inside the attempt (a forked child under ``--jobs``); the
+    engine records its type and message and retries.  Picklable, so it
+    also survives a process boundary intact.
     """
 
     def __init__(self, driver: str, attempt: int) -> None:
@@ -55,7 +56,7 @@ class InjectedWorkerFault(RuntimeError):
 def derive_fault_seed(base_seed: int, domain: str) -> int:
     """Stable 63-bit seed for one fault domain under a plan seed.
 
-    Same construction as :func:`repro.perf.seeds.derive_driver_seed`
+    Same construction as :func:`repro.seeds.derive_driver_seed`
     but namespaced with a ``fault:`` prefix so fault streams never
     collide with experiment streams derived from the same base seed.
     """

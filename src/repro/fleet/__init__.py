@@ -12,7 +12,6 @@ from repro.fleet.engine import (
     cohort_fault_seed,
     cohort_seed,
     run_cohort,
-    run_cohort_task,
     run_fleet,
     simulate_cohort,
 )
@@ -36,6 +35,5 @@ __all__ = [
     "cohort_fault_seed",
     "simulate_cohort",
     "run_cohort",
-    "run_cohort_task",
     "run_fleet",
 ]

@@ -27,7 +27,7 @@ from repro.dnn.layers import Dense, ReLU, Tanh
 from repro.dnn.network import Network
 from repro.fleet.spec import CohortSpec
 from repro.obs.manifest import seeded_rng
-from repro.perf.seeds import derive_stream_seed
+from repro.seeds import derive_stream_seed
 
 __all__ = ["DnnCursorDecoder", "make_session_decoder",
            "make_batch_decoder"]

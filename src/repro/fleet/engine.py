@@ -9,9 +9,9 @@ session (:mod:`repro.fleet.decoders`).
 Determinism contract (tests/fleet/):
 
 * every cohort stream derives from ``(base_seed, "fleet", name)`` via
-  :func:`repro.perf.seeds.derive_stream_seed`, so a cohort replays
+  :func:`repro.seeds.derive_stream_seed`, so a cohort replays
   byte-identically regardless of scheduling — serial and
-  pool-sharded runs produce identical rows;
+  sharded runs produce identical rows;
 * a 1-session cohort is **bit-exact** against
   :func:`repro.simulate.cursor_task.run_closed_loop_session` (the
   registered parity oracle): the batched math replays the scalar
@@ -24,42 +24,32 @@ Determinism contract (tests/fleet/):
   ``drop_rate=0`` is byte-identical to a no-fault cohort (CRN), and
   the deterministic tuning-drift schedule adds no draws either.
 
-Sharding: with ``jobs > 1``, :func:`run_fleet` ships each cohort to
-the persistent :class:`repro.perf.pool.WarmPool` as a primitive task
-dict and the per-session rows come back through shared memory
-(:mod:`repro.perf.shm`).  Workers emit the same driver-scoped
-telemetry a serial run would (adopted in submission order) and the
-parent accounts transport in the metrics registry only — never the
-event timeline — so ``events.jsonl`` stays byte-identical between
-serial and ``--jobs N`` fleet runs.
+Sharding: with ``jobs > 1``, :func:`run_fleet` runs each cohort in its
+own forked child (:class:`repro.perf.parallel.Launcher`), which
+pickles the :class:`CohortResult` back.  Children emit the same
+driver-scoped telemetry a serial run would, adopted in cohort order,
+and the parent adds no events of its own, so ``events.jsonl`` stays
+byte-identical between serial and ``--jobs N`` fleet runs.
 """
 
 from __future__ import annotations
-
-from typing import Any
 
 import numpy as np
 
 from repro.fault.injector import FaultInjector
 from repro.fault.plan import FaultPlan, LinkFaults
 from repro.fleet.decoders import make_batch_decoder, make_session_decoder
-from repro.fleet.result import (
-    SESSION_COLUMNS,
-    CohortResult,
-    SessionResult,
-)
+from repro.fleet.result import CohortResult, SessionResult
 from repro.fleet.spec import CohortSpec, FleetSpec
-from repro.obs import events as _events
 from repro.obs import metrics as _metrics
-from repro.obs import trace as _trace
 from repro.obs.events import driver_scope
 from repro.obs.manifest import seeded_rng
 from repro.obs.metrics import inc
 from repro.obs.trace import span
-from repro.perf.seeds import derive_stream_seed
+from repro.seeds import derive_stream_seed
 
 __all__ = ["cohort_seed", "cohort_fault_seed", "simulate_cohort",
-           "run_cohort", "run_cohort_task", "run_fleet"]
+           "run_cohort", "run_fleet"]
 
 
 def cohort_seed(base_seed: int | None, name: str) -> int | None:
@@ -258,87 +248,31 @@ def run_cohort(spec: CohortSpec,
                         sessions=sessions)
 
 
-def run_cohort_task(task: dict[str, Any]):
-    """Worker-side entry for one sharded cohort task.
-
-    Called by the warm-pool worker loop for ``kind="fleet_cohort"``
-    tasks; returns an ExperimentResult whose rows are the cohort's
-    per-session numeric rows, so the shared-memory transport packs
-    them as raw columns.
-    """
-    from repro.experiments.base import ExperimentResult
-
-    spec = CohortSpec.from_dict(task["cohort"])
-    cohort = run_cohort(spec, task["seed"])
-    return ExperimentResult(
-        name=task["name"],
-        title=f"fleet cohort {spec.name}",
-        rows=cohort.rows,
-        summary={"cohort": spec.name, "sessions": spec.n_sessions},
-        columns=list(SESSION_COLUMNS))
-
-
-def _account_transport(name: str, stats: dict[str, Any]) -> None:
-    """Transport accounting for fleet shards: metrics registry only.
-
-    Unlike the experiment engine, nothing is emitted to the event
-    timeline — the fleet contract is that serial and sharded runs
-    produce byte-identical ``events.jsonl``, so the parent adds no
-    events of its own.
-    """
-    if not _metrics.metrics_enabled():
-        return
-    registry = _metrics.REGISTRY
-    registry.inc("perf.transport.bytes", stats["total_bytes"])
-    registry.inc(f"perf.transport.mode.{stats['mode']}")
-    registry.inc("fleet.cohorts_sharded")
-    registry.set_gauge(f"perf.transport.bytes.{name}",
-                       stats["total_bytes"])
-
-
 def _run_fleet_sharded(fleet: FleetSpec, base_seed: int | None,
-                       jobs: int,
-                       timeout_s: float | None) -> list[CohortResult]:
-    """Shard cohorts across the warm pool; collect in cohort order."""
-    from repro.perf import shm as _shm
-    from repro.perf.parallel import _merge_payload
-    from repro.perf.pool import get_pool
+                       jobs: int) -> list[CohortResult]:
+    """One forked child per cohort; collect in cohort order."""
+    from repro.perf.parallel import Launcher, merge_payload
 
-    trace_on = _trace.tracing_enabled()
-    metrics_on = _metrics.metrics_enabled()
-    events_on = _events.events_enabled()
-    pool = get_pool(jobs)
-
-    def make_task(cohort: CohortSpec) -> dict[str, Any]:
-        return {"kind": "fleet_cohort",
-                "name": f"fleet:{cohort.name}",
-                "cohort": cohort.to_dict(),
-                "seed": base_seed,
-                "plan": None, "attempt": 0, "cache": False,
-                "trace_on": trace_on, "metrics_on": metrics_on,
-                "events_on": events_on,
-                "shm_min_bytes": _shm.SHM_MIN_BYTES}
-
-    task_ids = [pool.submit(make_task(cohort))
-                for cohort in fleet.cohorts]
     results = []
-    for cohort, task_id in zip(fleet.cohorts, task_ids):
-        header = pool.wait(task_id, timeout_s=timeout_s)
-        payload = _shm.unpack_payload(header)
-        pool.release(task_id)
-        _merge_payload(payload)
-        _account_transport(payload["name"], header["stats"])
-        results.append(CohortResult(
-            spec=cohort, seed=cohort_seed(base_seed, cohort.name),
-            rows=payload["result"].rows, sessions=None))
+    with Launcher(jobs) as launcher:
+        handles = [launcher.submit(
+            lambda spec=spec: run_cohort(spec, base_seed))
+            for spec in fleet.cohorts]
+        for handle in handles:
+            payload = launcher.wait(handle)
+            merge_payload(payload)
+            results.append(payload["result"])
+    if _metrics.metrics_enabled():
+        # Registry only: a metric event would break the byte-identical
+        # serial vs sharded timeline.
+        _metrics.REGISTRY.inc("fleet.cohorts_sharded", len(results))
     return results
 
 
 def run_fleet(fleet: FleetSpec, base_seed: int | None = None,
-              jobs: int = 1,
-              timeout_s: float | None = None) -> list[CohortResult]:
-    """Run every cohort of a fleet; ``jobs > 1`` shards cohorts
-    across the persistent warm-worker pool.
+              jobs: int = 1) -> list[CohortResult]:
+    """Run every cohort of a fleet; ``jobs > 1`` runs each cohort in
+    its own forked child, at most ``jobs`` at a time.
 
     Returns cohort results in fleet order.  Rows — and, with events
     enabled, the emitted timeline — are byte-identical between serial
@@ -346,4 +280,4 @@ def run_fleet(fleet: FleetSpec, base_seed: int | None = None,
     """
     if jobs <= 1:
         return [run_cohort(spec, base_seed) for spec in fleet.cohorts]
-    return _run_fleet_sharded(fleet, base_seed, jobs, timeout_s)
+    return _run_fleet_sharded(fleet, base_seed, jobs)

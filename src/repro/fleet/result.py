@@ -28,9 +28,7 @@ from repro.obs.metrics import percentile
 __all__ = ["SessionResult", "CohortResult", "SESSION_COLUMNS",
            "summarize_cohort"]
 
-#: Per-session row keys, in emission order.  Every value is numeric,
-#: so the rows pack as raw shared-memory columns on the pool transport
-#: (:func:`repro.perf.shm.split_rows`).
+#: Per-session row keys, in emission order.
 SESSION_COLUMNS = ("session", "hits", "trials", "hit_rate",
                    "mean_time_to_target_s", "mean_path_efficiency",
                    "dropped_windows", "total_windows", "dropped_pct",
@@ -120,15 +118,14 @@ class SessionResult:
 class CohortResult:
     """One cohort's outcome: per-session rows plus the dashboard row.
 
-    ``sessions`` is populated on the serial path and ``None`` when the
-    cohort came back through the pool transport (only the numeric rows
-    cross the pipe; the summary is recomputed from them, identically).
+    A sharded run pickles the whole result back from its child, so
+    serial and ``--jobs N`` runs hold the same rows and sessions.
     """
 
     spec: CohortSpec
     seed: int | None
     rows: list[dict[str, Any]]
-    sessions: list[SessionResult] | None = None
+    sessions: list[SessionResult]
 
     def summary_row(self) -> dict[str, Any]:
         return summarize_cohort(self.spec, self.rows)

@@ -1,11 +1,10 @@
 """Cohort and fleet specifications for population-scale simulation.
 
 A :class:`CohortSpec` is the unit of vectorized execution *and* the
-unit of work sharded across the warm-worker pool: every field is a
-plain primitive so a spec crosses the worker pipe as a dict
-(:meth:`CohortSpec.to_dict`), and the cohort's random streams are
-derived from the spec *name* alone (:mod:`repro.fleet.engine`), so a
-cohort replays byte-identically no matter which worker runs it.
+unit of work ``fleet --jobs N`` runs in one forked child.  The
+cohort's random streams are derived from the spec *name* alone
+(:mod:`repro.fleet.engine`), so a cohort replays byte-identically no
+matter which process runs it.
 """
 
 from __future__ import annotations
@@ -106,7 +105,7 @@ class CohortSpec:
                           dt_s=self.dt_s, timeout_s=self.timeout_s)
 
     def to_dict(self) -> dict[str, Any]:
-        """Primitive dict form — safe to cross the worker pipe."""
+        """Plain dict form of every field."""
         return dataclasses.asdict(self)
 
     @classmethod

@@ -179,7 +179,7 @@ def measure_ber_grid(schemes,
     scheme in a single batched :func:`measure_ber_sweep` pass.  Every
     scheme draws from its own independent substream derived from the
     base seed and the scheme name
-    (:func:`repro.perf.seeds.derive_stream_seed`), so results are
+    (:func:`repro.seeds.derive_stream_seed`), so results are
     schedule-independent: evaluating schemes in any order — or one at a
     time — yields bit-identical numbers.
 
@@ -203,7 +203,7 @@ def measure_ber_grid(schemes,
             per sweep).
     """
     from repro.obs.manifest import current_seed
-    from repro.perf.seeds import derive_stream_seed
+    from repro.seeds import derive_stream_seed
 
     schemes = list(schemes)
     if not schemes:

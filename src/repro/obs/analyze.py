@@ -16,10 +16,9 @@ durations from a ``trace.json`` instead, trading byte-stability for
 wall-clock attribution.
 
 Engine-scope events (driver tag ``""``) are excluded from diffs by
-default: the serial and parallel engines legitimately record different
-spans (``experiments.run_all`` vs ``experiments.run_parallel``), and
-including them would report spurious deltas between runs whose actual
-experiment work is identical.
+default: the parallel engine records a span the serial one does not
+(``experiments.run_parallel``), and including it would report spurious
+deltas between runs whose actual experiment work is identical.
 """
 
 from __future__ import annotations

@@ -3,9 +3,8 @@
 The event log unifies what the other ``repro.obs`` substrates record —
 span open/close (:mod:`repro.obs.trace`), metric updates
 (:mod:`repro.obs.metrics`), fault injections and recoveries
-(:mod:`repro.fault.injector`), cache hits/misses (:mod:`repro.cache`),
-and parallel result-transport records (:mod:`repro.perf.parallel`,
-kind ``transport``) — into a single ordered timeline that serializes
+(:mod:`repro.fault.injector`) and cache hits/misses
+(:mod:`repro.cache`) — into a single ordered timeline that serializes
 as JSONL (``events.jsonl`` next to the run's CSVs).
 
 Determinism is the design constraint: events are ordered by a monotonic
@@ -18,14 +17,15 @@ therefore *byte-identical* across repetitions — serial or
 Every event is tagged with the experiment driver it belongs to
 (:func:`driver_scope`, entered by ``repro.experiments.run_module`` and
 the cached runner).  Events emitted outside any driver — the engine's
-own spans, pool bookkeeping — carry the empty driver tag and are
-excluded from run-vs-run diffs by default, because the serial and
-parallel engines legitimately differ there.
+own spans, such as ``experiments.run_parallel`` — carry the empty
+driver tag and are excluded from run-vs-run diffs by default, because
+the serial and parallel engines legitimately differ there.
 
-Parallel runs merge deterministically: each worker exports its event
-block with its payload, and the parent adopts the blocks in driver
-submission order (:meth:`EventLog.adopt`), reassigning sequence numbers
-so the merged timeline is gapless and byte-stable for a fixed seed.
+Parallel runs merge deterministically: each forked child exports its
+event block with its payload, and the parent adopts the blocks in
+driver submission order (:meth:`EventLog.adopt`), reassigning sequence
+numbers so the merged timeline is gapless and byte-stable for a fixed
+seed.
 
 Collection is disabled by default; :func:`emit` is a no-op (one module
 flag check) until :func:`enable` is called, preserving the <5 %
@@ -54,8 +54,7 @@ __all__ = ["Event", "EventLog", "EVENTS", "emit", "enable", "disable",
 ENGINE_SCOPE = ""
 
 #: Event kinds the timeline records.
-KINDS = ("span_start", "span_end", "metric", "fault", "cache",
-         "transport")
+KINDS = ("span_start", "span_end", "metric", "fault", "cache")
 
 
 @dataclass(frozen=True)
@@ -66,7 +65,7 @@ class Event:
         seq: monotonic position in the run's timeline (0-based, gapless).
         driver: experiment id the event belongs to ("" = engine scope).
         kind: event category ("span_start", "span_end", "metric",
-            "fault", "cache", "transport").
+            "fault", "cache").
         name: what it concerns (span name, metric name, fault
             ``domain.kind``, cache operation).
         attrs: JSON-able, *deterministic* specifics — values derived

@@ -48,7 +48,7 @@ def seeded_rng(seed: int | None = None) -> "Any":
 
     Returns ``np.random.default_rng(seed)`` when ``seed`` is given — the
     sanctioned constructor for derived substreams
-    (:func:`repro.perf.seeds.derive_stream_seed`) — and
+    (:func:`repro.seeds.derive_stream_seed`) — and
     ``np.random.default_rng(current_seed())`` otherwise: reproducible
     when a seed was set via ``--seed``/:func:`set_run_seed`, fresh
     entropy if not.

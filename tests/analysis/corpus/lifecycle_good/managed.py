@@ -1,18 +1,8 @@
 """Sanctioned lifecycle forms: with, try/finally, ownership escape."""
 
 import fcntl
-from multiprocessing import shared_memory
 
 from repro.obs.trace import span
-
-
-def roundtrip(name):
-    seg = shared_memory.SharedMemory(name=name, create=True, size=64)
-    try:
-        seg.buf[0] = 1
-    finally:
-        seg.close()
-        seg.unlink()
 
 
 def read_config(path):
@@ -33,13 +23,13 @@ def traced(work):
         return work()
 
 
-def adopt(name, registry):
+def adopt(path, registry):
     """Ownership escape: the registry takes over the release."""
-    seg = shared_memory.SharedMemory(name=name)
-    registry.adopt(seg)
+    handle = open(path)
+    registry.adopt(handle)
     return None
 
 
-def handed_back(name):
+def handed_back(path):
     """Returning the handle transfers the obligation to the caller."""
-    return shared_memory.SharedMemory(name=name)
+    return open(path)

@@ -20,11 +20,9 @@ def test_corpus_fails_the_gate(capsys):
     assert "[resilience]" in out
     assert "[driver-telemetry]" in out
     assert "[resource-lifecycle]" in out
-    assert "[pipe-transfer]" in out
-    assert "[worker-shared-state]" in out
     assert "[seed-taint]" in out
     assert "[unused-ignore]" in out
-    assert "43 new finding(s)" in out
+    assert "33 new finding(s)" in out
 
 
 def test_json_report_structure(tmp_path, capsys):
@@ -33,21 +31,20 @@ def test_json_report_structure(tmp_path, capsys):
                  "--format", "json", "--output", str(report_path)])
     assert code == 1
     report = json.loads(report_path.read_text(encoding="utf-8"))
-    assert report["counts"]["new"] == 43
+    assert report["counts"]["new"] == 33
     assert report["counts"]["baselined"] == 0
     assert sorted(rule["id"] for rule in report["rules"]) == [
         "determinism", "driver-telemetry", "experiment-contract",
-        "export-hygiene", "parity-oracle", "pipe-transfer",
-        "resilience", "resource-lifecycle", "seed-taint", "units",
-        "unused-ignore", "worker-shared-state"]
+        "export-hygiene", "parity-oracle", "resilience",
+        "resource-lifecycle", "seed-taint", "units", "unused-ignore"]
     findings = report["findings"]
-    assert len(findings) == 43
+    assert len(findings) == 33
     sample = findings[0]
     assert {"path", "line", "col", "rule", "message", "fingerprint",
             "baselined"} <= set(sample)
     assert all(not f["baselined"] for f in findings)
     # stdout also carries the JSON document for piping
-    assert json.loads(capsys.readouterr().out)["counts"]["new"] == 43
+    assert json.loads(capsys.readouterr().out)["counts"]["new"] == 33
 
 
 def test_update_baseline_then_gate_passes(tmp_path, capsys):
@@ -56,13 +53,13 @@ def test_update_baseline_then_gate_passes(tmp_path, capsys):
                  "--update-baseline"])
     assert code == 0
     document = json.loads(baseline.read_text(encoding="utf-8"))
-    assert len(document["entries"]) == 43
+    assert len(document["entries"]) == 33
 
     capsys.readouterr()
     code = main(["analyze", str(CORPUS), "--baseline", str(baseline)])
     out = capsys.readouterr().out
     assert code == 0
-    assert "0 new finding(s), 43 baselined" in out
+    assert "0 new finding(s), 33 baselined" in out
 
 
 def test_new_violation_breaks_a_baselined_gate(tmp_path, capsys):
@@ -121,7 +118,7 @@ def test_sarif_format_round_trips(tmp_path, capsys):
     assert document["version"] == "2.1.0"
     run = document["runs"][0]
     assert run["tool"]["driver"]["name"] == "repro-analyze"
-    assert len(run["results"]) == 43
+    assert len(run["results"]) == 33
     assert all(r["baselineState"] == "new" for r in run["results"])
     assert all(r["level"] == "error" for r in run["results"])
     # stdout carries the same document
@@ -129,19 +126,19 @@ def test_sarif_format_round_trips(tmp_path, capsys):
 
 
 def test_graph_dump_json_and_dot(tmp_path, capsys):
-    code = main(["analyze", str(CORPUS / "transfer_bad"),
+    code = main(["analyze", str(CORPUS / "seedtaint_bad"),
                  "--graph", "json"])
     assert code == 0
     graph = json.loads(capsys.readouterr().out)
-    assert ["dispatch:run_tasks", "poolmod:get_pool"] in graph["edges"]
+    assert ["recorder:record_run", "entropy:session_stamp"] in graph["edges"]
 
     out_path = tmp_path / "graph.dot"
-    code = main(["analyze", str(CORPUS / "transfer_bad"),
+    code = main(["analyze", str(CORPUS / "seedtaint_bad"),
                  "--graph", "dot", "--output", str(out_path)])
     assert code == 0
     dot = out_path.read_text(encoding="utf-8")
     assert dot.startswith("digraph callgraph {")
-    assert '"dispatch:run_tasks" -> "poolmod:get_pool"' in dot
+    assert '"recorder:record_run" -> "entropy:session_stamp"' in dot
 
 
 def test_stale_baseline_entries_are_reported(tmp_path, capsys):

@@ -34,7 +34,7 @@ def _project(tmp_path, **modules):
 
 def test_module_name_for_repro_packages_and_fixtures():
     assert module_name_for(
-        Path("src/repro/perf/shm.py")) == "repro.perf.shm"
+        Path("src/repro/perf/parallel.py")) == "repro.perf.parallel"
     assert module_name_for(
         Path("src/repro/experiments/__init__.py")) == "repro.experiments"
     assert module_name_for(

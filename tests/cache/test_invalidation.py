@@ -25,7 +25,7 @@ from repro.cache.fingerprint import (
 from repro.cache.keys import driver_key
 from repro.cache.runner import run_and_save_cached, store_for
 from repro.experiments import ALL_EXPERIMENTS, experiment_name
-from repro.perf.seeds import derive_driver_seed
+from repro.seeds import derive_driver_seed
 
 DRIVERS = [experiment_name(module) for module in ALL_EXPERIMENTS]
 

@@ -8,7 +8,9 @@
 (manifests dropped: they carry timestamps and host details).  Any
 change to these drivers' rows, span names, span order, or gauges shows
 up here as a byte diff; regenerate the fixtures with the command above
-only when the change is intended.
+only when the change is intended.  The committed ``results/`` copies of
+the same CSVs must match the fixtures too, so a stale artifact there
+cannot go unnoticed.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ import pytest
 from repro.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+
+RESULTS = Path(__file__).resolve().parents[2] / "results"
 
 ARTIFACTS = ("table1.csv", "fig7.csv", "frontier.csv", "events.jsonl")
 
@@ -35,4 +39,11 @@ def regenerated(tmp_path_factory):
 @pytest.mark.parametrize("artifact", ARTIFACTS)
 def test_artifact_matches_golden(regenerated, artifact):
     assert ((regenerated / artifact).read_bytes()
+            == (GOLDEN / artifact).read_bytes())
+
+
+@pytest.mark.parametrize("artifact", [name for name in ARTIFACTS
+                                      if name.endswith(".csv")])
+def test_committed_result_matches_golden(artifact):
+    assert ((RESULTS / artifact).read_bytes()
             == (GOLDEN / artifact).read_bytes())

@@ -126,7 +126,7 @@ class TestDeriveFaultSeed:
             8, "link")
 
     def test_namespaced_away_from_driver_seeds(self):
-        from repro.perf import derive_driver_seed
+        from repro.seeds import derive_driver_seed
         assert derive_fault_seed(7, "fig5") != derive_driver_seed(
             7, "fig5")
 

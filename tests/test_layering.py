@@ -2,15 +2,16 @@
 
 The model packages (Eq. 3 power budget, thermal limit, link energy,
 compute deadline, and the decoders and codecs they feed) must load
-without the result cache, the static analyzer, the process pool or the
-fault injector; and the CLI must not load the analyzer unless the
-``analyze`` command runs, nor networkx, nor the chip heat-grid solver.
+without the result cache, the static analyzer, the process launcher or
+the fault injector; the CLI must not load the analyzer unless the
+``analyze`` command runs, nor the launcher or ``multiprocessing``
+unless ``--jobs`` forks, nor networkx, nor the chip heat-grid solver.
 Each of these cases imports one package in a fresh interpreter and
 inspects ``sys.modules``.
 
-``repro.fleet`` is out of scope of the import-direction cases: it is a
-simulation driver built on ``repro.fault`` and ``repro.perf.seeds`` by
-design.
+``repro.fleet`` is a simulation driver built on ``repro.fault`` and
+``repro.seeds`` by design, so only its independence from the process
+launcher is checked.
 
 Two static scans keep every module and public definition earning its
 place.  The module walk follows imports (function-local ones included)
@@ -76,6 +77,19 @@ def test_cli_does_not_load_the_analyzer():
 
 def test_cli_does_not_load_networkx():
     assert _loaded_after_import("repro.cli", "networkx") == []
+
+
+def test_cli_loads_neither_the_launcher_nor_multiprocessing():
+    leaked = [name for name in _loaded_after_import("repro.cli")
+              if _within(name, ("repro.perf",))]
+    assert leaked == [], f"repro.cli pulls in {leaked}"
+    assert _loaded_after_import("repro.cli", "multiprocessing") == []
+
+
+def test_fleet_does_not_load_the_launcher():
+    leaked = [name for name in _loaded_after_import("repro.fleet")
+              if _within(name, ("repro.perf",))]
+    assert leaked == [], f"repro.fleet pulls in {leaked}"
 
 
 #: Modules deleted because no command reached them; none may return.

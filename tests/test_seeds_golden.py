@@ -2,7 +2,7 @@
 
 Cache keys (:mod:`repro.cache.keys`) fold the derived seed into every
 whole-driver entry, so the sha256 derivation in
-:func:`repro.perf.seeds.derive_driver_seed` must stay stable across
+:func:`repro.seeds.derive_driver_seed` must stay stable across
 platforms, Python versions, and refactors.  These constants were
 computed once from the definition (``sha256(f"{base}:{name}")``, first
 8 bytes big-endian, top bit cleared) and pin it forever: a change that
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 
-from repro.perf.seeds import derive_driver_seed
+from repro.seeds import derive_driver_seed
 
 #: (base seed, driver name) -> expected derived seed.
 GOLDEN = {
