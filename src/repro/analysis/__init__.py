@@ -2,7 +2,7 @@
 
 The MINDFUL results are analytical: every figure is only as right as the
 unit discipline (mW vs W against the 40 mW/cm^2 safety budget) and seed
-discipline (byte-identical parallel runs) of the code computing it.  This
+discipline (byte-identical seeded runs) of the code computing it.  This
 package moves those conventions from prose into tooling.  It began as a
 per-file AST linter; cross-module checks (lock discipline, seed
 provenance through helper chains) made it whole-program:

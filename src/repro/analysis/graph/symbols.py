@@ -169,8 +169,8 @@ class SymbolTable:
                        ) -> tuple[ModuleSymbols, str] | None:
         """Split a dotted target into (defining module, local name).
 
-        ``repro.perf.parallel.run_parallel`` -> (parallel's symbols,
-        ``"run_parallel"``) when that module is in the analyzed set and
+        ``repro.perf.parallel.merge_payload`` -> (parallel's symbols,
+        ``"merge_payload"``) when that module is in the analyzed set and
         defines the name.
         """
         module = self.resolve_module(dotted, importer)

@@ -1,9 +1,10 @@
 """Rule ``experiment-contract``: registered drivers declare their schema.
 
 ``repro.experiments`` registers every figure/table driver in
-``ALL_EXPERIMENTS`` / ``EXTENSION_EXPERIMENTS``; the CLI, the serial
-engine, and the parallel engine all discover work from those tuples.
-A registered driver therefore must honor the contract the engines assume:
+``ALL_EXPERIMENTS`` / ``EXTENSION_EXPERIMENTS``; the CLI and the
+driver engine (:func:`repro.experiments.run_all`) discover work from
+those tuples.  A registered driver therefore must honor the contract
+the engine assumes:
 
 * ``run()`` and ``render(result)`` exist at module level;
 * the CSV schema is declared as a non-empty module-level ``COLUMNS``

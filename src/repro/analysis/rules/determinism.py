@@ -1,10 +1,10 @@
 """Rule ``determinism``: RNGs are threaded, never ambient.
 
-The parallel experiment engine guarantees byte-identical CSVs between
-serial and ``--jobs N`` runs because every random draw flows from a
-``numpy.random.Generator`` derived per driver from the run seed
-(:mod:`repro.seeds`).  Ambient randomness breaks that silently, so
-this rule forbids:
+A seeded run writes byte-identical CSVs every time, and a sharded
+``fleet --jobs N`` run the same bytes as a serial one, because every
+random draw flows from a ``numpy.random.Generator`` derived per driver
+or stream from the run seed (:mod:`repro.seeds`).  Ambient randomness
+breaks that silently, so this rule forbids:
 
 * legacy global-state NumPy randomness (``np.random.seed``,
   ``np.random.rand``, ``np.random.RandomState``, ...);

@@ -33,10 +33,8 @@ from repro.cache.keys import (
 )
 from repro.cache.runner import (
     CACHE_DIR_NAME,
-    DriverProbe,
     decode_result,
     encode_result,
-    probe_driver,
     result_from_payload,
     result_payload,
     run_and_save_cached,
@@ -47,7 +45,6 @@ from repro.cache.store import STORE_SCHEMA_VERSION, CacheStore
 __all__ = [
     "CACHE_DIR_NAME",
     "CacheStore",
-    "DriverProbe",
     "KEY_SCHEMA_VERSION",
     "STORE_SCHEMA_VERSION",
     "clear_cached_fingerprints",
@@ -60,7 +57,6 @@ __all__ = [
     "import_closure",
     "module_imports",
     "module_source_path",
-    "probe_driver",
     "result_from_payload",
     "result_payload",
     "run_and_save_cached",

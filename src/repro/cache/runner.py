@@ -16,7 +16,6 @@ those exact bytes instead of re-rendering rows through the CSV writer.
 from __future__ import annotations
 
 import base64
-from dataclasses import dataclass
 from pathlib import Path
 from types import ModuleType
 from typing import Any
@@ -28,9 +27,9 @@ from repro.obs.events import driver_scope, emit as emit_event
 from repro.obs.metrics import inc
 from repro.obs.trace import span
 
-__all__ = ["CACHE_DIR_NAME", "DriverProbe", "decode_result",
-           "encode_result", "probe_driver", "result_from_payload",
-           "result_payload", "run_and_save_cached", "store_for"]
+__all__ = ["CACHE_DIR_NAME", "decode_result", "encode_result",
+           "result_from_payload", "result_payload", "run_and_save_cached",
+           "store_for"]
 
 #: Cache directory name, created inside the run's output directory.
 CACHE_DIR_NAME = ".cache"
@@ -116,57 +115,10 @@ def result_from_payload(payload: dict[str, Any]) -> Any:
     )
 
 
-@dataclass(frozen=True)
-class DriverProbe:
-    """Outcome of a silent cache probe for one driver.
-
-    ``hit`` is a fast-path prediction (the entry file exists); the
-    instrumented replay still validates the entry, so a corrupt file
-    degrades to a normal miss.  The parallel engine uses probes to
-    short-circuit hits *before a task is ever enqueued*, and threads
-    the precomputed key back into :func:`run_and_save_cached` so the
-    fingerprint is not recomputed.
-    """
-
-    name: str
-    key: str
-    fingerprint: str
-    hit: bool
-
-
-def probe_driver(module: ModuleType,
-                 seed: int | None = None,
-                 store: CacheStore | None = None,
-                 output_dir: Path | str | None = None) -> DriverProbe:
-    """Silently check whether a driver's run is already cached.
-
-    Emits no spans, metrics, or events — safe to call from engine
-    scope without perturbing the deterministic event timeline.  One of
-    ``store`` or ``output_dir`` is required.
-    """
-    from repro.experiments import experiment_name
-    from repro.obs.manifest import current_seed
-    from repro.seeds import derive_driver_seed
-
-    if store is None:
-        if output_dir is None:
-            raise ValueError("probe_driver needs a store or output_dir")
-        store = store_for(output_dir)
-    name = experiment_name(module)
-    base_seed = seed if seed is not None else current_seed()
-    derived_seed = derive_driver_seed(base_seed, name)
-    source_fingerprint = fingerprint(module.__name__)
-    key = driver_key(name, source_fingerprint, base_seed, derived_seed)
-    return DriverProbe(name=name, key=key,
-                       fingerprint=source_fingerprint,
-                       hit=store.entry_path(key).is_file())
-
-
 def run_and_save_cached(module: ModuleType,
                         output_dir: Path | str,
                         seed: int | None = None,
-                        store: CacheStore | None = None,
-                        probe: DriverProbe | None = None) -> Any:
+                        store: CacheStore | None = None) -> Any:
     """Run one driver through the cache and save its CSV + manifest.
 
     On a hit the stored result is replayed and its CSV written
@@ -179,9 +131,6 @@ def run_and_save_cached(module: ModuleType,
         seed: base run seed (same meaning as
             :func:`repro.experiments.run_module`).
         store: cache store; defaults to ``<output_dir>/.cache``.
-        probe: an earlier :func:`probe_driver` outcome for the same
-            (module, seed); reuses its key/fingerprint instead of
-            recomputing the import-closure fingerprint.
 
     Returns:
         The :class:`ExperimentResult`, with ``cache_info`` populated.
@@ -192,17 +141,11 @@ def run_and_save_cached(module: ModuleType,
 
     if store is None:
         store = store_for(output_dir)
-    if probe is not None:
-        name = probe.name
-        source_fingerprint = probe.fingerprint
-        key = probe.key
-    else:
-        name = experiment_name(module)
-        base_seed = seed if seed is not None else current_seed()
-        derived_seed = derive_driver_seed(base_seed, name)
-        source_fingerprint = fingerprint(module.__name__)
-        key = driver_key(name, source_fingerprint, base_seed,
-                         derived_seed)
+    name = experiment_name(module)
+    base_seed = seed if seed is not None else current_seed()
+    derived_seed = derive_driver_seed(base_seed, name)
+    source_fingerprint = fingerprint(module.__name__)
+    key = driver_key(name, source_fingerprint, base_seed, derived_seed)
 
     with driver_scope(name):
         entry = store.get(key)

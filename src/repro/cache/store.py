@@ -2,7 +2,7 @@
 
 Entries are JSON files named by their sha256 key, sharded into two-hex
 subdirectories (``.cache/ab/ab12....json``).  The store is safe to share
-between the parallel runner's worker processes:
+between processes writing into one output directory:
 
 * **atomic publication** — entries are written to a same-directory temp
   file and ``os.replace``d into place, so readers only ever observe a

@@ -4,11 +4,10 @@ Commands:
 
 * ``list`` — list the Table 1 designs.
 * ``evaluate [NAMES...]`` — regenerate paper tables/figures (default all),
-  printing each rendering and writing CSVs + run manifests; ``--jobs N``
-  runs each driver attempt in its own forked child, at most N at a
-  time, with identical artifacts;
-  ``--cache`` replays unchanged drivers from the content-addressed
-  result cache (``<output-dir>/.cache``, see :mod:`repro.cache`).
+  one driver after another, printing each rendering and writing CSVs +
+  run manifests; ``--cache`` replays unchanged drivers from the
+  content-addressed result cache (``<output-dir>/.cache``, see
+  :mod:`repro.cache`).
 * ``fleet`` — run the population-scale closed-loop fleet
   (:mod:`repro.fleet`): vectorized cohorts with per-cohort decoder
   family, link loss, and tuning drift, written as the cohort dashboard
@@ -21,9 +20,8 @@ Commands:
   strategy's frontier.
 * ``validate`` — score every machine-checkable paper claim against the
   regenerated results (exit code 0 when all pass).
-* ``profile EXPERIMENT`` — run one experiment (or ``all``, optionally
-  with ``--jobs``) under the span tracer and print the nested span tree
-  plus the top-N hotspots; worker-process spans are merged into the tree.
+* ``profile EXPERIMENT`` — run one experiment (or ``all``) under the
+  span tracer and print the nested span tree plus the top-N hotspots.
 * ``analyze`` — run the AST invariant linter (:mod:`repro.analysis`)
   over ``src/`` and ``tests/``; non-zero exit on findings not covered by
   the committed baseline.  ``--format json``/``--output`` for machine
@@ -59,7 +57,8 @@ Global observability flags (valid after any subcommand):
   snapshot after the command finishes.
 * ``--events`` — record the deterministic run timeline and write it as
   ``<output-dir>/events.jsonl`` (implies ``--trace --metrics``);
-  byte-identical for a fixed seed, serial or ``--jobs N``.
+  byte-identical for a fixed seed (for ``fleet``, serial or
+  ``--jobs N``).
 * ``--quiet`` — suppress per-experiment renderings (artifacts are still
   written).
 """
@@ -94,16 +93,6 @@ def _known_experiments() -> dict[str, object]:
     """Experiment id -> driver module, extensions included."""
     return {experiment_name(module): module
             for module in ALL_EXPERIMENTS + EXTENSION_EXPERIMENTS}
-
-
-def _jobs_error(jobs: int) -> bool:
-    """Shared ``--jobs`` validation: print the error and return True
-    when the value is invalid (negative)."""
-    if jobs < 0:
-        print("--jobs must be positive (or 0 for all CPUs)",
-              file=sys.stderr)
-        return True
-    return False
 
 
 def _print_cache_summary(results: list) -> None:
@@ -150,8 +139,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     default = {experiment_name(module) for module in ALL_EXPERIMENTS}
     selected = [module for name, module in known.items()
                 if (name in wanted if wanted else name in default)]
-    if _jobs_error(args.jobs):
-        return 2
     if args.max_retries < 0:
         print("--max-retries must be non-negative", file=sys.stderr)
         return 2
@@ -167,7 +154,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         injector = FaultInjector(fault_plan)
     results = run_all(output_dir=args.output_dir,
                       verbose=not args.quiet, seed=args.seed,
-                      jobs=args.jobs, cache=args.cache,
+                      cache=args.cache,
                       max_retries=args.max_retries,
                       fault_plan=fault_plan, injector=injector,
                       modules=selected)
@@ -230,7 +217,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     from repro.perf.parallel import resolve_jobs
     from repro.seeds import derive_driver_seed
 
-    if _jobs_error(args.jobs):
+    if args.jobs < 0:
+        print("--jobs must be positive (or 0 for all CPUs)",
+              file=sys.stderr)
         return 2
     # run_fleet treats jobs <= 1 as serial, so 0 ("all CPUs") must be
     # resolved here.
@@ -352,14 +341,12 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         print(f"unknown experiment {args.experiment!r}; "
               f"available: {sorted(known)} (or 'all')", file=sys.stderr)
         return 2
-    if _jobs_error(args.jobs):
-        return 2
     obs.enable_tracing()
     obs.enable_metrics()
     if args.experiment == "all":
         run_all(output_dir=DEFAULT_OUTPUT_DIR, seed=args.seed,
-                jobs=args.jobs, cache=args.cache)
-        title = f"full evaluation (jobs={args.jobs})"
+                cache=args.cache)
+        title = "full evaluation"
     else:
         runner = None
         if args.cache:
@@ -709,11 +696,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="RNG seed threaded into stochastic experiments and recorded "
              "in each run manifest")
     evaluate.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the experiment fan-out (1 = serial, "
-             "0 = all CPUs); artifacts are byte-identical either way "
-             "for a fixed --seed")
-    evaluate.add_argument(
         "--cache", action=argparse.BooleanOptionalAction, default=False,
         help="replay unchanged drivers from the content-addressed "
              "result cache under <output-dir>/.cache")
@@ -803,10 +785,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile_cmd.add_argument("--top", type=int, default=10,
                              help="number of hotspots to show")
     profile_cmd.add_argument("--seed", type=int, default=None)
-    profile_cmd.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes when profiling 'all' (worker spans are "
-             "merged into the printed tree)")
     profile_cmd.add_argument(
         "--cache", action=argparse.BooleanOptionalAction, default=False,
         help="run the profiled experiments through the result cache "
@@ -908,9 +886,8 @@ def build_parser() -> argparse.ArgumentParser:
     obs_diff.add_argument("events_a", help="baseline events.jsonl")
     obs_diff.add_argument("events_b", help="candidate events.jsonl")
     obs_diff.add_argument("--include-engine", action="store_true",
-                          help="also diff engine-scope events (serial "
-                               "vs parallel engines legitimately "
-                               "differ there)")
+                          help="also diff engine-scope events (the "
+                               "chaos drills' fault and cache events)")
     obs_diff.add_argument("--format", choices=("text", "json"),
                           default="text")
     obs_diff.set_defaults(func=_cmd_obs_diff)

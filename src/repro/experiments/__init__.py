@@ -72,8 +72,9 @@ def run_module(module: ModuleType,
     it (:func:`repro.seeds.derive_driver_seed`) — forwarded to
     drivers whose ``run`` accepts a ``seed`` and installed as the process
     run seed for the driver's duration so ``seeded_rng()`` users see it
-    too.  Deriving per driver rather than sharing one stream is what
-    makes serial and parallel (``run_all(jobs=N)``) runs byte-identical.
+    too.  Deriving per driver rather than sharing one stream makes a
+    driver's artifacts depend on (seed, driver name) only, never on
+    which other drivers ran before it.
     """
     name = experiment_name(module)
     if seed is None:
@@ -151,10 +152,10 @@ def run_module_resilient(module: ModuleType,
                          runner=None) -> ExperimentResult:
     """Run one driver with bounded retries and graceful degradation.
 
-    The serial counterpart of the parallel engine's retry loop: a
-    driver that raises gets retried with exponential backoff
-    (``backoff_s * 2**(attempt-1)``) up to ``max_retries`` extra
-    attempts, then degrades to a recorded-failure result
+    The one driver engine behind :func:`run_all`, ``evaluate`` and
+    ``profile``: a driver that raises gets retried with exponential
+    backoff (``backoff_s * 2**(attempt-1)``) up to ``max_retries``
+    extra attempts, then degrades to a recorded-failure result
     (:func:`is_recorded_failure`) instead of killing the run.  On the
     happy path this is exactly :func:`run_module` — no extra sleeps, no
     extra RNG draws, byte-identical artifacts.
@@ -166,7 +167,7 @@ def run_module_resilient(module: ModuleType,
         backoff_s: base backoff; 0 retries immediately.
         fault_plan: optional :class:`repro.fault.plan.FaultPlan` whose
             worker faults are applied before each attempt (crash
-            raises, slow/hang sleep — serial runs cannot preempt).
+            raises, slow sleeps).
         injector: optional :class:`repro.fault.injector.FaultInjector`
             used for fault accounting (created from ``fault_plan``
             when omitted).
@@ -202,7 +203,7 @@ def run_module_resilient(module: ModuleType,
                 if kind == "crash":
                     from repro.fault.plan import InjectedWorkerFault
                     raise InjectedWorkerFault(name, attempt)
-                if kind in ("slow", "hang") and seconds > 0:
+                if kind == "slow" and seconds > 0:
                     time.sleep(seconds)
             result = runner(module, seed=seed)
         except Exception as error:
@@ -228,17 +229,15 @@ def run_all(output_dir: Path | str = DEFAULT_OUTPUT_DIR,
             verbose: bool = False,
             include_extensions: bool = False,
             seed: int | None = None,
-            jobs: int = 1,
             cache: bool = False,
             max_retries: int = 2,
             backoff_s: float = 0.25,
-            timeout_s: float | None = None,
             fault_plan=None,
             injector=None,
             modules: Sequence[ModuleType] | None = None
             ) -> list[ExperimentResult]:
-    """Run experiment drivers, saving one CSV (+ manifest) per
-    figure/table.
+    """Run experiment drivers one after another, saving one CSV (+
+    manifest) per figure/table.
 
     Args:
         output_dir: destination for the CSV artifacts.
@@ -246,27 +245,20 @@ def run_all(output_dir: Path | str = DEFAULT_OUTPUT_DIR,
         include_extensions: also run the extension experiments (when
             ``modules`` is not given).
         seed: RNG seed threaded to stochastic drivers and manifests.
-        jobs: children alive at once; with more than one driver and
-            ``jobs != 1`` each driver attempt runs in its own forked
-            child (:func:`repro.perf.run_parallel`) with identical
-            artifacts — per-driver seed derivation keeps the CSVs
-            byte-identical to a serial run of the same seed.
         cache: route every driver through the content-addressed cache
             under ``<output_dir>/.cache``
             (:func:`repro.cache.run_and_save_cached`); unchanged
             drivers replay their stored results byte-for-byte.
-        max_retries: bounded per-driver retry budget (serial and
-            parallel); a driver that still fails degrades to a
-            recorded-failure row (:func:`is_recorded_failure`) instead
-            of killing the run.  Overridden by ``fault_plan.retry``
-            when a plan is given.
+        max_retries: bounded per-driver retry budget
+            (:func:`run_module_resilient`); a driver that still fails
+            degrades to a recorded-failure row
+            (:func:`is_recorded_failure`) instead of killing the run.
+            Overridden by ``fault_plan.retry`` when a plan is given.
         backoff_s: exponential-backoff base between attempts; likewise
             overridden by the plan's retry policy.
-        timeout_s: per-attempt wall-clock bound (parallel engine only;
-            a serial run cannot preempt a hung driver).
         fault_plan: optional :class:`repro.fault.plan.FaultPlan`; its
             worker faults are injected and its retry policy replaces
-            the three arguments above.
+            the two arguments above.
         injector: optional :class:`repro.fault.injector.FaultInjector`
             shared across drivers so fault accounting aggregates into
             one log (the CLI passes one to print its summary).
@@ -282,21 +274,9 @@ def run_all(output_dir: Path | str = DEFAULT_OUTPUT_DIR,
     if fault_plan is not None:
         max_retries = fault_plan.retry.max_retries
         backoff_s = fault_plan.retry.backoff_s
-        timeout_s = fault_plan.retry.timeout_s
         if injector is None:
             from repro.fault.injector import FaultInjector
             injector = FaultInjector(fault_plan)
-    if jobs != 1 and len(modules) > 1:
-        from repro.perf.parallel import run_parallel
-        results = run_parallel(modules, output_dir=output_dir, jobs=jobs,
-                               seed=seed, cache=cache,
-                               max_retries=max_retries,
-                               backoff_s=backoff_s, timeout_s=timeout_s,
-                               fault_plan=fault_plan, injector=injector)
-        if verbose:
-            for module, result in zip(modules, results):
-                _print_result(module, result)
-        return results
     runner = None
     if cache:
         from repro.cache import run_and_save_cached, store_for
@@ -317,15 +297,11 @@ def run_all(output_dir: Path | str = DEFAULT_OUTPUT_DIR,
         elif result.fault_info is not None:
             result.save_manifest(output_dir)
         if verbose:
-            _print_result(module, result)
+            print(f"== {result.title} ==")
+            print(render_result(module, result))
+            print()
         results.append(result)
     return results
-
-
-def _print_result(module: ModuleType, result: ExperimentResult) -> None:
-    print(f"== {result.title} ==")
-    print(render_result(module, result))
-    print()
 
 
 __all__ = ["ALL_EXPERIMENTS", "EXTENSION_EXPERIMENTS", "FAILURE_COLUMNS",

@@ -2,7 +2,7 @@
 
 One :class:`FaultInjector` owns every injection decision of a run.  Each
 fault domain draws from its own generator seeded by
-:func:`repro.fault.plan.derive_fault_seed`, so the link stream's draws
+:func:`repro.seeds.derive_fault_seed`, so the link stream's draws
 are independent of how many cache faults fired first — replaying a plan
 reproduces the exact same fault sequence, which is what makes the chaos
 suite's golden fault-log regression possible.
@@ -24,10 +24,11 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.fault.plan import FaultPlan, derive_fault_seed
+from repro.fault.plan import FaultPlan
 from repro.obs.events import emit as emit_event
 from repro.obs.events import events_enabled
 from repro.obs.metrics import inc
+from repro.seeds import derive_fault_seed
 
 __all__ = ["FaultEvent", "FaultInjector"]
 
@@ -272,9 +273,8 @@ class FaultInjector:
     def record_worker_fault(self, driver: str, attempt: int,
                             kind: str, seconds: float = 0.0) -> FaultEvent:
         """Log one plan-driven worker fault (decisions live in
-        :meth:`repro.fault.plan.WorkerFaults.fault_for`; the engines
-        call this so the log stays single-process and deterministic
-        even when the fault executes inside a forked child)."""
+        :meth:`repro.fault.plan.WorkerFaults.fault_for`; the driver
+        engine calls this before applying the fault)."""
         detail: dict[str, Any] = {"attempt": attempt}
         if seconds:
             detail["seconds"] = seconds

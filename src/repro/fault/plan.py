@@ -3,14 +3,15 @@
 A :class:`FaultPlan` is the single input to the fault-injection layer
 (:mod:`repro.fault.injector`): per-domain fault rates for the wireless
 link, the result cache, and the experiment workers, plus the recovery
-policy (bounded retries, backoff, per-driver timeout) the engines apply.
+policy (bounded retries, backoff) the driver engine applies.
 Plans serialize to/from JSON (``python -m repro evaluate --fault-plan
 plan.json``; schema in ``docs/ROBUSTNESS.md``) and carry one base seed
 from which every injection decision derives — same plan, same faults,
 byte-identical fault logs (the acceptance contract of ``python -m repro
 chaos``).
 
-Seed derivation mirrors :mod:`repro.seeds`: each fault domain hashes
+Seed derivation lives in :mod:`repro.seeds`
+(:func:`~repro.seeds.derive_fault_seed`): each fault domain hashes
 ``(seed, domain)`` so the link injector's draws never depend on how many
 cache faults fired before it — fault streams are order-independent by
 construction, exactly like the per-driver experiment seeds.
@@ -18,11 +19,12 @@ construction, exactly like the per-driver experiment seeds.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
+
+from repro.seeds import derive_fault_seed
 
 __all__ = ["CacheFaults", "FaultPlan", "InjectedWorkerFault",
            "LinkFaults", "RetryPolicy", "WorkerFaults",
@@ -32,15 +34,15 @@ __all__ = ["CacheFaults", "FaultPlan", "InjectedWorkerFault",
 CACHE_FAULT_MODES = ("truncate", "garbage", "key_mismatch")
 
 #: Worker fault kinds, in injection priority order.
-WORKER_FAULT_KINDS = ("crash", "slow", "hang")
+WORKER_FAULT_KINDS = ("crash", "slow")
 
 
 class InjectedWorkerFault(RuntimeError):
     """Deliberate worker crash raised by the fault injector.
 
-    Raised inside the attempt (a forked child under ``--jobs``); the
-    engine records its type and message and retries.  Picklable, so it
-    also survives a process boundary intact.
+    Raised inside the attempt; the driver engine
+    (:func:`repro.experiments.run_module_resilient`) records its type
+    and message and retries.
     """
 
     def __init__(self, driver: str, attempt: int) -> None:
@@ -48,21 +50,6 @@ class InjectedWorkerFault(RuntimeError):
                          f"(attempt {attempt})")
         self.driver = driver
         self.attempt = attempt
-
-    def __reduce__(self):
-        return (InjectedWorkerFault, (self.driver, self.attempt))
-
-
-def derive_fault_seed(base_seed: int, domain: str) -> int:
-    """Stable 63-bit seed for one fault domain under a plan seed.
-
-    Same construction as :func:`repro.seeds.derive_driver_seed`
-    but namespaced with a ``fault:`` prefix so fault streams never
-    collide with experiment streams derived from the same base seed.
-    """
-    digest = hashlib.sha256(
-        f"fault:{base_seed}:{domain}".encode()).digest()
-    return int.from_bytes(digest[:8], "big") >> 1
 
 
 def _rate(name: str, value: float) -> float:
@@ -125,7 +112,7 @@ class CacheFaults:
 
 @dataclass(frozen=True)
 class WorkerFaults:
-    """Per-driver worker faults for the experiment engines.
+    """Per-driver worker faults for the driver engine.
 
     Attributes:
         crash: driver name -> number of leading attempts that raise an
@@ -134,31 +121,26 @@ class WorkerFaults:
             outlasts the crash budget).
         slow_s: driver name -> injected sleep (seconds) before every
             attempt; the driver still succeeds.
-        hang_s: driver name -> injected sleep meant to exceed the
-            engine's per-driver ``timeout_s`` so the attempt is
-            abandoned.
     """
 
     crash: Mapping[str, int] = field(default_factory=dict)
     slow_s: Mapping[str, float] = field(default_factory=dict)
-    hang_s: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         for name, count in self.crash.items():
             if int(count) < 0:
                 raise ValueError(
                     f"worker.crash[{name!r}] must be >= 0; got {count!r}")
-        for attr in ("slow_s", "hang_s"):
-            for name, seconds in getattr(self, attr).items():
-                if float(seconds) < 0:
-                    raise ValueError(
-                        f"worker.{attr}[{name!r}] must be >= 0; "
-                        f"got {seconds!r}")
+        for name, seconds in self.slow_s.items():
+            if float(seconds) < 0:
+                raise ValueError(
+                    f"worker.slow_s[{name!r}] must be >= 0; "
+                    f"got {seconds!r}")
 
     @property
     def any_enabled(self) -> bool:
         """True when at least one driver has a worker fault."""
-        return bool(self.crash or self.slow_s or self.hang_s)
+        return bool(self.crash or self.slow_s)
 
     def fault_for(self, driver: str,
                   attempt: int) -> tuple[str | None, float]:
@@ -167,42 +149,34 @@ class WorkerFaults:
         Returns:
             ``(kind, seconds)`` where kind is one of
             :data:`WORKER_FAULT_KINDS` or None; ``seconds`` is the
-            injected delay for slow/hang faults (0.0 otherwise).
+            injected delay of a slow fault (0.0 otherwise).
         """
         if attempt < int(self.crash.get(driver, 0)):
             return "crash", 0.0
         if driver in self.slow_s:
             return "slow", float(self.slow_s[driver])
-        if driver in self.hang_s:
-            return "hang", float(self.hang_s[driver])
         return None, 0.0
 
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Recovery policy the engines apply around each driver.
+    """Recovery policy the driver engine applies around each driver.
 
     Attributes:
         max_retries: extra attempts after the first failure (the total
             attempt budget is ``max_retries + 1``); always bounded.
         backoff_s: base of the exponential backoff slept between
             attempts (``backoff_s * 2**attempt``); 0 disables sleeping.
-        timeout_s: per-driver wall-clock bound enforced by the parallel
-            engine (serial runs cannot preempt a hung driver); None
-            disables the bound.
     """
 
     max_retries: int = 2
     backoff_s: float = 0.25
-    timeout_s: float | None = None
 
     def __post_init__(self) -> None:
         if int(self.max_retries) < 0:
             raise ValueError("retry.max_retries must be >= 0")
         if float(self.backoff_s) < 0:
             raise ValueError("retry.backoff_s must be >= 0")
-        if self.timeout_s is not None and float(self.timeout_s) <= 0:
-            raise ValueError("retry.timeout_s must be positive or null")
 
     def backoff_for(self, attempt: int) -> float:
         """Seconds to sleep before retrying after ``attempt`` failed."""
@@ -218,7 +192,7 @@ class FaultPlan:
         link: wireless-link fault rates.
         cache: result-cache corruption drill settings.
         worker: per-driver worker faults.
-        retry: the recovery policy the engines apply.
+        retry: the recovery policy the driver engine applies.
     """
 
     seed: int = 0
@@ -302,5 +276,5 @@ def default_chaos_plan(seed: int = 0) -> FaultPlan:
                         reorder_rate=0.05),
         cache=CacheFaults(corrupt_rate=0.5),
         worker=WorkerFaults(),
-        retry=RetryPolicy(max_retries=2, backoff_s=0.0, timeout_s=None),
+        retry=RetryPolicy(max_retries=2, backoff_s=0.0),
     )

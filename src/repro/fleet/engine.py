@@ -19,10 +19,12 @@ Determinism contract (tests/fleet/):
   random draws consume the generator in exactly the scalar order
   (preferred directions, calibration noise, per-session encode
   noise, targets, then one encode draw per active session per step);
-* drop decisions come from a dedicated ``repro.fault`` stream
-  (:func:`cohort_fault_seed`), so the session streams are untouched —
-  ``drop_rate=0`` is byte-identical to a no-fault cohort (CRN), and
-  the deterministic tuning-drift schedule adds no draws either.
+* drop decisions come from a dedicated link-fault stream
+  (:func:`cohort_fault_seed`, then
+  :func:`repro.seeds.derive_fault_seed` for the ``"link"`` domain), so
+  the session streams are untouched — ``drop_rate=0`` is
+  byte-identical to a no-fault cohort (CRN), and the deterministic
+  tuning-drift schedule adds no draws either.
 
 Sharding: with ``jobs > 1``, :func:`run_fleet` runs each cohort in its
 own forked child (:class:`repro.perf.parallel.Launcher`), which
@@ -36,8 +38,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.fault.injector import FaultInjector
-from repro.fault.plan import FaultPlan, LinkFaults
 from repro.fleet.decoders import make_batch_decoder, make_session_decoder
 from repro.fleet.result import CohortResult, SessionResult
 from repro.fleet.spec import CohortSpec, FleetSpec
@@ -46,7 +46,7 @@ from repro.obs.events import driver_scope
 from repro.obs.manifest import seeded_rng
 from repro.obs.metrics import inc
 from repro.obs.trace import span
-from repro.seeds import derive_stream_seed
+from repro.seeds import derive_fault_seed, derive_stream_seed
 
 __all__ = ["cohort_seed", "cohort_fault_seed", "simulate_cohort",
            "run_cohort", "run_fleet"]
@@ -64,16 +64,17 @@ def cohort_fault_seed(base_seed: int | None, name: str) -> int | None:
 
 def _make_drop_rng(spec: CohortSpec,
                    base_seed: int | None) -> np.random.Generator:
-    """The cohort's dedicated link-fault stream, via ``repro.fault``.
+    """The cohort's dedicated link-fault stream: the ``"link"`` domain
+    of a fault plan seeded with :func:`cohort_fault_seed` (0 when the
+    run is unseeded).
 
     Always constructed — constructing (without drawing) must not
     perturb anything, which is what keeps a ``drop_rate=0`` cohort
     byte-identical to a no-fault cohort.
     """
     fault_seed = cohort_fault_seed(base_seed, spec.name)
-    plan = FaultPlan(seed=0 if fault_seed is None else fault_seed,
-                     link=LinkFaults(drop_rate=spec.drop_rate))
-    return FaultInjector(plan).rng("link")
+    return seeded_rng(derive_fault_seed(
+        0 if fault_seed is None else fault_seed, "link"))
 
 
 def _norm_rows(vectors: np.ndarray) -> np.ndarray:

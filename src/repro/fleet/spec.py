@@ -1,17 +1,17 @@
 """Cohort and fleet specifications for population-scale simulation.
 
 A :class:`CohortSpec` is the unit of vectorized execution *and* the
-unit of work ``fleet --jobs N`` runs in one forked child.  The
-cohort's random streams are derived from the spec *name* alone
-(:mod:`repro.fleet.engine`), so a cohort replays byte-identically no
-matter which process runs it.
+unit of work ``fleet --jobs N`` runs in one forked child, which closes
+over the spec and returns a :class:`~repro.fleet.result.CohortResult`
+by plain pickle.  The cohort's random streams are derived from the spec
+*name* alone (:mod:`repro.fleet.engine`), so a cohort replays
+byte-identically no matter which process runs it.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Sequence
 
 from repro.simulate.cursor_task import CursorTask, SimulatedUser
 
@@ -36,7 +36,7 @@ class CohortSpec:
         latency_steps: control-loop delay in timesteps.
         train_timesteps: open-loop calibration length per session.
         drop_rate: per-window feature-packet loss probability, drawn
-            from a dedicated `repro.fault` stream (CRN: the session
+            from a dedicated link-fault stream (CRN: the session
             streams are untouched, so ``drop_rate=0`` is byte-identical
             to a no-fault cohort).
         tuning_drift_per_s: deterministic nonstationarity schedule —
@@ -103,15 +103,6 @@ class CohortSpec:
         return CursorTask(target_radius=self.target_radius,
                           target_distance=self.target_distance,
                           dt_s=self.dt_s, timeout_s=self.timeout_s)
-
-    def to_dict(self) -> dict[str, Any]:
-        """Plain dict form of every field."""
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "CohortSpec":
-        """Rebuild (and re-validate) a spec from its dict form."""
-        return cls(**data)
 
 
 @dataclass(frozen=True)

@@ -10,15 +10,18 @@ Everything here is deterministic by construction: analytics are computed
 from event *structure* (span nesting, event counts), never from wall
 clock, so for a fixed seed every report is byte-identical across
 repetitions — the property that makes run-vs-run diffing (cold vs warm
-cache, serial vs ``--jobs 4``, baseline vs fault plan) trustworthy.  An
+cache, serial vs ``fleet --jobs 4``, baseline vs fault plan)
+trustworthy.  An
 optional timed mode (:func:`critical_path_spans`) reads recorded span
 durations from a ``trace.json`` instead, trading byte-stability for
 wall-clock attribution.
 
 Engine-scope events (driver tag ``""``) are excluded from diffs by
-default: the parallel engine records a span the serial one does not
-(``experiments.run_parallel``), and including it would report spurious
-deltas between runs whose actual experiment work is identical.
+default.  Serial ``evaluate``, ``evaluate --cache`` and ``fleet``
+timelines have none; the chaos drills (``python -m repro chaos``) emit
+their link and cache fault events, and the cache spans and metrics of
+the cache drill, outside any driver, and including them would report
+deltas between runs whose experiment work is identical.
 """
 
 from __future__ import annotations
@@ -248,8 +251,8 @@ def critical_path_spans(
 
 def _signature(event: dict[str, Any]) -> str:
     """Canonical identity of one event, independent of its absolute
-    timeline position (serial and parallel runs interleave engine events
-    differently, shifting every seq)."""
+    timeline position (engine-scope events interleaved differently
+    shift every seq)."""
     return json.dumps({"kind": event.get("kind"),
                        "name": event.get("name"),
                        "attrs": event.get("attrs", {})}, sort_keys=True,
@@ -265,9 +268,8 @@ def diff_runs(events_a: Iterable[dict[str, Any]],
     position-independently (signatures of kind/name/attrs): signatures
     whose multiplicity changed are reported as added/removed, and a
     driver whose multiset matches but whose order differs is flagged
-    ``reordered``.  Engine-scope events are excluded unless
-    ``include_engine`` — the serial and parallel engines legitimately
-    record different bookkeeping spans.
+    ``reordered``.  Engine-scope events (the chaos drills' fault and
+    cache events) are excluded unless ``include_engine``.
 
     Returns a JSON-able report; ``equal`` is True exactly when no driver
     shows any delta.

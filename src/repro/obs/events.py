@@ -10,22 +10,20 @@ as JSONL (``events.jsonl`` next to the run's CSVs).
 Determinism is the design constraint: events are ordered by a monotonic
 sequence number, never wall clock, and carry no timestamps, durations,
 PIDs, or memory numbers.  For a fixed seed the timeline of a run is
-therefore *byte-identical* across repetitions — serial or
-``run_all(jobs=N)`` — which is what makes run-vs-run diffing
+therefore *byte-identical* across repetitions — for ``fleet``, serial
+or ``--jobs N`` — which is what makes run-vs-run diffing
 (:mod:`repro.obs.analyze`) trustworthy.
 
 Every event is tagged with the experiment driver it belongs to
-(:func:`driver_scope`, entered by ``repro.experiments.run_module`` and
-the cached runner).  Events emitted outside any driver — the engine's
-own spans, such as ``experiments.run_parallel`` — carry the empty
-driver tag and are excluded from run-vs-run diffs by default, because
-the serial and parallel engines legitimately differ there.
+(:func:`driver_scope`, entered by ``repro.experiments.run_module``,
+the cached runner and the fleet).  Events emitted outside any driver —
+such as the chaos drills' fault and cache events — carry the empty
+driver tag and are excluded from run-vs-run diffs by default.
 
-Parallel runs merge deterministically: each forked child exports its
-event block with its payload, and the parent adopts the blocks in
-driver submission order (:meth:`EventLog.adopt`), reassigning sequence
-numbers so the merged timeline is gapless and byte-stable for a fixed
-seed.
+Sharded fleet runs merge deterministically: each forked child exports
+its event block with its payload, and the parent adopts the blocks in
+cohort order (:meth:`EventLog.adopt`), reassigning sequence numbers so
+the merged timeline is gapless and byte-stable for a fixed seed.
 
 Collection is disabled by default; :func:`emit` is a no-op (one module
 flag check) until :func:`enable` is called, preserving the <5 %
@@ -175,9 +173,9 @@ class EventLog:
         """Append externally recorded events, reassigning sequence
         numbers.
 
-        The parallel engine calls this once per worker payload, in
-        driver submission order, so the merged timeline is identical
-        run-to-run regardless of completion order.  Returns the number
+        The sharded fleet calls this once per child payload, in cohort
+        order, so the merged timeline is identical run-to-run
+        regardless of completion order.  Returns the number
         of events adopted.
         """
         adopted = 0

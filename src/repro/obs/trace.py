@@ -214,9 +214,9 @@ class Tracer:
     def adopt(self, roots: Iterable[Span]) -> None:
         """Append externally recorded root spans to this tracer's forest.
 
-        Used by the parallel experiment engine to merge span trees
-        rebuilt (via :func:`span_from_dict`) from worker-process exports
-        into the parent trace.
+        Used by the sharded fleet (:func:`repro.perf.merge_payload`) to
+        merge span trees rebuilt (via :func:`span_from_dict`) from
+        child-process exports into the parent trace.
         """
         with self._lock:
             self._roots.extend(roots)

@@ -1,18 +1,18 @@
-"""Process fan-out for ``--jobs``: one forked child per attempt.
+"""Process fan-out for ``fleet --jobs``: one forked child per cohort.
 
 * :mod:`repro.perf.parallel` — :class:`Launcher` forks one child per
-  task (at most ``jobs`` alive, each killed past its ``timeout_s``) and
-  pickles its result and telemetry back over a pipe;
-  :func:`run_parallel` runs the experiment drivers on it
-  (``run_all(jobs=N)`` / ``python -m repro evaluate --jobs N``) with a
-  bounded per-driver retry loop, merging each child's spans, metrics,
-  and events into the parent in driver order.
+  task (at most ``jobs`` alive) and pickles its result and telemetry
+  back over a pipe; :func:`merge_payload` folds each child's spans,
+  metrics, and events into the parent in submission order.  Its one
+  caller is :func:`repro.fleet.run_fleet`.
 
-Seed derivation, which makes serial and parallel runs of one base seed
-byte-identical, lives in :mod:`repro.seeds`.  The vectorized hot
-kernels live with the code they speed up, each pinned to its reference
-implementation by a parity test under ``tests/``.  End-to-end timings
-come from ``python -m bench run``; see ``docs/PERFORMANCE.md``.
+Experiment drivers always run serially through
+:func:`repro.experiments.run_module_resilient`.  Seed derivation, which
+makes serial and sharded fleet runs of one base seed byte-identical,
+lives in :mod:`repro.seeds`.  The vectorized hot kernels live with the
+code they speed up, each pinned to its reference implementation by a
+parity test under ``tests/``.  End-to-end timings come from ``python -m
+bench run``; see ``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from repro.perf.parallel import (
     TaskFailed,
     merge_payload,
     resolve_jobs,
-    run_parallel,
 )
 
-__all__ = ["Launcher", "TaskFailed", "merge_payload", "resolve_jobs",
-           "run_parallel"]
+__all__ = ["Launcher", "TaskFailed", "merge_payload", "resolve_jobs"]

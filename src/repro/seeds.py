@@ -1,12 +1,13 @@
 """Deterministic per-driver and per-stream seed derivation.
 
-One base seed (the CLI's ``--seed``) must reproduce the full evaluation
-whether the drivers run serially or fanned out across worker processes.
-A shared sequential RNG cannot give that: in a serial run driver B would
-consume the stream where driver A left off, while in a parallel run both
-would start fresh.  Instead every driver gets its own seed, derived from
+One base seed (the CLI's ``--seed``) must reproduce each artifact no
+matter which other drivers ran before it, and each fleet cohort no
+matter which process ran it.  A shared sequential RNG cannot give that:
+driver B would consume the stream where driver A left off, so
+``evaluate fig7`` and a full ``evaluate`` would draw different numbers
+for fig7.  Instead every driver gets its own seed, derived from
 ``(base_seed, driver name)`` by hashing — order- and schedule-independent
-by construction, so serial and parallel runs draw identical streams and
+by construction, so serial and sharded runs draw identical streams and
 produce byte-identical CSVs.
 
 :func:`derive_stream_seed` generalizes the same construction to any
@@ -14,17 +15,19 @@ labelled substream — the whole-grid Monte-Carlo batcher
 (:func:`repro.link.channel.measure_ber_grid`) derives one independent
 stream per modulation scheme from ``(base_seed, "mc", scheme name)``,
 so evaluating the grid in one pass draws exactly what per-scheme sweeps
-would.
+would.  :func:`derive_fault_seed` namespaces the fault layer's streams
+away from both.
 
-Kept free of package-internal imports so :mod:`repro.experiments` can use
-it without creating an import cycle with :mod:`repro.perf.parallel`.
+Kept free of package-internal imports so the experiment drivers, the
+fleet and the fault layer can all use it without an import cycle.
 """
 
 from __future__ import annotations
 
 import hashlib
 
-__all__ = ["derive_driver_seed", "derive_stream_seed"]
+__all__ = ["derive_driver_seed", "derive_fault_seed",
+           "derive_stream_seed"]
 
 
 def derive_stream_seed(base_seed: int | None, *labels: str) -> int | None:
@@ -63,3 +66,15 @@ def derive_driver_seed(base_seed: int | None, name: str) -> int | None:
         when the run is unseeded.
     """
     return derive_stream_seed(base_seed, name)
+
+
+def derive_fault_seed(base_seed: int, domain: str) -> int:
+    """Stable 63-bit seed for one fault domain under a plan seed.
+
+    Same construction as :func:`derive_driver_seed` but namespaced with
+    a ``fault:`` prefix so fault streams never collide with experiment
+    streams derived from the same base seed.
+    """
+    digest = hashlib.sha256(
+        f"fault:{base_seed}:{domain}".encode()).digest()
+    return int.from_bytes(digest[:8], "big") >> 1

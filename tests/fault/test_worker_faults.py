@@ -1,9 +1,10 @@
-"""Worker crash/hang/slow faults and the bounded-retry engines.
+"""Worker crash/slow faults and the bounded-retry driver engine.
 
-The headline contract from the chaos suite: a ``run_all(jobs=4,
-max_retries=2)`` whose fault plan crashes drivers (within the retry
-budget) still writes every CSV byte-identical to a fault-free serial
-run — recovery is invisible in the artifacts, visible in the fault log.
+The headline contract from the chaos suite: a driver whose fault plan
+crashes it within the retry budget still produces the rows of a
+fault-free run — recovery is invisible in the artifacts, visible in the
+fault log.  ``test_serial_fault_golden.py`` pins the same contract for
+a whole ``run_all`` byte for byte.
 """
 
 from __future__ import annotations
@@ -12,11 +13,9 @@ import pytest
 
 from repro.experiments import (ALL_EXPERIMENTS, FAILURE_COLUMNS,
                                experiment_name, is_recorded_failure,
-                               run_all, run_module,
-                               run_module_resilient)
+                               run_module, run_module_resilient)
 from repro.fault import (FaultInjector, FaultPlan, RetryPolicy,
                          WorkerFaults)
-from repro.perf import run_parallel
 
 #: The cheapest driver (a static table) — retried many times in here.
 CHEAP = ALL_EXPERIMENTS[0]
@@ -82,63 +81,3 @@ class TestSerialResilience:
     def test_negative_retry_budget_rejected(self):
         with pytest.raises(ValueError):
             run_module_resilient(CHEAP, max_retries=-1)
-
-
-def _csv_bytes(directory):
-    return {path.name: path.read_bytes()
-            for path in sorted(directory.glob("*.csv"))}
-
-
-class TestParallelResilience:
-    def test_crashing_drivers_recover_byte_identical_to_serial(
-            self, tmp_path):
-        serial_dir = tmp_path / "serial"
-        chaos_dir = tmp_path / "chaos"
-        crashes = {experiment_name(ALL_EXPERIMENTS[0]): 1,
-                   experiment_name(ALL_EXPERIMENTS[1]): 2}
-        plan = _crash_plan(crashes, max_retries=2)
-        injector = FaultInjector(plan)
-
-        serial = run_all(output_dir=serial_dir, seed=7)
-        chaotic = run_all(output_dir=chaos_dir, seed=7, jobs=4,
-                          max_retries=2, fault_plan=plan,
-                          injector=injector)
-
-        assert _csv_bytes(serial_dir) == _csv_bytes(chaos_dir)
-        assert [r.title for r in serial] == [r.title for r in chaotic]
-        assert not any(is_recorded_failure(r) for r in chaotic)
-        assert injector.counters == {"injected": 3, "recovered": 2,
-                                     "failed": 0}
-
-    def test_crash_beyond_budget_yields_failure_row_in_order(
-            self, tmp_path):
-        modules = list(ALL_EXPERIMENTS[:3])
-        doomed = experiment_name(modules[1])
-        plan = _crash_plan({doomed: 99})
-        injector = FaultInjector(plan)
-        results = run_parallel(modules, output_dir=tmp_path, jobs=2,
-                               seed=11, max_retries=1, backoff_s=0.0,
-                               fault_plan=plan, injector=injector)
-        assert [is_recorded_failure(r) for r in results] == [
-            False, True, False]
-        failure = results[1]
-        assert failure.name == doomed
-        [row] = failure.rows
-        assert row["attempts"] == 2
-        assert "InjectedWorkerFault" in row["error"]
-        assert (tmp_path / f"{doomed}.csv").is_file()
-        assert injector.counters["failed"] == 1
-
-    def test_hung_driver_times_out_to_recorded_failure(self, tmp_path):
-        plan = FaultPlan(worker=WorkerFaults(hang_s={CHEAP_NAME: 1.0}),
-                         retry=RetryPolicy(max_retries=0, backoff_s=0.0,
-                                           timeout_s=0.2))
-        injector = FaultInjector(plan)
-        [result] = run_parallel([CHEAP], output_dir=tmp_path, jobs=2,
-                                seed=3, max_retries=0, backoff_s=0.0,
-                                timeout_s=0.2, fault_plan=plan,
-                                injector=injector)
-        assert is_recorded_failure(result)
-        assert result.rows[0]["error"] == "timeout"
-        assert injector.events[0].kind == "hang"
-        assert injector.counters["failed"] == 1

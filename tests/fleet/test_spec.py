@@ -53,11 +53,6 @@ class TestSessionResultZeroSafety:
 
 
 class TestCohortSpec:
-    def test_defaults_round_trip_through_dict(self):
-        spec = CohortSpec(name="a", decoder="wiener", n_sessions=7,
-                          drop_rate=0.1, tuning_drift_per_s=-0.05)
-        assert CohortSpec.from_dict(spec.to_dict()) == spec
-
     @pytest.mark.parametrize("kwargs", [
         dict(name=""),
         dict(name="x", n_sessions=0),

@@ -140,12 +140,11 @@ class TestDiff:
         assert render_diff(report) == "runs are equivalent: 0 deltas"
 
     def test_engine_scope_excluded_by_default(self):
-        serial = _run()
-        parallel = [e for e in _run() if e["driver"] != ""]
-        parallel.append(_e(99, "", "span_start",
-                           "experiments.run_parallel"))
-        assert diff_runs(serial, parallel)["equal"]
-        assert not diff_runs(serial, parallel,
+        plain = _run()
+        drilled = [e for e in _run() if e["driver"] != ""]
+        drilled.append(_e(99, "", "fault", "link.drop", domain="link"))
+        assert diff_runs(plain, drilled)["equal"]
+        assert not diff_runs(plain, drilled,
                              include_engine=True)["equal"]
 
     def test_added_and_removed_events_reported(self):

@@ -46,21 +46,25 @@ class TestEvaluate:
         assert (tmp_path / "table1.csv").exists()
         assert (tmp_path / "fig4.csv").exists()
 
-    def test_parallel_jobs_writes_same_artifacts(self, capsys, tmp_path):
-        assert main(["evaluate", "table1", "fig4", "--jobs", "2",
-                     "--seed", "9", "--quiet",
-                     "--output-dir", str(tmp_path / "par")]) == 0
-        assert main(["evaluate", "table1", "fig4",
-                     "--seed", "9", "--quiet",
-                     "--output-dir", str(tmp_path / "ser")]) == 0
-        for name in ("table1.csv", "fig4.csv"):
-            assert ((tmp_path / "par" / name).read_bytes()
-                    == (tmp_path / "ser" / name).read_bytes())
 
-    def test_negative_jobs_rejected(self, capsys, tmp_path):
-        assert main(["evaluate", "fig7", "fig8", "--jobs", "-3",
-                     "--output-dir", str(tmp_path)]) == 2
-        assert "--jobs" in capsys.readouterr().err
+class TestFaultPlanFlag:
+    @pytest.mark.parametrize("command", ["evaluate", "chaos"])
+    @pytest.mark.parametrize("section", [
+        {"worker": {"hang_s": {"table1": 30.0}}},
+        {"retry": {"timeout_s": 5.0}},
+    ], ids=["worker.hang_s", "retry.timeout_s"])
+    def test_plan_naming_a_removed_key_is_a_bad_fault_plan(
+            self, command, section, capsys, tmp_path):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(section), encoding="utf-8")
+        argv = [command, "--fault-plan", str(plan), "--quiet",
+                "--output-dir", str(tmp_path / "out")]
+        if command == "evaluate":
+            argv.insert(1, "table1")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{command}: bad fault plan" in err
+        assert "bad fault-plan section" in err
 
 
 class TestExplore:
@@ -207,6 +211,17 @@ class TestParser:
             main(argv)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "fig7", "--jobs", "2"],
+        ["profile", "all", "--jobs", "2"],
+    ], ids=["evaluate", "profile"])
+    def test_drivers_have_no_jobs_flag(self, argv, capsys):
+        """Drivers run one way, serially; only ``fleet`` forks."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
 
 class TestFleet:
     ARGS = ["fleet", "--sessions", "2", "--decoder", "kalman",
@@ -223,6 +238,12 @@ class TestFleet:
         assert "fleet.cohorts_sharded" in capsys.readouterr().out
         assert ((tmp_path / "all" / "fleet.csv").read_bytes()
                 == (tmp_path / "ser" / "fleet.csv").read_bytes())
+
+    def test_negative_jobs_rejected(self, capsys, tmp_path):
+        assert main([*self.ARGS, "--jobs", "-2",
+                     "--output-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "--jobs must be positive (or 0 for all CPUs)" in err
 
 
 class TestCacheFlag:
@@ -251,11 +272,6 @@ class TestCacheFlag:
         assert main(["evaluate", "fig4", "--seed", "7", "--quiet",
                      "--output-dir", str(tmp_path / "p")]) == 0
         assert (tmp_path / "p" / "fig4.csv").read_bytes() == cold
-
-    def test_profile_negative_jobs_rejected_same_message(self, capsys):
-        assert main(["profile", "all", "--jobs", "-2"]) == 2
-        err = capsys.readouterr().err
-        assert "--jobs must be positive (or 0 for all CPUs)" in err
 
 
 class TestCacheCommand:

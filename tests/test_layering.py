@@ -9,9 +9,10 @@ unless ``--jobs`` forks, nor networkx, nor the chip heat-grid solver.
 Each of these cases imports one package in a fresh interpreter and
 inspects ``sys.modules``.
 
-``repro.fleet`` is a simulation driver built on ``repro.fault`` and
-``repro.seeds`` by design, so only its independence from the process
-launcher is checked.
+``repro.fleet`` is a simulation driver built on ``repro.seeds``: it
+draws its link-drop stream from a derived seed, and forks through the
+process launcher only inside ``run_fleet(jobs > 1)``.  So importing it
+loads neither the launcher nor the fault injector.
 
 Two static scans keep every module and public definition earning its
 place.  The module walk follows imports (function-local ones included)
@@ -89,6 +90,12 @@ def test_cli_loads_neither_the_launcher_nor_multiprocessing():
 def test_fleet_does_not_load_the_launcher():
     leaked = [name for name in _loaded_after_import("repro.fleet")
               if _within(name, ("repro.perf",))]
+    assert leaked == [], f"repro.fleet pulls in {leaked}"
+
+
+def test_fleet_does_not_load_the_fault_injector():
+    leaked = [name for name in _loaded_after_import("repro.fleet")
+              if _within(name, ("repro.fault",))]
     assert leaked == [], f"repro.fleet pulls in {leaked}"
 
 
