@@ -23,15 +23,12 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from scipy.optimize import brentq
-from scipy.special import erfc
-
 from repro.obs.metrics import inc
 
 
 def q_function(x: float) -> float:
     """Gaussian tail probability Q(x) = P(N(0,1) > x)."""
-    return 0.5 * erfc(x / math.sqrt(2.0))
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
 def ber_bpsk(ebn0_linear: float) -> float:
@@ -111,13 +108,79 @@ def _solve_ebn0(target_ber: float, bits_per_symbol: int,
         curve = ber_ook
 
     lo, hi = 1e-6, 1e-6
+    # A target the curve already meets at `lo` has no root above it.
+    if curve(lo) <= target_ber:
+        raise ValueError("failed to bracket required Eb/N0")
     # Grow the bracket until the BER at `hi` is below target.
     while curve(hi) > target_ber:
         hi *= 2.0
         if hi > 1e12:
             raise ValueError("failed to bracket required Eb/N0")
-    return brentq(lambda x: curve(x) - target_ber, lo, hi, xtol=1e-9,
-                  rtol=1e-12)
+    return _brentq(lambda x: curve(x) - target_ber, lo, hi, xtol=1e-9,
+                   rtol=1e-12)
+
+
+def _brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
+    """Root of ``f`` in ``[a, b]`` by Brent's method.
+
+    A statement-by-statement port of scipy's ``brentq.c`` (the solver
+    behind ``scipy.optimize.brentq``), so it returns the same float for
+    the same ``f``, bracket and tolerances.
+
+    Raises:
+        ValueError: if ``f(a)`` and ``f(b)`` have the same sign.
+        RuntimeError: if 100 iterations (scipy's default) do not
+            converge.
+    """
+    xpre, xcur = a, b
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(100):
+        if (fpre != 0 and fcur != 0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur))
+    raise RuntimeError(f"Failed to converge after 100 iterations, value "
+                       f"is {xcur}")
 
 
 def shannon_ebn0_limit_db(spectral_efficiency: float) -> float:

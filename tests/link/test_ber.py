@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from scipy import optimize, special
 
 from repro.link import ber
 from repro.link.ber import (
@@ -123,6 +124,10 @@ class TestEbn0Memo:
         ((1e-6, 1, "fsk"), "unknown scheme"),
         ((0.6, 1, "qam"), "target BER"),
         ((1e-6, 48, "qam"), "failed to bracket"),
+        # Targets the curve already meets at the bracket's lower end.
+        ((0.4, 4, "qam"), "failed to bracket"),
+        ((0.4999, 1, "bpsk"), "failed to bracket"),
+        ((0.45, 8, "qam"), "failed to bracket"),
     ])
     def test_errors_raise_on_every_call(self, args, message):
         for _ in range(3):
@@ -135,6 +140,62 @@ class TestEbn0Memo:
             required_ebn0(1e-6, 4)
         assert ber._solve_ebn0.cache_info().misses == 1
         assert counted_metrics.counter("link.ebn0_inversions") == 3
+
+
+#: The 462 inversions the solver must reproduce: QAM b = 1..12, BPSK and
+#: OOK, each at 33 targets from 1e-1 down to about 2e-12.
+SOLVER_CASES = [(target, bits, scheme)
+                for bits, scheme in ([(b, "qam") for b in range(1, 13)]
+                                     + [(1, "bpsk"), (1, "ook")])
+                for target in (10.0 ** (-k / 3) for k in range(3, 36))]
+
+
+class TestBrentqPort:
+    """``ber._brentq`` against ``scipy.optimize.brentq`` as an oracle."""
+
+    def test_roots_equal_scipy_on_every_case(self, monkeypatch):
+        # Build every curve on scipy's erfc so that only the solver
+        # differs, and solve each bracket with both solvers.
+        monkeypatch.setattr(
+            ber, "q_function",
+            lambda x: 0.5 * special.erfc(x / math.sqrt(2.0)))
+        port = ber._brentq
+        pairs = []
+
+        def both(f, a, b, **tolerances):
+            root = port(f, a, b, **tolerances)
+            pairs.append((root, optimize.brentq(f, a, b, **tolerances)))
+            return root
+
+        monkeypatch.setattr(ber, "_brentq", both)
+        ber._solve_ebn0.cache_clear()
+        try:
+            for case in SOLVER_CASES:
+                required_ebn0(*case)
+        finally:
+            ber._solve_ebn0.cache_clear()
+        assert len(pairs) == len(SOLVER_CASES) == 462
+        assert all(type(root) is float for root, _ in pairs)
+        assert [root for root, _ in pairs] == [ref for _, ref in pairs]
+
+    def test_same_sign_bracket_raises_value_error(self):
+        def f(x):
+            return x * x + 1.0
+
+        for solve in (ber._brentq, optimize.brentq):
+            with pytest.raises(ValueError, match="different signs"):
+                solve(f, -1.0, 1.0, xtol=1e-9, rtol=1e-12)
+
+    def test_non_convergence_raises_runtime_error(self):
+        # A sign step at 0 halves |x| per step; 100 steps do not reach
+        # the 1e-300 tolerance.
+        def step(x):
+            return 1.0 if x > 0 else -1.0
+
+        for solve in (ber._brentq, optimize.brentq):
+            with pytest.raises(RuntimeError,
+                               match="Failed to converge after 100"):
+                solve(step, -1.0, 2.0, xtol=1e-300, rtol=1e-12)
 
 
 class TestShannonLimit:

@@ -5,9 +5,10 @@ compute deadline, and the decoders and codecs they feed) must load
 without the result cache, the static analyzer, the process launcher or
 the fault injector; the CLI must not load the analyzer unless the
 ``analyze`` command runs, nor the launcher or ``multiprocessing``
-unless ``--jobs`` forks, nor networkx, nor the chip heat-grid solver.
-Each of these cases imports one package in a fresh interpreter and
-inspects ``sys.modules``.
+unless ``--jobs`` forks, nor networkx, nor scipy, nor the chip
+heat-grid solver.  Each of these cases imports one package in a fresh
+interpreter and inspects ``sys.modules``; a default ``evaluate`` run
+must load no scipy either.
 
 ``repro.fleet`` is a simulation driver built on ``repro.seeds``: it
 draws its link-drop stream from a derived seed, and forks through the
@@ -78,6 +79,25 @@ def test_cli_does_not_load_the_analyzer():
 
 def test_cli_does_not_load_networkx():
     assert _loaded_after_import("repro.cli", "networkx") == []
+
+
+def test_cli_does_not_load_scipy():
+    assert _loaded_after_import("repro.cli", "scipy") == []
+
+
+def test_evaluate_does_not_load_scipy(tmp_path):
+    script = ("import json, sys; from repro.cli import main; "
+              "code = main(['evaluate', '--quiet', '--output-dir', "
+              f"{str(tmp_path)!r}]); "
+              "print(json.dumps([code] + sorted(m for m in sys.modules "
+              "if m.split('.')[0] == 'scipy')))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    code, *loaded = json.loads(out.stdout.splitlines()[-1])
+    assert code == 0
+    assert loaded == [], f"evaluate loads {loaded}"
+    assert len(list(tmp_path.glob("*.csv"))) == 10
 
 
 def test_cli_loads_neither_the_launcher_nor_multiprocessing():
