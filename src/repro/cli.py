@@ -22,10 +22,6 @@ Commands:
   regenerated results (exit code 0 when all pass).
 * ``profile EXPERIMENT`` — run one experiment (or ``all``) under the
   span tracer and print the nested span tree plus the top-N hotspots.
-* ``analyze`` — run the AST invariant linter (:mod:`repro.analysis`)
-  over ``src/`` and ``tests/``; non-zero exit on findings not covered by
-  the committed baseline.  ``--format json``/``--output`` for machine
-  reports, ``--update-baseline`` to grandfather the current findings.
 * ``cache {stats,clear,gc}`` — inspect or prune the content-addressed
   result cache under ``<output-dir>/.cache``.
 * ``chaos`` — run the fault-injection drills (link, cache) plus the
@@ -381,115 +377,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _repo_root() -> Path:
-    """The checkout root (this file lives at ``<root>/src/repro/cli.py``)."""
-    return Path(__file__).resolve().parents[2]
-
-
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    from repro import analysis
-    from repro.analysis.graph import Project
-
-    root = _repo_root()
-    if args.paths:
-        paths = [Path(p) for p in args.paths]
-    else:
-        paths = [p for p in (root / "src", root / "tests") if p.exists()]
-    baseline_path = (Path(args.baseline) if args.baseline
-                     else root / analysis.DEFAULT_BASELINE_PATH)
-    try:
-        # Single validation path shared with run_rules (rule_by_id).
-        rules = analysis.resolve_rules(args.rules or None)
-    except KeyError as error:
-        print(f"analyze: {error.args[0]}", file=sys.stderr)
-        return 2
-    try:
-        files = analysis.collect_files(paths)
-        project = Project(files)
-        if args.graph:
-            return _dump_graph(args, project)
-        findings = analysis.run_rules(project, rules)
-    except analysis.AnalysisError as error:
-        print(f"analyze: {error}", file=sys.stderr)
-        return 2
-    line_text_of = {(parsed.display_path, number): text
-                    for parsed in files
-                    for number, text in enumerate(parsed.lines, start=1)}
-    fingerprinted = analysis.fingerprint_findings(findings, line_text_of)
-
-    if args.update_baseline:
-        from repro.analysis.baseline import baseline_entry
-        entries = [baseline_entry(finding, digest)
-                   for finding, digest in fingerprinted]
-        analysis.save_baseline(baseline_path, entries)
-        print(f"baseline updated: {len(entries)} violation(s) "
-              f"grandfathered in {baseline_path}")
-        return 0
-
-    try:
-        entries = ([] if args.no_baseline
-                   else analysis.load_baseline(baseline_path))
-    except analysis.AnalysisError as error:
-        print(f"analyze: {error}", file=sys.stderr)
-        return 2
-    new, grandfathered = analysis.split_by_baseline(fingerprinted, entries)
-    # An unmatched entry is stale when its file was analyzed (a
-    # restricted `analyze PATH` run says nothing about the rest) or no
-    # longer exists.  Entry paths are display paths: relative to the
-    # working directory, or absolute.
-    analyzed = {parsed.display_path for parsed in files}
-    stale = [entry
-             for entry in analysis.stale_entries(entries, fingerprinted)
-             if entry.get("path") in analyzed
-             or not Path(str(entry.get("path"))).exists()]
-    if stale and not getattr(args, "quiet", False):
-        for entry in stale:
-            print(f"analyze: stale baseline entry "
-                  f"{entry.get('fingerprint')} ({entry.get('rule')} in "
-                  f"{entry.get('path')}): violation no longer exists — "
-                  f"prune it with --update-baseline", file=sys.stderr)
-
-    renderers = {"json": analysis.render_json,
-                 "sarif": analysis.render_sarif,
-                 "text": analysis.render_text}
-    rendered = renderers[args.format](new, grandfathered, rules,
-                                      len(files))
-    if not getattr(args, "quiet", False) or new:
-        print(rendered, end="" if rendered.endswith("\n") else "\n")
-    if args.output:
-        out = Path(args.output)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        # --output keeps the chosen machine format (SARIF for code
-        # scanning); the default/text run still writes JSON for the CI
-        # artifact.
-        writer = (analysis.render_sarif if args.format == "sarif"
-                  else analysis.render_json)
-        out.write_text(writer(new, grandfathered, rules, len(files)))
-        if not getattr(args, "quiet", False):
-            label = "sarif" if args.format == "sarif" else "json"
-            print(f"{label} report written to {out}", file=sys.stderr)
-    return 1 if new else 0
-
-
-def _dump_graph(args: argparse.Namespace, project) -> int:
-    """``analyze --graph json|dot``: dump the project call graph."""
-    graph = project.call_graph
-    if args.graph == "dot":
-        rendered = graph.to_dot()
-    else:
-        rendered = json.dumps(graph.to_json(), indent=2,
-                              sort_keys=True) + "\n"
-    if args.output:
-        out = Path(args.output)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(rendered)
-        if not getattr(args, "quiet", False):
-            print(f"call graph written to {out}", file=sys.stderr)
-    else:
-        print(rendered, end="")
-    return 0
-
-
 def _cmd_cache(args: argparse.Namespace) -> int:
     from repro.cache import store_for
 
@@ -791,39 +678,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(cache spans appear in the tree)")
     profile_cmd.set_defaults(func=_cmd_profile)
 
-    analyze_cmd = sub.add_parser(
-        "analyze",
-        help="run the whole-program analyzer over src/ and tests/")
-    analyze_cmd.add_argument(
-        "paths", nargs="*",
-        help="files/directories to analyze (default: the checkout's "
-             "src/ and tests/)")
-    analyze_cmd.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
-        help="report format printed to stdout")
-    analyze_cmd.add_argument(
-        "--rule", action="append", dest="rules", metavar="RULE_ID",
-        help="run only this rule (repeatable; unknown ids exit 2 "
-             "listing the known rules)")
-    analyze_cmd.add_argument(
-        "--graph", choices=("json", "dot"), default=None,
-        help="dump the project call graph instead of running rules")
-    analyze_cmd.add_argument(
-        "--output", default=None, metavar="PATH",
-        help="also write the machine report to PATH (JSON, or SARIF "
-             "under --format sarif; CI artifact)")
-    analyze_cmd.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="baseline file of grandfathered violations (default: "
-             "<repo>/.analysis-baseline.json)")
-    analyze_cmd.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline to grandfather every current finding")
-    analyze_cmd.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore the baseline and report every violation as new")
-    analyze_cmd.set_defaults(func=_cmd_analyze)
-
     cache_cmd = sub.add_parser(
         "cache",
         help="inspect or prune the content-addressed result cache")
@@ -951,7 +805,7 @@ def build_parser() -> argparse.ArgumentParser:
     obs_report.set_defaults(func=_cmd_obs_report)
 
     for command in (list_cmd, evaluate, fleet_cmd, assess, explore_cmd,
-                    roadmap_cmd, validate_cmd, profile_cmd, analyze_cmd,
+                    roadmap_cmd, validate_cmd, profile_cmd,
                     cache_cmd, chaos_cmd):
         _add_common_flags(command)
     return parser

@@ -403,9 +403,10 @@ def encoded_length_bits(values: np.ndarray, k: int) -> int:
     return int(np.sum(quotients) + unsigned.size * (1 + k))
 
 
-#: Parity pairs checked by the ``parity-oracle`` lint rule and the parity
-#: tests: the packed bitstream codec must agree with the string codec,
-#: which serves as the readable reference implementation.
+#: Parity pairs checked by the parity tests (tests/test_source_rules.py
+#: requires a test naming both sides of each): the packed bitstream
+#: codec must agree with the string codec, which serves as the readable
+#: reference implementation.
 PARITY_ORACLES = {
     "rice_encode_packed": "rice_encode",
     "rice_decode_packed": "rice_decode",

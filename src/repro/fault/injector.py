@@ -88,7 +88,7 @@ class FaultInjector:
         """
         if domain not in self._rngs:
             seed = derive_fault_seed(self.plan.seed, domain)
-            rng = np.random.default_rng(seed)  # lint: ignore[determinism]
+            rng = np.random.default_rng(seed)
             self._rngs[domain] = rng
         return self._rngs[domain]
 

@@ -49,7 +49,7 @@ UPPER_TEMPERATURE_RISE_K = 2.0
 
 def _to_mb(n_bytes: float) -> float:
     """Bytes to megabytes for display; no repro.units helper covers bytes."""
-    return n_bytes / 1e6  # lint: ignore[units]
+    return n_bytes / 1e6
 
 
 def load_csv_rows(path: Path | str) -> list[dict[str, str]]:

@@ -249,8 +249,8 @@ def run_closed_loop_cohort(spec, base_seed=None):
 
 
 #: Batched entry points and the scalar oracles they must match
-#: bit-for-bit (checked by the parity-oracle lint rule and
-#: tests/fleet/test_parity.py).
+#: bit-for-bit (checked by tests/fleet/test_parity.py;
+#: tests/test_source_rules.py requires a test naming both sides).
 PARITY_ORACLES = {
     "run_closed_loop_cohort": "run_closed_loop_session",
 }

@@ -1,16 +1,18 @@
-"""Golden artifacts: CSVs and the event timeline are byte-pinned.
+"""Golden artifacts: every paper CSV and the event timeline are
+byte-pinned.
 
-``golden/`` holds the output of::
+One run of every paper driver plus ``frontier``::
 
-    python -m repro evaluate table1 fig7 frontier --seed 7 --events \\
-        --output-dir tests/experiments/golden
+    python -m repro evaluate table1 fig4 fig5 fig6 fig7 fig8 fig9 \\
+        fig10 fig11 fig12 frontier --seed 7 --events
 
-(manifests dropped: they carry timestamps and host details).  Any
-change to these drivers' rows, span names, span order, or gauges shows
-up here as a byte diff; regenerate the fixtures with the command above
-only when the change is intended.  The committed ``results/`` copies of
-the same CSVs must match the fixtures too, so a stale artifact there
-cannot go unnoticed.
+must write each CSV byte-identical to its committed copy in
+``results/`` (the single copy of each paper artifact), and an
+``events.jsonl`` byte-identical to ``golden/events.jsonl``.  A change to
+any driver's rows, unit conversions, span names, span order or gauges
+shows up here as a byte diff.  When the change is intended, rerun the
+command above with ``--output-dir results`` for the CSVs and copy its
+``events.jsonl`` over ``golden/events.jsonl``.
 """
 
 from __future__ import annotations
@@ -25,25 +27,28 @@ GOLDEN = Path(__file__).parent / "golden"
 
 RESULTS = Path(__file__).resolve().parents[2] / "results"
 
-ARTIFACTS = ("table1.csv", "fig7.csv", "frontier.csv", "events.jsonl")
+DRIVERS = ("table1", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
+           "fig10", "fig11", "fig12", "frontier")
+
+#: Artifact -> its committed copy.
+ARTIFACTS = {**{f"{name}.csv": RESULTS for name in DRIVERS},
+             "events.jsonl": GOLDEN}
 
 
 @pytest.fixture(scope="module")
 def regenerated(tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("golden")
-    assert main(["evaluate", "table1", "fig7", "frontier", "--seed", "7",
-                 "--events", "--quiet", "--output-dir", str(out_dir)]) == 0
+    assert main(["evaluate", *DRIVERS, "--seed", "7", "--events",
+                 "--quiet", "--output-dir", str(out_dir)]) == 0
     return out_dir
+
+
+def test_every_csv_is_pinned():
+    assert sorted(path.name for path in RESULTS.glob("*.csv")) == \
+        sorted(name for name in ARTIFACTS if name.endswith(".csv"))
 
 
 @pytest.mark.parametrize("artifact", ARTIFACTS)
 def test_artifact_matches_golden(regenerated, artifact):
     assert ((regenerated / artifact).read_bytes()
-            == (GOLDEN / artifact).read_bytes())
-
-
-@pytest.mark.parametrize("artifact", [name for name in ARTIFACTS
-                                      if name.endswith(".csv")])
-def test_committed_result_matches_golden(artifact):
-    assert ((RESULTS / artifact).read_bytes()
-            == (GOLDEN / artifact).read_bytes())
+            == (ARTIFACTS[artifact] / artifact).read_bytes())

@@ -2,13 +2,12 @@
 
 The model packages (Eq. 3 power budget, thermal limit, link energy,
 compute deadline, and the decoders and codecs they feed) must load
-without the result cache, the static analyzer, the process launcher or
-the fault injector; the CLI must not load the analyzer unless the
-``analyze`` command runs, nor the launcher or ``multiprocessing``
-unless ``--jobs`` forks, nor networkx, nor scipy, nor the chip
-heat-grid solver.  Each of these cases imports one package in a fresh
-interpreter and inspects ``sys.modules``; a default ``evaluate`` run
-must load no scipy either.
+without the result cache, the process launcher or the fault injector;
+the CLI must not load the launcher or ``multiprocessing`` unless
+``--jobs`` forks, nor networkx, nor scipy, nor the chip heat-grid
+solver, nor a deleted module.  Each of these cases imports one package
+in a fresh interpreter and inspects ``sys.modules``; a default
+``evaluate`` run must load no scipy either.
 
 ``repro.fleet`` is a simulation driver built on ``repro.seeds``: it
 draws its link-drop stream from a derived seed, and forks through the
@@ -43,8 +42,7 @@ SCIENCE = ["repro.core", "repro.link", "repro.ni", "repro.dnn",
            "repro.accel", "repro.thermal", "repro.signals",
            "repro.decoders", "repro.compress"]
 
-INFRASTRUCTURE = ("repro.cache", "repro.analysis", "repro.perf",
-                  "repro.fault")
+INFRASTRUCTURE = ("repro.cache", "repro.perf", "repro.fault")
 
 
 def _loaded_after_import(module: str, top: str = "repro") -> list[str]:
@@ -69,12 +67,6 @@ def test_science_package_imports_no_infrastructure(package):
     leaked = [name for name in _loaded_after_import(package)
               if _within(name, INFRASTRUCTURE)]
     assert leaked == [], f"{package} pulls in {leaked}"
-
-
-def test_cli_does_not_load_the_analyzer():
-    leaked = [name for name in _loaded_after_import("repro.cli")
-              if _within(name, ("repro.analysis",))]
-    assert leaked == [], f"repro.cli pulls in {leaked}"
 
 
 def test_cli_does_not_load_networkx():
@@ -119,10 +111,12 @@ def test_fleet_does_not_load_the_fault_injector():
     assert leaked == [], f"repro.fleet pulls in {leaked}"
 
 
-#: Modules deleted because no command reached them; none may return.
+#: Modules deleted because no command reached them, and the static
+#: analyzer whose unique checks became tests/test_source_rules.py; none
+#: may return.
 DELETED = ("repro.wearable", "repro.dnn.snn", "repro.dnn.quantize",
            "repro.decoders.lda", "repro.accel.simulate", "repro.ni.spad",
-           "repro.signals.audio")
+           "repro.signals.audio", "repro.analysis")
 
 
 def test_cli_loads_neither_the_heat_grid_nor_a_deleted_module():
