@@ -23,6 +23,7 @@ The resulting Eq. 13 power lower bound is ``P_comp = #MAChw * PMAC``.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -62,12 +63,12 @@ def _layer_time(profile: LayerMacs, units: int,
     return profile.mac_seq * tech.t_mac_s * rounds
 
 
-def _total_time(profiles: list[LayerMacs], units: int,
+def _total_time(profiles: Sequence[LayerMacs], units: int,
                 tech: TechnologyNode) -> float:
     return sum(_layer_time(p, units, tech) for p in profiles)
 
 
-def schedule_non_pipelined(profiles: list[LayerMacs],
+def schedule_non_pipelined(profiles: Sequence[LayerMacs],
                            deadline_s: float,
                            tech: TechnologyNode) -> Schedule | None:
     """Minimal shared-pool schedule (Eq. 11-12), or None when infeasible.
@@ -93,7 +94,7 @@ def schedule_non_pipelined(profiles: list[LayerMacs],
                     deadline_s=deadline_s)
 
 
-def schedule_pipelined(profiles: list[LayerMacs],
+def schedule_pipelined(profiles: Sequence[LayerMacs],
                        deadline_s: float,
                        tech: TechnologyNode) -> Schedule | None:
     """Minimal per-layer allocation (Eq. 14-15), or None when infeasible.
@@ -119,18 +120,26 @@ def schedule_pipelined(profiles: list[LayerMacs],
                     deadline_s=deadline_s)
 
 
-def best_schedule(profiles: list[LayerMacs],
+def best_schedule(profiles: Sequence[LayerMacs],
                   deadline_s: float,
                   tech: TechnologyNode) -> Schedule | None:
     """The lower-power of the two scheduling modes (paper: "we report the
-    best result between a pipelined and a non-pipelined design")."""
-    candidates = [s for s in (schedule_non_pipelined(profiles, deadline_s,
-                                                     tech),
-                              schedule_pipelined(profiles, deadline_s, tech))
-                  if s is not None]
-    if not candidates:
-        return None
-    return min(candidates, key=lambda s: s.mac_units)
+    best result between a pipelined and a non-pipelined design"); ties go
+    to the shared pool.
+
+    The pipelined schedule is a closed-form pass, so it is built first.
+    The float Eq. 11 total is non-increasing in the unit count: each term
+    ``fl(fl(MACseq_i * tMAC) * rounds_i)`` is, and float addition is
+    monotone.  So a shared pool can win only if
+    ``min(pipelined #MAChw, max_i #MACop_i)`` units meet the deadline;
+    otherwise the pool bisection is skipped.
+    """
+    pipelined = schedule_pipelined(profiles, deadline_s, tech)
+    if pipelined is not None:
+        units = min(pipelined.mac_units, max(p.mac_ops for p in profiles))
+        if _total_time(profiles, units, tech) > deadline_s:
+            return pipelined
+    return schedule_non_pipelined(profiles, deadline_s, tech)
 
 
 @lru_cache(maxsize=4096)
@@ -144,10 +153,10 @@ def cached_best_schedule(profiles: tuple[LayerMacs, ...],
     and technology nodes are all hashable value types, so the schedule
     search only ever runs once per distinct triple in a process.
     """
-    return best_schedule(list(profiles), deadline_s, tech)
+    return best_schedule(profiles, deadline_s, tech)
 
 
-def compute_power_lower_bound(profiles: list[LayerMacs],
+def compute_power_lower_bound(profiles: Sequence[LayerMacs],
                               deadline_s: float,
                               tech: TechnologyNode) -> float | None:
     """Eq. 13: minimal P_comp [W] over both modes, or None when infeasible."""
@@ -157,7 +166,7 @@ def compute_power_lower_bound(profiles: list[LayerMacs],
     return schedule.power_w(tech)
 
 
-def _validate(profiles: list[LayerMacs], deadline_s: float) -> None:
+def _validate(profiles: Sequence[LayerMacs], deadline_s: float) -> None:
     if not profiles:
         raise ValueError("need at least one compute layer")
     if deadline_s <= 0:

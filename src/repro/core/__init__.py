@@ -46,7 +46,6 @@ from repro.core.partitioning import (
     PartitionedPoint,
     PartitioningGain,
     evaluate_partitioned,
-    find_split_layer,
     max_feasible_channels_partitioned,
     partitioning_gain,
 )
@@ -115,7 +114,6 @@ __all__ = [
     "admissible_splits",
     "PartitioningGain",
     "evaluate_partitioned",
-    "find_split_layer",
     "max_feasible_channels_partitioned",
     "partitioning_gain",
     "EventStreamConfig",

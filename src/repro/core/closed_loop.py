@@ -148,7 +148,7 @@ def max_channels_closed_loop(soc: ScaledSoC,
     best = 0
     n = step
     while n <= n_limit:
-        profiles = _workload_profile(workload, n)[0]
+        profiles = _workload_profile(workload, n).profiles
         point = _evaluate_profiles(soc, profiles, n, tech=tech, **kwargs)
         if point.feasible:
             best = n

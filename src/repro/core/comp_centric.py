@@ -24,9 +24,8 @@ import numpy as np
 from repro.accel.schedule import Schedule, cached_best_schedule
 from repro.accel.tech import TECH_45NM, TechnologyNode
 from repro.core.scaling import ScaledSoC
-from repro.dnn.macs import LayerMacs
 from repro.dnn.models import build_speech_dncnn, build_speech_mlp
-from repro.dnn.network import Network
+from repro.dnn.network import Network, NetworkProfile
 from repro.units import SAFE_POWER_DENSITY
 
 
@@ -50,18 +49,14 @@ def build_workload(workload: Workload, n_channels: int) -> Network:
 
 
 @lru_cache(maxsize=4096)
-def _workload_profile(workload: Workload, n_channels: int,
-                      ) -> tuple[tuple[LayerMacs, ...], int, int, int]:
-    """(MAC profiles, output values, total MACs, parameters) for a
-    workload at a channel count.
+def _workload_profile(workload: Workload, n_channels: int) -> NetworkProfile:
+    """The one-walk profile of a workload at a channel count.
 
     The shape-only networks are deterministic in (workload, n), so the
     sweeps share one build per point instead of rebuilding the layer
     stack for every SoC on the grid.
     """
-    net = build_workload(workload, n_channels)
-    return (tuple(net.mac_profiles()), net.output_values,
-            net.total_macs, net.n_parameters)
+    return build_workload(workload, n_channels).profile()
 
 
 @dataclass(frozen=True)
@@ -128,19 +123,13 @@ def evaluate_comp_centric(soc: ScaledSoC,
     """
     if n_channels <= 0:
         raise ValueError("channel count must be positive")
-    if network is None:
-        profiles, output_values, total_macs, n_parameters = (
-            _workload_profile(workload, n_channels))
-    else:
-        profiles = tuple(network.mac_profiles())
-        output_values = network.output_values
-        total_macs = network.total_macs
-        n_parameters = network.n_parameters
+    profile = (_workload_profile(workload, n_channels) if network is None
+               else network.profile())
     deadline = 1.0 / soc.sampling_hz
-    schedule = cached_best_schedule(profiles, deadline, tech)
+    schedule = cached_best_schedule(profile.profiles, deadline, tech)
     comp_power = schedule.power_w(tech) if schedule else math.inf
 
-    comm_power = (output_values * soc.sample_bits * soc.sampling_hz
+    comm_power = (profile.output_values * soc.sample_bits * soc.sampling_hz
                   * soc.implied_energy_per_bit_j)
     area = soc.sensing_area_m2(n_channels) + soc.non_sensing_area_m2
     return CompCentricPoint(
@@ -152,8 +141,8 @@ def evaluate_comp_centric(soc: ScaledSoC,
         comm_power_w=comm_power,
         budget_w=area * SAFE_POWER_DENSITY,
         schedule=schedule,
-        total_macs=total_macs,
-        model_parameters=n_parameters,
+        total_macs=profile.total_macs,
+        model_parameters=profile.n_parameters,
     )
 
 

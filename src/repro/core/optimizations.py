@@ -28,8 +28,12 @@ from functools import lru_cache
 
 from repro.accel.schedule import best_schedule
 from repro.accel.tech import TECH_12NM, TECH_45NM, TechnologyNode
-from repro.core.comp_centric import Workload, build_workload
-from repro.core.partitioning import admissible_splits
+from repro.core.comp_centric import (
+    Workload,
+    _workload_profile,
+    build_workload,
+)
+from repro.core.partitioning import split_candidates
 from repro.core.scaling import ScaledSoC
 from repro.units import SAFE_POWER_DENSITY
 
@@ -78,15 +82,11 @@ def _implant_options(workload: Workload, active_channels: int,
     ladder bisection probes; the SoC-dependent communication term is
     added by the caller.
     """
-    net = build_workload(workload, active_channels)
-    profiles = net.mac_profiles()
-    sizes = net.compute_layer_output_values()
-    # A head's MAC profiles are the first ``split`` compute-layer profiles.
-    candidates = [(profiles, net.output_values)]
-    candidates += [(profiles[:split], sizes[split - 1])
-                   for split in admissible_splits(net)]
+    # Built transiently, not through the ``_workload_profile`` memo: a
+    # bisection probes many n' and the profile tuples would pile up.
+    profile = build_workload(workload, active_channels).profile()
     options = []
-    for head, transmitted in candidates:
+    for _, head, transmitted in split_candidates(profile):
         schedule = best_schedule(head, deadline_s, tech)
         power = None if schedule is None else schedule.power_w(tech)
         options.append((power, transmitted))
@@ -186,7 +186,9 @@ def evaluate_ladder_step(soc: ScaledSoC, n_channels: int, step_name: str,
     if active == 0:
         fraction = 0.0
     else:
-        full = build_workload(workload, n_channels).n_parameters
+        # The target n is a grid point the sweeps share; the probed n'
+        # is built transiently, like the probe itself.
+        full = _workload_profile(workload, n_channels).n_parameters
         reduced = build_workload(workload, active).n_parameters
         fraction = reduced / full
     return OptimizedDesign(soc_name=soc.name, step_name=step_name,

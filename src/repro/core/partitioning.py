@@ -13,7 +13,7 @@ costs more than the saved tail compute), so the evaluator here considers
 every admissible split — including "no split" — and keeps the one with the
 lowest implant power.  For the scaling regime the paper studies
 (n >= 1024) the two rules coincide; the earliest-layer rule remains
-available as :func:`find_split_layer`.
+available as ``evaluate_partitioned(..., rule="earliest")``.
 
 When no intermediate layer fits the transmission budget (the DN-CNN case —
 every feature map is wider than 1024 values), partitioning degenerates to
@@ -24,45 +24,46 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from repro.accel.schedule import Schedule, cached_best_schedule
 from repro.accel.tech import TECH_45NM, TechnologyNode
-from repro.core.comp_centric import Workload, build_workload
+from repro.core.comp_centric import Workload, _workload_profile
 from repro.core.scaling import ScaledSoC
 from repro.dnn.macs import LayerMacs
-from repro.dnn.network import Network
+from repro.dnn.network import Network, NetworkProfile
 from repro.units import SAFE_POWER_DENSITY
 
 
-def find_split_layer(network: Network,
-                     max_values: int = 1024) -> int | None:
-    """Paper's earliest-layer rule.
+#: Transmission cap of a split, in values per sampling period: the rate
+#: of a 1024-channel communication-centric design.
+MAX_SPLIT_VALUES = 1024
 
-    Args:
-        network: the full workload network.
-        max_values: output-value cap (1024-channel-equivalent rate).
-
-    Returns:
-        1-based compute-layer index to split after, or None when only the
-        final layer qualifies (no useful partition).
-    """
-    sizes = network.compute_layer_output_values()
-    for index, size in enumerate(sizes[:-1], start=1):
-        if size <= max_values:
-            return index
-    return None
+#: (split, head MAC profiles, transmitted values) of one on-implant
+#: candidate; split is the 1-based compute layer, None for "no split".
+Candidate = tuple[int | None, tuple[LayerMacs, ...], int]
 
 
-def admissible_splits(network: Network,
-                      max_values: int = 1024) -> list[int]:
+def admissible_splits(profile: NetworkProfile,
+                      max_values: int = MAX_SPLIT_VALUES) -> list[int]:
     """All 1-based compute-layer indices whose output fits the budget,
     excluding the final layer (which is the unpartitioned design)."""
-    sizes = network.compute_layer_output_values()
-    return [i for i, size in enumerate(sizes[:-1], start=1)
+    return [split for split, size in enumerate(profile.sizes[:-1], start=1)
             if size <= max_values]
+
+
+def split_candidates(profile: NetworkProfile,
+                     max_values: int = MAX_SPLIT_VALUES,
+                     ) -> tuple[Candidate, ...]:
+    """Every on-implant candidate of a network: "no split" first, then
+    each admissible split in layer order.  A head's MAC profiles are the
+    first ``split`` compute-layer profiles."""
+    candidates: list[Candidate] = [
+        (None, profile.profiles, profile.output_values)]
+    candidates += [(split, profile.profiles[:split], profile.sizes[split - 1])
+                   for split in admissible_splits(profile, max_values)]
+    return tuple(candidates)
 
 
 @dataclass(frozen=True)
@@ -120,40 +121,12 @@ def _implant_cost(soc: ScaledSoC, profiles: tuple[LayerMacs, ...],
     return comp, comm, schedule
 
 
-def _network_candidates(net: Network, max_values: int,
-                        ) -> tuple[tuple[int | None, tuple[LayerMacs, ...],
-                                         int], ...]:
-    """(split, head MAC profiles, transmitted values) for every candidate
-    partition of a network — "no split" first, then admissible splits in
-    layer order."""
-    sizes = net.compute_layer_output_values()
-    candidates = [(None, tuple(net.mac_profiles()), net.output_values)]
-    for split in admissible_splits(net, max_values=max_values):
-        candidates.append((split, tuple(net.head(split).mac_profiles()),
-                           sizes[split - 1]))
-    return tuple(candidates)
-
-
-@lru_cache(maxsize=4096)
-def _split_candidates(workload: Workload, n_channels: int, max_values: int,
-                      ) -> tuple[tuple[int | None, tuple[LayerMacs, ...],
-                                       int], ...]:
-    """Cached candidate partitions for a built workload.
-
-    Head sub-networks are rebuilt per (workload, n) only once per
-    process; the frontier scans then reuse the profile tuples across
-    every SoC on the grid.
-    """
-    net = build_workload(workload, n_channels)
-    return _network_candidates(net, max_values)
-
-
 def evaluate_partitioned(soc: ScaledSoC,
                          workload: Workload,
                          n_channels: int,
                          tech: TechnologyNode = TECH_45NM,
                          network: Network | None = None,
-                         max_values: int = 1024,
+                         max_values: int = MAX_SPLIT_VALUES,
                          rule: str = "optimal") -> PartitionedPoint:
     """Project a scaled SoC running the best on-implant head of a workload.
 
@@ -175,10 +148,9 @@ def evaluate_partitioned(soc: ScaledSoC,
         raise ValueError("channel count must be positive")
     if rule not in ("optimal", "earliest"):
         raise ValueError(f"unknown partitioning rule {rule!r}")
-    if network is None:
-        all_candidates = _split_candidates(workload, n_channels, max_values)
-    else:
-        all_candidates = _network_candidates(network, max_values)
+    profile = (_workload_profile(workload, n_channels) if network is None
+               else network.profile())
+    all_candidates = split_candidates(profile, max_values)
 
     if rule == "earliest":
         # The paper's rule: the earliest admissible split, or no split
@@ -221,7 +193,7 @@ def power_ratio_curve(soc: ScaledSoC,
                       rule: str = "optimal") -> np.ndarray:
     """P_soc/P_budget of the partitioned design over a channel grid.
 
-    Split candidates and MAC schedules are memoized, so sweeping the same
+    Network profiles and MAC schedules are memoized, so sweeping the same
     grid across several SoCs reuses the network builds and schedule
     searches instead of repeating them per point.
     """

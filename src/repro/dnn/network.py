@@ -7,12 +7,35 @@ scheduler (:mod:`repro.accel.schedule`) consumes.
 
 from __future__ import annotations
 
+import math
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.dnn.layers import Layer
 from repro.dnn.macs import LayerMacs
 from repro.obs.metrics import inc, metrics_enabled
 from repro.obs.trace import span
+
+
+class NetworkProfile(NamedTuple):
+    """What the analysis reads off a network, from one walk of its layer
+    stack.
+
+    Attributes:
+        profiles: Eq. 10 MAC profiles of the compute layers, in order.
+        sizes: output values after each compute layer — what a split
+            there would transmit (Section 6.1).
+        output_values: values per output sample (n_out of Eq. 8).
+        total_macs: accumulate steps for one inference.
+        n_parameters: trainable parameters ('model size').
+    """
+
+    profiles: tuple[LayerMacs, ...]
+    sizes: tuple[int, ...]
+    output_values: int
+    total_macs: int
+    n_parameters: int
 
 
 class Network:
@@ -51,10 +74,7 @@ class Network:
     @property
     def output_values(self) -> int:
         """Number of scalar values per output sample (n_out of Eq. 8)."""
-        size = 1
-        for dim in self.output_shape:
-            size *= dim
-        return size
+        return math.prod(self.output_shape)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Run a batch through the network."""
@@ -78,26 +98,37 @@ class Network:
             grad = layer.backward(grad)
         return grad
 
-    def mac_profiles(self) -> list[LayerMacs]:
-        """Per-layer MAC profiles for *compute* layers only (Eq. 10).
+    def profile(self) -> NetworkProfile:
+        """MAC profiles, split sizes, MACs and parameters in one walk.
 
-        Activation/reshape layers are skipped — they carry no MAC work and
-        the paper's layer index i in Eq. 10-15 counts MAC layers.
+        Activation/reshape layers carry no MAC work and are skipped: the
+        paper's layer index i in Eq. 10-15 counts MAC layers.
         """
         profiles = []
-        for layer, shape in zip(self.layers, self.layer_input_shapes):
-            profile = layer.mac_profile(shape)
-            if profile.is_compute:
-                profiles.append(profile)
-        return profiles
+        sizes = []
+        total_macs = 0
+        n_parameters = 0
+        for layer, in_shape, out_shape in zip(self.layers, self._shapes,
+                                              self._shapes[1:]):
+            macs = layer.mac_profile(in_shape)
+            if macs.is_compute:
+                profiles.append(macs)
+                sizes.append(math.prod(out_shape))
+                total_macs += macs.total_macs
+            n_parameters += layer.n_parameters
+        return NetworkProfile(tuple(profiles), tuple(sizes),
+                              self.output_values, total_macs, n_parameters)
+
+    def mac_profiles(self) -> list[LayerMacs]:
+        """Per-layer MAC profiles for *compute* layers only (Eq. 10)."""
+        return list(self.profile().profiles)
 
     @property
     def total_macs(self) -> int:
         """Total accumulate steps for one inference (cached; the layer
         stack is fixed after construction)."""
         if self._total_macs is None:
-            self._total_macs = sum(p.total_macs
-                                   for p in self.mac_profiles())
+            self._total_macs = self.profile().total_macs
         return self._total_macs
 
     @property
@@ -108,7 +139,7 @@ class Network:
     @property
     def n_compute_layers(self) -> int:
         """Number of MAC-bearing layers (N of Eq. 10)."""
-        return len(self.mac_profiles())
+        return len(self.profile().profiles)
 
     def tail(self, n_compute_layers: int,
              name: str | None = None) -> "Network":
@@ -140,15 +171,7 @@ class Network:
         partitioning analysis (Section 6.1) compares against the
         1024-channel transceiver rate.
         """
-        sizes = []
-        for layer, in_shape, out_shape in zip(self.layers, self._shapes[:-1],
-                                              self._shapes[1:]):
-            if layer.mac_profile(in_shape).is_compute:
-                size = 1
-                for dim in out_shape:
-                    size *= dim
-                sizes.append(size)
-        return sizes
+        return list(self.profile().sizes)
 
     def zero_gradients(self) -> None:
         """Reset accumulated parameter gradients."""

@@ -10,8 +10,13 @@ from repro.accel.schedule import (
     schedule_non_pipelined,
     schedule_pipelined,
 )
-from repro.accel.tech import TECH_45NM
+from repro.accel.tech import TECH_12NM, TECH_45NM
 from repro.dnn.macs import LayerMacs
+from repro.dnn.models import build_speech_dncnn, build_speech_mlp
+
+#: Channel counts for the workload heads: non-multiples of 4 reach the
+#: DN-CNN's pool-by-2 (130, 514, 1022) and no-pool (37, 3001) branches.
+N_SPREAD = (16, 37, 130, 514, 1022, 2048, 3001, 4096)
 
 
 def profiles_simple():
@@ -147,3 +152,50 @@ class TestBestSchedule:
         expected = 7 * TECH_45NM.t_mac_s * math.ceil(
             13 / schedule.mac_units)
         assert schedule.runtime_s == pytest.approx(expected)
+
+
+def _two_mode_reference(profiles, deadline_s, tech):
+    """Both modes solved in full; the fewer units win, ties to the
+    shared pool."""
+    candidates = [s for s in (schedule_non_pipelined(profiles, deadline_s,
+                                                     tech),
+                              schedule_pipelined(profiles, deadline_s, tech))
+                  if s is not None]
+    return min(candidates, key=lambda s: s.mac_units, default=None)
+
+
+class TestBestScheduleEarlyReturn:
+    """The pool bisection is skipped only when it cannot win."""
+
+    @pytest.mark.parametrize("build", [build_speech_mlp, build_speech_dncnn])
+    def test_every_head_matches_both_modes(self, build, wireless_scaled):
+        deadlines = sorted({1.0 / soc.sampling_hz for soc in wireless_scaled})
+        modes = set()
+        for n_channels in N_SPREAD:
+            profiles = build(n_channels).mac_profiles()
+            for split in range(1, len(profiles) + 1):
+                head = profiles[:split]
+                for deadline in deadlines:
+                    for tech in (TECH_45NM, TECH_12NM):
+                        best = best_schedule(head, deadline, tech)
+                        assert best == _two_mode_reference(
+                            head, deadline, tech), (n_channels, split,
+                                                    deadline, tech.name)
+                        if best is not None:
+                            modes.add(best.pipelined)
+        assert modes == {True, False}
+
+    @pytest.mark.parametrize("deadline", [
+        1.1e-6,
+        100 * TECH_45NM.t_mac_s * 5,  # the 2-unit runtime, met exactly
+    ])
+    def test_tie_goes_to_the_shared_pool(self, deadline):
+        # One layer: both modes need 2 units (5 rounds of 100 MAC steps
+        # at 2 ns = 1 us; 1 unit takes 2 us).
+        profiles = [LayerMacs(mac_seq=100, mac_ops=10)]
+        pooled = schedule_non_pipelined(profiles, deadline, TECH_45NM)
+        piped = schedule_pipelined(profiles, deadline, TECH_45NM)
+        assert pooled.mac_units == piped.mac_units == 2
+        best = best_schedule(profiles, deadline, TECH_45NM)
+        assert best == pooled
+        assert not best.pipelined

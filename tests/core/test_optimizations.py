@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from repro.accel.schedule import best_schedule
+from repro.accel.schedule import (
+    schedule_non_pipelined,
+    schedule_pipelined,
+)
 from repro.accel.tech import TECH_12NM, TECH_45NM
 from repro.core.comp_centric import Workload, build_workload
 from repro.core.optimizations import (
@@ -17,7 +20,6 @@ from repro.core.optimizations import (
     evaluate_ladder_step,
     max_active_channels,
 )
-from repro.core.partitioning import admissible_splits
 from repro.units import SAFE_POWER_DENSITY
 
 
@@ -161,10 +163,16 @@ class TestLadderAtScale:
 
 def _reference_implant_power_w(soc, net, transmitted, tech):
     """Compute + communication power of an on-implant sub-network,
-    scheduled from scratch."""
-    schedule = best_schedule(net.mac_profiles(), 1.0 / soc.sampling_hz, tech)
-    if schedule is None:
+    scheduled from scratch: both modes solved in full, the fewer units
+    win, ties to the shared pool."""
+    profiles = net.mac_profiles()
+    deadline = 1.0 / soc.sampling_hz
+    schedules = [s for s in (
+        schedule_non_pipelined(profiles, deadline, tech),
+        schedule_pipelined(profiles, deadline, tech)) if s is not None]
+    if not schedules:
         return math.inf
+    schedule = min(schedules, key=lambda s: s.mac_units)
     comm = (transmitted * soc.sample_bits * soc.sampling_hz
             * soc.implied_energy_per_bit_j)
     return schedule.power_w(tech) + comm
@@ -179,10 +187,11 @@ def _reference_design_fits(soc, workload, n_channels, active_channels,
                                              config.tech)
     if config.layer_reduction:
         sizes = net.compute_layer_output_values()
-        for split in admissible_splits(net):
-            candidate = _reference_implant_power_w(
-                soc, net.head(split), sizes[split - 1], config.tech)
-            non_sensing = min(non_sensing, candidate)
+        for split, size in enumerate(sizes[:-1], start=1):
+            if size <= 1024:  # the Section 6.1 transmission cap
+                candidate = _reference_implant_power_w(
+                    soc, net.head(split), size, config.tech)
+                non_sensing = min(non_sensing, candidate)
     sensing_area = densified_sensing_area_m2(soc, n_channels,
                                              config.density_factor)
     budget = (sensing_area + soc.non_sensing_area_m2) * SAFE_POWER_DENSITY

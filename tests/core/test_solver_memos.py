@@ -1,5 +1,6 @@
 """Solver memo tables must be invisible: a cold and a warm process give
-the same answers and the same event timeline."""
+the same answers and the same event timeline, and the tables stay
+small."""
 
 from __future__ import annotations
 
@@ -7,16 +8,17 @@ import pytest
 
 from repro.accel.schedule import cached_best_schedule
 from repro.cli import main
-from repro.core import comp_centric, optimizations, partitioning
+from repro.core import comp_centric, optimizations
+from repro.core.comp_centric import Workload
 from repro.core.explorer import explore
 from repro.core.optimizations import evaluate_ladder
+from repro.experiments.fig12 import CHANNEL_COUNTS
 from repro.link import ber
 
 #: Every memoized pure solver function.
 SOLVER_MEMOS = (
     cached_best_schedule,
     comp_centric._workload_profile,
-    partitioning._split_candidates,
     optimizations._implant_options,
     ber._solve_ebn0,
 )
@@ -58,3 +60,19 @@ def test_warm_rerun_keeps_the_event_timeline(tmp_path, capsys):
     cold, warm = timelines
     assert cold
     assert warm == cold
+
+
+def test_ladder_probes_stay_out_of_the_profile_memo(wireless_scaled):
+    # The profile memo keeps whole MAC-profile tuples, so it may hold the
+    # ladder's grid targets but none of the n' a bisection probes.
+    clear_solver_memos()
+    designs = [design for soc in wireless_scaled
+               for n_channels in CHANNEL_COUNTS
+               for design in evaluate_ladder(soc, n_channels)]
+    assert any(0 < d.active_channels < d.n_channels for d in designs)
+    memo = comp_centric._workload_profile
+    for n_channels in CHANNEL_COUNTS:
+        memo(Workload.MLP, n_channels)
+    # Looking the targets up added no entry beyond them, so they are all
+    # the memo holds.
+    assert memo.cache_info().currsize == len(CHANNEL_COUNTS)

@@ -196,7 +196,7 @@ class TestPrefixEquivalence:
         # must agree with the Section 6.1 prefix machinery.
         net = build_speech_mlp(2048)
         prefix, macs = prefix_cut_equivalence(net, max_values=1024)
-        splits = admissible_splits(net, max_values=1024)
+        splits = admissible_splits(net.profile(), max_values=1024)
         # The graph's optimum is the bottleneck split (least implant MACs
         # among admissible prefixes); check consistency.
         assert prefix in splits

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.dnn.layers import Dense, Flatten, ReLU
+from repro.dnn.models import build_speech_dncnn, build_speech_mlp
 from repro.dnn.network import Network, fmac
+
+#: Channel counts spanning the MLP depths and the DN-CNN pool-by-4,
+#: pool-by-2 and no-pool branches.
+N_SPREAD = (16, 37, 130, 514, 1022, 2048, 3001, 4096)
 
 
 def small_net(rng=None) -> Network:
@@ -50,6 +55,37 @@ class TestNetwork:
 
     def test_compute_layer_output_values(self):
         assert small_net().compute_layer_output_values() == [6, 4, 2]
+
+
+class TestProfileWalk:
+    """``Network.profile`` against a layer-by-layer walk and the
+    per-quantity accessors."""
+
+    @staticmethod
+    def _reference(net):
+        profiles, sizes, shape = [], [], net.input_shape
+        for layer in net.layers:
+            out_shape = layer.output_shape(shape)
+            macs = layer.mac_profile(shape)
+            if macs.total_macs:
+                profiles.append(macs)
+                sizes.append(int(np.prod(out_shape)))
+            shape = out_shape
+        return profiles, sizes
+
+    @pytest.mark.parametrize("build", [build_speech_mlp, build_speech_dncnn])
+    @pytest.mark.parametrize("n_channels", N_SPREAD)
+    def test_one_walk_matches_every_accessor(self, build, n_channels):
+        net = build(n_channels)
+        walk = net.profile()
+        profiles, sizes = self._reference(net)
+        assert list(walk.profiles) == profiles == net.mac_profiles()
+        assert (list(walk.sizes) == sizes
+                == net.compute_layer_output_values())
+        assert walk.output_values == net.output_values
+        assert walk.total_macs == net.total_macs == sum(
+            p.mac_seq * p.mac_ops for p in profiles)
+        assert walk.n_parameters == net.n_parameters
 
 
 class TestFmac:
