@@ -126,9 +126,35 @@ class KalmanFilterDecoder:
         return float(np.mean(correlations))
 
 
+def fit_batch(states: np.ndarray, observations: np.ndarray,
+              regularization: float = 1e-6):
+    """:meth:`KalmanFilterDecoder.fit` for a stack of sessions at once.
+
+    Each session slice is bitwise equal to the scalar fit of its own
+    data: the Gram products and solves below are the scalar ones,
+    batched (the slices run the same BLAS and LAPACK kernels).
+
+    Args:
+        states: (S, T, k) latent kinematics per session.
+        observations: (S, T, m) neural features per session.
+        regularization: ridge coefficient, as for the scalar decoder.
+
+    Returns:
+        ``(A, W, H, Q)`` stacks, contiguous, with shapes (S, k, k),
+        (S, k, k), (S, m, k) and (S, m, m).
+    """
+    x_prev, x_next = states[:, :-1], states[:, 1:]
+    a_t = _lstsq(x_prev, x_next, regularization)
+    w = _covariance(x_next - np.matmul(x_prev, a_t), regularization)
+    h_t = _lstsq(states, observations, regularization)
+    q = _covariance(observations - np.matmul(states, h_t),
+                    regularization)
+    return (np.ascontiguousarray(np.swapaxes(a_t, 1, 2)), w,
+            np.ascontiguousarray(np.swapaxes(h_t, 1, 2)), q)
+
+
 def closed_loop_gain_batch(a: np.ndarray, w: np.ndarray,
-                           h: np.ndarray, q: np.ndarray,
-                           chunk: int = 512):
+                           h: np.ndarray, q: np.ndarray):
     """Batched one-step closed-loop Kalman operator over sessions.
 
     The closed-loop session decodes each feature window with a *fresh*
@@ -150,47 +176,41 @@ def closed_loop_gain_batch(a: np.ndarray, w: np.ndarray,
         w: (n, k, k) process noise covariances.
         h: (n, m, k) observation matrices.
         q: (n, m, m) observation noise covariances.
-        chunk: sessions per batched solve (bounds peak memory; the
-            result is independent of the chunking).
 
     Returns:
         ``(gain, x_prior, hx_prior)`` with shapes (n, k, m), (n, k),
         and (n, m).
     """
     a = np.asarray(a, dtype=float)
-    w = np.asarray(w, dtype=float)
     h = np.asarray(h, dtype=float)
-    q = np.asarray(q, dtype=float)
-    n, k, _ = a.shape
+    k = a.shape[1]
     m = h.shape[1]
-    gain = np.empty((n, k, m))
-    x_prior = np.empty((n, k))
-    hx_prior = np.empty((n, m))
-    with span("decoders.kalman.gain_batch", sessions=n, channels=m):
-        for start in range(0, n, chunk):
-            sl = slice(start, min(start + chunk, n))
-            ac, hc = a[sl], h[sl]
-            # Predict from the reset state, replaying the scalar op
-            # order: x = A @ 0, P = (A @ I) @ A.T + W.
-            x0 = np.matmul(ac, np.zeros((k, 1)))
-            p = np.matmul(np.matmul(ac, np.eye(k)),
-                          np.swapaxes(ac, 1, 2)) + w[sl]
-            s = np.matmul(np.matmul(hc, p),
-                          np.swapaxes(hc, 1, 2)) + q[sl]
-            gain[sl] = np.matmul(np.matmul(p, np.swapaxes(hc, 1, 2)),
-                                 np.linalg.solve(s, np.eye(m)))
-            x_prior[sl] = x0[:, :, 0]
-            hx_prior[sl] = np.matmul(hc, x0)[:, :, 0]
-    inc("decoders.kalman_gain_batches", n)
-    return gain, x_prior, hx_prior
+    # Predict from the reset state, replaying the scalar op order:
+    # x = A @ 0, P = (A @ I) @ A.T + W.
+    x0 = np.matmul(a, np.zeros((k, 1)))
+    p = np.matmul(np.matmul(a, np.eye(k)), np.swapaxes(a, 1, 2)) + w
+    s = np.matmul(np.matmul(h, p), np.swapaxes(h, 1, 2)) + q
+    gain = np.matmul(np.matmul(p, np.swapaxes(h, 1, 2)),
+                     np.linalg.solve(s, np.eye(m)))
+    return gain, x0[:, :, 0], np.matmul(h, x0)[:, :, 0]
 
 
 def _lstsq(x: np.ndarray, y: np.ndarray, ridge: float) -> np.ndarray:
-    """Ridge-regularized least squares solve of x @ B = y."""
-    gram = x.T @ x + ridge * np.eye(x.shape[1])
-    return np.linalg.solve(gram, x.T @ y)
+    """Ridge-regularized least squares solve of x @ B = y (x and y may
+    carry a leading session axis)."""
+    x_t = np.swapaxes(x, -1, -2)
+    gram = np.matmul(x_t, x) + ridge * np.eye(x.shape[-1])
+    return np.linalg.solve(gram, np.matmul(x_t, y))
 
 
 def _covariance(residuals: np.ndarray, ridge: float) -> np.ndarray:
-    cov = residuals.T @ residuals / max(1, len(residuals) - 1)
-    return cov + ridge * np.eye(cov.shape[0])
+    cov = (np.matmul(np.swapaxes(residuals, -1, -2), residuals)
+           / max(1, residuals.shape[-2] - 1))
+    return cov + ridge * np.eye(cov.shape[-1])
+
+
+#: Batched fit -> the scalar method it must match bit for bit
+#: (tests/fleet/test_parity.py).
+PARITY_ORACLES = {
+    "fit_batch": "fit",
+}

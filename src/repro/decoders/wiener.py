@@ -36,19 +36,6 @@ class WienerFilterDecoder:
         """True after :meth:`fit`."""
         return self.weights is not None
 
-    def _embed(self, observations: np.ndarray) -> np.ndarray:
-        """Lag-embed: row t holds frames t-n_lags+1 .. t plus a bias term.
-
-        Early rows use zero padding for missing history.
-        """
-        t_len, m = observations.shape
-        padded = np.vstack([np.zeros((self.n_lags - 1, m)), observations])
-        design = np.empty((t_len, self.n_lags * m + 1))
-        for t in range(t_len):
-            design[t, :-1] = padded[t:t + self.n_lags].reshape(-1)
-            design[t, -1] = 1.0
-        return design
-
     def fit(self, states: np.ndarray, observations: np.ndarray) -> None:
         """Fit readout weights by ridge regression.
 
@@ -63,10 +50,9 @@ class WienerFilterDecoder:
             raise ValueError("need more timesteps than lags")
         with span("decoders.wiener.fit", timesteps=len(states),
                   n_lags=self.n_lags):
-            design = self._embed(observations)
-            gram = design.T @ design + self.regularization * np.eye(
-                design.shape[1])
-            self.weights = np.linalg.solve(gram, design.T @ states)
+            self.weights = _ridge_readout(
+                _embed(observations, self.n_lags), states,
+                self.regularization)
 
     def decode(self, observations: np.ndarray) -> np.ndarray:
         """Predict states for a feature sequence.
@@ -80,7 +66,7 @@ class WienerFilterDecoder:
         inc("decoders.wiener_steps", len(observations))
         with span("decoders.wiener.decode",
                   timesteps=len(observations)):
-            return self._embed(observations) @ self.weights
+            return _embed(observations, self.n_lags) @ self.weights
 
     def score(self, states: np.ndarray, observations: np.ndarray) -> float:
         """Mean per-dimension correlation between truth and prediction."""
@@ -122,3 +108,59 @@ def decode_step_batch(weights: np.ndarray, features: np.ndarray,
     design[:, 0, (n_lags - 1) * m:-1] = features
     design[:, 0, -1] = 1.0
     return np.matmul(design, weights)[:, 0, :]
+
+
+def fit_batch(states: np.ndarray, observations: np.ndarray,
+              n_lags: int, regularization: float = 1e-3) -> np.ndarray:
+    """:meth:`WienerFilterDecoder.fit` for a stack of sessions at once.
+
+    Each (S, …) slice is bitwise equal to the scalar fit of its own
+    data: the design rows are the same values, and the Gram products
+    and the ridge solve run the scalar BLAS and LAPACK kernels per
+    slice.
+
+    Args:
+        states: (S, T, k) targets per session.
+        observations: (S, T, m) features per session.
+        n_lags / regularization: as for the scalar decoder.
+
+    Returns:
+        (S, n_lags * m + 1, k) readout weights.
+    """
+    return _ridge_readout(_embed(observations, n_lags), states,
+                          regularization)
+
+
+def _embed(observations: np.ndarray, n_lags: int) -> np.ndarray:
+    """Lag-embed (…, T, m) features: row t holds frames
+    t-n_lags+1 .. t plus a bias term.
+
+    Early rows use zero padding for missing history.  Row t is a window
+    of ``n_lags * m`` values starting at flat offset ``t * m`` of the
+    padded block, so one strided view and one copy build the design.
+    """
+    *lead, t_len, m = observations.shape
+    padded = np.zeros((*lead, t_len + n_lags - 1, m))
+    padded[..., n_lags - 1:, :] = observations
+    windows = np.lib.stride_tricks.sliding_window_view(
+        padded.reshape(*lead, -1), n_lags * m, axis=-1)[..., ::m, :]
+    design = np.empty((*lead, t_len, n_lags * m + 1))
+    design[..., :-1] = windows
+    design[..., -1] = 1.0
+    return design
+
+
+def _ridge_readout(design: np.ndarray, states: np.ndarray,
+                   ridge: float) -> np.ndarray:
+    """Ridge solve of ``design @ weights = states`` (either may carry
+    a leading session axis)."""
+    design_t = np.swapaxes(design, -1, -2)
+    gram = np.matmul(design_t, design) + ridge * np.eye(design.shape[-1])
+    return np.linalg.solve(gram, np.matmul(design_t, states))
+
+
+#: Batched fit -> the scalar method it must match bit for bit
+#: (tests/fleet/test_parity.py).
+PARITY_ORACLES = {
+    "fit_batch": "fit",
+}

@@ -19,6 +19,10 @@ Determinism contract (tests/fleet/):
   random draws consume the generator in exactly the scalar order
   (preferred directions, calibration noise, per-session encode
   noise, targets, then one encode draw per active session per step);
+* calibration runs in chunks of :data:`CALIBRATION_CHUNK` sessions
+  (:func:`repro.fleet.decoders.calibrate_batch`), each stacked fit
+  bitwise equal to the scalar fit of that session's data, so a cohort
+  of any size matches fitting its sessions one by one;
 * drop decisions come from a dedicated link-fault stream
   (:func:`cohort_fault_seed`, then
   :func:`repro.seeds.derive_fault_seed` for the ``"link"`` domain), so
@@ -38,7 +42,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.fleet.decoders import make_batch_decoder, make_session_decoder
+from repro.fleet.decoders import calibrate_batch
 from repro.fleet.result import CohortResult, SessionResult
 from repro.fleet.spec import CohortSpec, FleetSpec
 from repro.obs import metrics as _metrics
@@ -50,6 +54,11 @@ from repro.seeds import derive_fault_seed, derive_stream_seed
 
 __all__ = ["cohort_seed", "cohort_fault_seed", "simulate_cohort",
            "run_cohort", "run_fleet"]
+
+#: Sessions calibrated per batched fit.  It bounds the stacked design
+#: blocks (a whole-cohort Wiener design at 2000 sessions is 207 MB);
+#: the fitted models do not depend on it.
+CALIBRATION_CHUNK = 64
 
 
 def cohort_seed(base_seed: int | None, name: str) -> int | None:
@@ -84,6 +93,26 @@ def _norm_rows(vectors: np.ndarray) -> np.ndarray:
                              vectors[:, :, None])[:, 0, 0])
 
 
+def _calibration_chunks(spec: CohortSpec, preferred: np.ndarray,
+                        velocity: np.ndarray, rng: np.random.Generator):
+    """Encode the calibration block, :data:`CALIBRATION_CHUNK` sessions
+    at a time: yields ``(first, velocity, features)`` per chunk.
+
+    The noise is one ``(S, T, channels)`` block per chunk, which
+    consumes the cohort stream exactly as one ``(T, channels)`` draw per
+    session back to back does.
+    """
+    user = spec.user()
+    n, t_len, c = spec.n_sessions, spec.train_timesteps, spec.n_channels
+    for first in range(0, n, CALIBRATION_CHUNK):
+        chunk = slice(first, min(first + CALIBRATION_CHUNK, n))
+        drive = np.matmul(preferred[chunk, None],
+                          velocity[chunk, :, :, None])[..., 0]
+        rates = np.maximum(0.5 + user.gain * drive, 0.0)
+        noise = rng.standard_normal((len(drive), t_len, c))
+        yield first, velocity[chunk], rates + user.noise_rms * noise
+
+
 def _simulate(spec: CohortSpec, rng: np.random.Generator,
               drop_rng: np.random.Generator | None,
               decoder_seed: int | None) -> list[SessionResult]:
@@ -110,20 +139,11 @@ def _simulate(spec: CohortSpec, rng: np.random.Generator,
         velocity[:, t] = (0.95 * velocity[:, t - 1]
                           + 0.1 * noise[:, t - 1])
 
-    # Per-session encode + fit: the fits themselves are the scalar
-    # code paths (that is what makes 1-session parity exact); the
-    # encode of the whole calibration block is batched per session.
-    decoders = []
-    for i in range(n):
-        drive = np.matmul(preferred[i],
-                          velocity[i][:, :, None])[:, :, 0]
-        rates = np.maximum(0.5 + user.gain * drive, 0.0)
-        feats = rates + user.noise_rms * rng.standard_normal(
-            (t_len, c))
-        decoder = make_session_decoder(spec, decoder_seed, i)
-        decoder.fit(velocity[i], feats)
-        decoders.append(decoder)
-    batch = make_batch_decoder(spec, decoders)
+    # Encode and fit the calibration block chunk by chunk, straight
+    # into the batched decoder's stacks.
+    batch = calibrate_batch(
+        spec, decoder_seed,
+        _calibration_chunks(spec, preferred, velocity, rng))
 
     t_angles = rng.uniform(0, 2 * np.pi, (n, spec.n_trials))
     targets_all = task.target_distance * np.stack(

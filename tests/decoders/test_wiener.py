@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.decoders.wiener import WienerFilterDecoder
+from repro.decoders.wiener import WienerFilterDecoder, _embed
 from repro.signals.datasets import make_cursor_dataset
 
 
@@ -73,3 +73,23 @@ class TestDecoding:
         decoder.fit(rng.standard_normal((50, 2)),
                     rng.standard_normal((50, 6)))
         assert decoder.decode(rng.standard_normal((20, 6))).shape == (20, 2)
+
+
+def _embed_loop(observations, n_lags):
+    """The per-row lag embedding the strided one replaced."""
+    t_len, m = observations.shape
+    padded = np.vstack([np.zeros((n_lags - 1, m)), observations])
+    design = np.empty((t_len, n_lags * m + 1))
+    for t in range(t_len):
+        design[t, :-1] = padded[t:t + n_lags].reshape(-1)
+        design[t, -1] = 1.0
+    return design
+
+
+class TestEmbedding:
+    @pytest.mark.parametrize("n_lags", [1, 3, 5])
+    def test_strided_design_equals_the_row_loop(self, rng, n_lags):
+        stack = rng.standard_normal((4, 30, 6))
+        expected = np.stack([_embed_loop(obs, n_lags) for obs in stack])
+        assert np.array_equal(_embed(stack, n_lags), expected)
+        assert np.array_equal(_embed(stack[0], n_lags), expected[0])

