@@ -3,7 +3,8 @@
 Reproduces the modulation-level groundwork under the paper's Section 5
 analysis: analytical BER curves validated against Monte-Carlo symbol
 simulation, the energy-per-bit cost of each QAM order through the
-transcutaneous link budget, and what that implies for streaming power.
+transcutaneous link budget, what that implies for streaming power, and
+what retransmissions add to it on a marginal link.
 
 Run:  python examples/wireless_link_study.py
 """
@@ -17,10 +18,14 @@ from repro.link import (
     OOK,
     QPSK,
     LinkBudget,
+    Packetizer,
     communication_power,
+    delivered_energy_per_bit,
+    expected_transmissions,
     measure_ber_grid,
     required_ebn0,
     shannon_ebn0_limit_db,
+    simulate_arq,
 )
 from repro.units import to_mbps, to_mw, to_pj
 
@@ -85,10 +90,40 @@ def streaming_power() -> None:
               f"efficiency: {to_mw(power):6.2f} mW")
 
 
+def arq_cost(seed: int) -> None:
+    """Retransmissions on a marginal BPSK link: ARQ theory vs a
+    CRC-checked Monte-Carlo session, and the energy per delivered bit."""
+    payload_bytes, retries = 32, 10
+    payload_bits = 8 * payload_bytes
+    overhead_bits = 8 * (Packetizer.HEADER_BYTES + Packetizer.CRC_BYTES)
+    energy = LinkBudget().transmit_energy_per_bit(1, efficiency=0.15)
+    rng = np.random.default_rng(seed)
+    codes = rng.integers(-512, 512, 2048).astype(np.int32)
+    print(f"\nARQ over BPSK ({payload_bytes}-byte payloads, CRC-16, "
+          f"up to {retries} retries):")
+    rows = []
+    for ebn0_db in (6.0, 7.0, 9.0):
+        ber = BPSK().theoretical_ber(10 ** (ebn0_db / 10))
+        session = simulate_arq(codes, BPSK(), ebn0_db, rng,
+                               payload_bytes=payload_bytes,
+                               max_retries=retries)
+        rows.append({
+            "ebn0_db": ebn0_db,
+            "ber": f"{ber:.1e}",
+            "theory_tx_per_packet": expected_transmissions(
+                ber, payload_bits + overhead_bits, max_retries=retries),
+            "simulated_tx_per_packet": session.mean_transmissions,
+            "pj_per_delivered_bit": to_pj(delivered_energy_per_bit(
+                energy, ber, payload_bits, overhead_bits)),
+        })
+    print(format_table(rows))
+
+
 def main() -> None:
     ber_validation(seed=42)
     qam_energy_ladder()
     streaming_power()
+    arq_cost(seed=42)
 
 
 if __name__ == "__main__":

@@ -136,8 +136,7 @@ def run_and_save_cached(module: ModuleType,
         The :class:`ExperimentResult`, with ``cache_info`` populated.
     """
     from repro.experiments import experiment_name, run_module
-    from repro.obs.manifest import current_seed
-    from repro.seeds import derive_driver_seed
+    from repro.seeds import current_seed, derive_driver_seed
 
     if store is None:
         store = store_for(output_dir)

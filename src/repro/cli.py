@@ -81,6 +81,7 @@ from repro.experiments import (
     run_module_resilient,
 )
 from repro.experiments.report import DEFAULT_OUTPUT_DIR, format_table
+from repro.seeds import set_run_seed
 from repro.thermal.budget import assess as thermal_assess
 from repro.units import to_mbps, to_mm2, to_mw
 
@@ -821,7 +822,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     seed = getattr(args, "seed", None)
     if seed is not None:
-        obs.set_run_seed(seed)
+        set_run_seed(seed)
     # "is True" guards against the obs subcommands, whose positional
     # `events` (a JSONL path) shares the attribute name with the flag.
     events_on = getattr(args, "events", False) is True
@@ -857,7 +858,7 @@ def main(argv: list[str] | None = None) -> int:
         obs.disable_all()
         obs.reset_all()
         if seed is not None:
-            obs.set_run_seed(None)
+            set_run_seed(None)
 
 
 if __name__ == "__main__":

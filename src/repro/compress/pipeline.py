@@ -26,8 +26,6 @@ from repro.compress.rice import (
     rice_decode_packed,
     rice_encode_packed,
 )
-from repro.obs.metrics import inc, observe
-from repro.obs.trace import span
 
 
 def compression_ratio(raw_bits: int, compressed_bits: int) -> float:
@@ -86,21 +84,14 @@ class NeuralCompressor:
         """
         codes = np.atleast_2d(np.asarray(codes))
         raw_bits = codes.size * self.sample_bits
-        with span("compress.analyze", channels=len(codes),
-                  samples=codes.shape[-1]):
-            deltas = delta_encode(codes)
-            ks, bits = optimal_rice_parameters(deltas)
-            parameters = ks.tolist()
-            total = int(bits.sum()) + self.K_HEADER_BITS * len(codes)
-        ratio = compression_ratio(raw_bits, total)
-        inc("compress.blocks_analyzed")
-        inc("compress.raw_bits", raw_bits)
-        inc("compress.compressed_bits", total)
-        observe("compress.ratio", ratio)
+        deltas = delta_encode(codes)
+        ks, bits = optimal_rice_parameters(deltas)
+        parameters = ks.tolist()
+        total = int(bits.sum()) + self.K_HEADER_BITS * len(codes)
         return CompressionResult(
             raw_bits=raw_bits, compressed_bits=total,
             rice_parameters=tuple(parameters),
-            ratio=ratio)
+            ratio=compression_ratio(raw_bits, total))
 
     def encode_channel(self, channel: np.ndarray,
                        ) -> tuple[PackedBits, int]:

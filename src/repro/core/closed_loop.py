@@ -28,8 +28,6 @@ from repro.core.comp_centric import Workload, _workload_profile
 from repro.core.scaling import ScaledSoC
 from repro.dnn.macs import LayerMacs
 from repro.dnn.network import Network
-from repro.obs.metrics import inc
-from repro.obs.trace import span
 from repro.units import SAFE_POWER_DENSITY, ms
 
 #: Brain reaction time used as the real-time bound (Section 2, ~0.18 s).
@@ -192,7 +190,6 @@ def _evaluate_profiles(soc: ScaledSoC,
     if deadline_s <= 0:
         raise ValueError("deadline must be positive")
     stimulation = stimulation or StimulationConfig()
-    inc("closed_loop.evaluations")
     acquisition = window_samples / soc.sampling_hz
     stim_delay = 1.0 / stimulation.pulse_rate_hz
     compute_budget = deadline_s - acquisition - stim_delay
@@ -201,9 +198,7 @@ def _evaluate_profiles(soc: ScaledSoC,
         decode = math.inf
         comp_power = math.inf
     else:
-        with span("closed_loop.schedule", soc=soc.name,
-                  n_channels=n_channels):
-            schedule = cached_best_schedule(profiles, compute_budget, tech)
+        schedule = cached_best_schedule(profiles, compute_budget, tech)
         decode = schedule.runtime_s if schedule else math.inf
         comp_power = schedule.power_w(tech) if schedule else math.inf
 

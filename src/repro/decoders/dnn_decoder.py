@@ -11,8 +11,6 @@ import numpy as np
 
 from repro.dnn.network import Network
 from repro.dnn.train import sgd_train
-from repro.obs.metrics import inc, observe
-from repro.obs.trace import span
 
 
 class DnnDecoder:
@@ -41,15 +39,10 @@ class DnnDecoder:
             rng: np.random.Generator) -> list[float]:
         """Train the wrapped network; returns (and stores) the loss
         history."""
-        with span("decoders.dnn.fit", network=self.network.name,
-                  epochs=self.epochs, samples=len(features)):
-            self.history = sgd_train(self.network, features, targets, rng,
-                                     epochs=self.epochs,
-                                     batch_size=self.batch_size,
-                                     learning_rate=self.learning_rate)
-        inc("decoders.dnn_epochs_trained", len(self.history))
-        if self.history:
-            observe("decoders.dnn_final_loss", self.history[-1])
+        self.history = sgd_train(self.network, features, targets, rng,
+                                 epochs=self.epochs,
+                                 batch_size=self.batch_size,
+                                 learning_rate=self.learning_rate)
         return self.history
 
     def decode(self, features: np.ndarray) -> np.ndarray:

@@ -16,9 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.obs.metrics import inc
-from repro.obs.trace import span
-
 
 class KalmanFilterDecoder:
     """Linear-Gaussian decoder for continuous kinematics.
@@ -63,15 +60,14 @@ class KalmanFilterDecoder:
         if len(states) < 3:
             raise ValueError("need at least 3 timesteps to fit dynamics")
 
-        with span("decoders.kalman.fit", timesteps=len(states)):
-            x_prev, x_next = states[:-1], states[1:]
-            self.A = _lstsq(x_prev, x_next, self.regularization).T
-            resid_w = x_next - x_prev @ self.A.T
-            self.W = _covariance(resid_w, self.regularization)
+        x_prev, x_next = states[:-1], states[1:]
+        self.A = _lstsq(x_prev, x_next, self.regularization).T
+        resid_w = x_next - x_prev @ self.A.T
+        self.W = _covariance(resid_w, self.regularization)
 
-            self.H = _lstsq(states, observations, self.regularization).T
-            resid_q = observations - states @ self.H.T
-            self.Q = _covariance(resid_q, self.regularization)
+        self.H = _lstsq(states, observations, self.regularization).T
+        resid_q = observations - states @ self.H.T
+        self.Q = _covariance(resid_q, self.regularization)
 
     def decode(self, observations: np.ndarray,
                initial_state: np.ndarray | None = None) -> np.ndarray:
@@ -96,19 +92,17 @@ class KalmanFilterDecoder:
         p = np.eye(k)
         decoded = np.empty((len(observations), k))
         identity = np.eye(k)
-        with span("decoders.kalman.decode", timesteps=len(observations)):
-            for t, y in enumerate(observations):
-                # Predict.
-                x = self.A @ x
-                p = self.A @ p @ self.A.T + self.W
-                # Update.
-                s = self.H @ p @ self.H.T + self.Q
-                gain = p @ self.H.T @ np.linalg.solve(
-                    s, np.eye(s.shape[0]))
-                x = x + gain @ (y - self.H @ x)
-                p = (identity - gain @ self.H) @ p
-                decoded[t] = x
-        inc("decoders.kalman_steps", len(observations))
+        for t, y in enumerate(observations):
+            # Predict.
+            x = self.A @ x
+            p = self.A @ p @ self.A.T + self.W
+            # Update.
+            s = self.H @ p @ self.H.T + self.Q
+            gain = p @ self.H.T @ np.linalg.solve(
+                s, np.eye(s.shape[0]))
+            x = x + gain @ (y - self.H @ x)
+            p = (identity - gain @ self.H) @ p
+            decoded[t] = x
         return decoded
 
     def score(self, states: np.ndarray, observations: np.ndarray) -> float:

@@ -15,9 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.obs.metrics import inc
-from repro.obs.trace import span
-
 
 def mad_noise_estimate(signal: np.ndarray) -> float:
     """Median-absolute-deviation noise sigma (Quiroga's robust estimator).
@@ -72,11 +69,7 @@ class SpikeDetector:
         data = np.asarray(data, dtype=float)
         if data.ndim != 2:
             raise ValueError("expected (channels, samples)")
-        with span("decoders.spikesort.detect_all", channels=len(data),
-                  samples=data.shape[1]):
-            events = [self.detect(row) for row in data]
-        inc("decoders.spikes_detected", sum(len(e) for e in events))
-        return events
+        return [self.detect(row) for row in data]
 
 
 def channel_activity_ranking(data: np.ndarray,

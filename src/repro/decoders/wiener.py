@@ -9,9 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.obs.metrics import inc
-from repro.obs.trace import span
-
 
 class WienerFilterDecoder:
     """Lagged linear decoder.
@@ -48,11 +45,8 @@ class WienerFilterDecoder:
             raise ValueError("states and observations must align in time")
         if len(states) <= self.n_lags:
             raise ValueError("need more timesteps than lags")
-        with span("decoders.wiener.fit", timesteps=len(states),
-                  n_lags=self.n_lags):
-            self.weights = _ridge_readout(
-                _embed(observations, self.n_lags), states,
-                self.regularization)
+        self.weights = _ridge_readout(
+            _embed(observations, self.n_lags), states, self.regularization)
 
     def decode(self, observations: np.ndarray) -> np.ndarray:
         """Predict states for a feature sequence.
@@ -63,10 +57,7 @@ class WienerFilterDecoder:
         if not self.fitted:
             raise RuntimeError("decoder must be fitted before decoding")
         observations = np.asarray(observations, dtype=float)
-        inc("decoders.wiener_steps", len(observations))
-        with span("decoders.wiener.decode",
-                  timesteps=len(observations)):
-            return _embed(observations, self.n_lags) @ self.weights
+        return _embed(observations, self.n_lags) @ self.weights
 
     def score(self, states: np.ndarray, observations: np.ndarray) -> float:
         """Mean per-dimension correlation between truth and prediction."""

@@ -28,7 +28,7 @@ from repro.dnn.layers import (
     Flatten,
     AvgPool1D,
 )
-from repro.dnn.network import Network, fmac
+from repro.dnn.network import Network
 from repro.dnn.models import (
     SPEECH_BASE_CHANNELS,
     SPEECH_BASE_SAMPLING_HZ,
@@ -54,7 +54,6 @@ __all__ = [
     "Flatten",
     "AvgPool1D",
     "Network",
-    "fmac",
     "SPEECH_BASE_CHANNELS",
     "SPEECH_BASE_SAMPLING_HZ",
     "SPEECH_OUTPUT_LABELS",

@@ -7,8 +7,9 @@ Shape conventions:
 * Flatten bridges the two.
 
 Every layer reports its :class:`~repro.dnn.macs.LayerMacs` profile given an
-input shape, which is how :func:`repro.dnn.network.fmac` realizes Eq. 10
-from actual architectures instead of hand-entered constants.
+input shape, which is how :meth:`repro.dnn.network.Network.mac_profiles`
+realizes Eq. 10 from actual architectures instead of hand-entered
+constants.
 """
 
 from __future__ import annotations

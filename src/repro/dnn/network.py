@@ -1,8 +1,9 @@
-"""Sequential network container and the Eq. 10 fMAC function.
+"""Sequential network container and its Eq. 10 MAC profile.
 
-``fmac(network)`` walks the layer stack with shape inference and returns the
-per-layer (MACseq, #MACop) lists of Eq. 10 — the interface the accelerator
-scheduler (:mod:`repro.accel.schedule`) consumes.
+:meth:`Network.mac_profiles` walks the layer stack with shape inference
+and returns the per-layer (MACseq, #MACop) profiles of Eq. 10 — the
+interface the accelerator scheduler (:mod:`repro.accel.schedule`)
+consumes.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ import numpy as np
 
 from repro.dnn.layers import Layer
 from repro.dnn.macs import LayerMacs
-from repro.obs.metrics import inc, metrics_enabled
-from repro.obs.trace import span
 
 
 class NetworkProfile(NamedTuple):
@@ -83,13 +82,8 @@ class Network:
             raise ValueError(
                 f"{self.name} expects batches of shape {expected[1:]}, got "
                 f"{x.shape[1:]}")
-        if metrics_enabled():
-            inc("dnn.forward_passes")
-            inc("dnn.samples_processed", x.shape[0])
-            inc("dnn.macs_executed", self.total_macs * x.shape[0])
-        with span("dnn.forward", network=self.name, batch=x.shape[0]):
-            for layer in self.layers:
-                x = layer.forward(x)
+        for layer in self.layers:
+            x = layer.forward(x)
         return x
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -214,11 +208,3 @@ class Network:
         return Network(kept, self.input_shape,
                        name=name or f"{self.name}[:{n_compute_layers}]")
 
-
-def fmac(network: Network) -> tuple[list[int], list[int]]:
-    """Eq. 10: ``[MACseq_i], [#MACop_i] = fMAC(n, DNN)``.
-
-    Returns the two parallel lists for the network's compute layers.
-    """
-    profiles = network.mac_profiles()
-    return ([p.mac_seq for p in profiles], [p.mac_ops for p in profiles])

@@ -20,10 +20,9 @@ from typing import Sequence
 from repro.experiments.base import ExperimentResult
 from repro.experiments.report import DEFAULT_OUTPUT_DIR, format_table
 from repro.obs.events import driver_scope
-from repro.obs.manifest import current_seed, set_run_seed
 from repro.obs.metrics import inc
 from repro.obs.trace import span
-from repro.seeds import derive_driver_seed
+from repro.seeds import current_seed, derive_driver_seed, set_run_seed
 from repro.experiments import (  # noqa: F401 (re-exported driver modules)
     fault_sweep,
     fig4,
@@ -227,11 +226,9 @@ def run_module_resilient(module: ModuleType,
 
 def run_all(output_dir: Path | str = DEFAULT_OUTPUT_DIR,
             verbose: bool = False,
-            include_extensions: bool = False,
             seed: int | None = None,
             cache: bool = False,
             max_retries: int = 2,
-            backoff_s: float = 0.25,
             fault_plan=None,
             injector=None,
             modules: Sequence[ModuleType] | None = None
@@ -242,8 +239,6 @@ def run_all(output_dir: Path | str = DEFAULT_OUTPUT_DIR,
     Args:
         output_dir: destination for the CSV artifacts.
         verbose: print each rendering as it completes.
-        include_extensions: also run the extension experiments (when
-            ``modules`` is not given).
         seed: RNG seed threaded to stochastic drivers and manifests.
         cache: route every driver through the content-addressed cache
             under ``<output_dir>/.cache``
@@ -254,26 +249,24 @@ def run_all(output_dir: Path | str = DEFAULT_OUTPUT_DIR,
             degrades to a recorded-failure row
             (:func:`is_recorded_failure`) instead of killing the run.
             Overridden by ``fault_plan.retry`` when a plan is given.
-        backoff_s: exponential-backoff base between attempts; likewise
-            overridden by the plan's retry policy.
         fault_plan: optional :class:`repro.fault.plan.FaultPlan`; its
             worker faults are injected and its retry policy replaces
-            the two arguments above.
+            ``max_retries`` and the default backoff.
         injector: optional :class:`repro.fault.injector.FaultInjector`
             shared across drivers so fault accounting aggregates into
             one log (the CLI passes one to print its summary).
         modules: the drivers to run, in order; defaults to the paper
-            artifacts (plus extensions with ``include_extensions``).
+            artifacts.
 
     Returns:
         The results in the order of ``modules``.
     """
     if modules is None:
-        modules = ALL_EXPERIMENTS + (EXTENSION_EXPERIMENTS
-                                     if include_extensions else ())
+        modules = ALL_EXPERIMENTS
+    retry = {"max_retries": max_retries}
     if fault_plan is not None:
-        max_retries = fault_plan.retry.max_retries
-        backoff_s = fault_plan.retry.backoff_s
+        retry = {"max_retries": fault_plan.retry.max_retries,
+                 "backoff_s": fault_plan.retry.backoff_s}
         if injector is None:
             from repro.fault.injector import FaultInjector
             injector = FaultInjector(fault_plan)
@@ -289,9 +282,8 @@ def run_all(output_dir: Path | str = DEFAULT_OUTPUT_DIR,
     results = []
     for module in modules:
         result = run_module_resilient(
-            module, seed=seed, max_retries=max_retries,
-            backoff_s=backoff_s, fault_plan=fault_plan,
-            injector=injector, runner=runner)
+            module, seed=seed, fault_plan=fault_plan, injector=injector,
+            runner=runner, **retry)
         if not cache or is_recorded_failure(result):
             result.save_csv(output_dir)
         elif result.fault_info is not None:

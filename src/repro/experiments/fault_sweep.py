@@ -17,9 +17,9 @@ from repro.experiments.base import ExperimentResult
 from repro.experiments.report import ascii_bars, format_table
 from repro.fault.injector import FaultInjector
 from repro.fault.plan import FaultPlan
-from repro.obs.manifest import current_seed
 from repro.obs.metrics import set_gauge
 from repro.obs.trace import span
+from repro.seeds import current_seed, seeded_rng
 from repro.simulate.cursor_task import (CursorTask, SimulatedUser,
                                         run_closed_loop_session)
 
@@ -44,8 +44,6 @@ COLUMNS = ["drop_rate_pct", "trials", "hit_rate",
 
 def run() -> ExperimentResult:
     """Sweep the closed-loop session across link drop rates."""
-    from repro.obs.manifest import seeded_rng
-
     user = SimulatedUser(noise_rms=0.6)
     task = CursorTask(timeout_s=0.8, target_radius=0.35)
     injector = FaultInjector(FaultPlan(seed=current_seed() or 0))

@@ -165,8 +165,10 @@ class RetryPolicy:
     Attributes:
         max_retries: extra attempts after the first failure (the total
             attempt budget is ``max_retries + 1``); always bounded.
-        backoff_s: base of the exponential backoff slept between
-            attempts (``backoff_s * 2**attempt``); 0 disables sleeping.
+        backoff_s: base of the exponential backoff slept before retry
+            ``k`` (``backoff_s * 2**(k-1)``, applied by
+            :func:`repro.experiments.run_module_resilient`); 0
+            disables sleeping.
     """
 
     max_retries: int = 2
@@ -177,10 +179,6 @@ class RetryPolicy:
             raise ValueError("retry.max_retries must be >= 0")
         if float(self.backoff_s) < 0:
             raise ValueError("retry.backoff_s must be >= 0")
-
-    def backoff_for(self, attempt: int) -> float:
-        """Seconds to sleep before retrying after ``attempt`` failed."""
-        return float(self.backoff_s) * (2.0 ** attempt)
 
 
 @dataclass(frozen=True)

@@ -31,9 +31,7 @@ from repro.dnn.layers import Dense, Tanh
 from repro.dnn.network import Network
 from repro.dnn.train import sgd_train_batch
 from repro.fleet.spec import CohortSpec
-from repro.obs.manifest import seeded_rng
-from repro.obs.trace import span
-from repro.seeds import derive_stream_seed
+from repro.seeds import derive_stream_seed, seeded_rng
 
 __all__ = ["DnnCursorDecoder", "make_session_decoder", "calibrate_batch"]
 
@@ -214,8 +212,6 @@ def calibrate_batch(spec: CohortSpec, cohort_seed: int | None, chunks):
     sessions' models from the stacks.
     """
     fit, batch = _FAMILIES[spec.decoder]
-    with span("fleet.calibrate", decoder=spec.decoder,
-              sessions=spec.n_sessions):
-        parts = [fit(spec, cohort_seed, first, states, observations)
-                 for first, states, observations in chunks]
+    parts = [fit(spec, cohort_seed, first, states, observations)
+             for first, states, observations in chunks]
     return batch(*(np.concatenate(column) for column in zip(*parts)))

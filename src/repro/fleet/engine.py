@@ -32,10 +32,10 @@ Determinism contract (tests/fleet/):
 
 Sharding: with ``jobs > 1``, :func:`run_fleet` runs each cohort in its
 own forked child (:class:`repro.perf.parallel.Launcher`), which
-pickles the :class:`CohortResult` back.  Children emit the same
-driver-scoped telemetry a serial run would, adopted in cohort order,
-and the parent adds no events of its own, so ``events.jsonl`` stays
-byte-identical between serial and ``--jobs N`` fleet runs.
+pickles the :class:`CohortResult` back.  The engine emits no telemetry;
+the ``fleet`` driver (:mod:`repro.experiments.fleet`) records its spans
+and gauges in the parent, so ``events.jsonl`` is byte-identical between
+serial and ``--jobs N`` fleet runs.
 """
 
 from __future__ import annotations
@@ -45,12 +45,7 @@ import numpy as np
 from repro.fleet.decoders import calibrate_batch
 from repro.fleet.result import CohortResult, SessionResult
 from repro.fleet.spec import CohortSpec, FleetSpec
-from repro.obs import metrics as _metrics
-from repro.obs.events import driver_scope
-from repro.obs.manifest import seeded_rng
-from repro.obs.metrics import inc
-from repro.obs.trace import span
-from repro.seeds import derive_fault_seed, derive_stream_seed
+from repro.seeds import derive_fault_seed, derive_stream_seed, seeded_rng
 
 __all__ = ["cohort_seed", "cohort_fault_seed", "simulate_cohort",
            "run_cohort", "run_fleet"]
@@ -257,12 +252,8 @@ def simulate_cohort(spec: CohortSpec,
 
 def run_cohort(spec: CohortSpec,
                base_seed: int | None = None) -> CohortResult:
-    """Simulate one cohort under fleet telemetry scope."""
-    with driver_scope("fleet"):
-        with span("fleet.cohort", cohort=spec.name,
-                  decoder=spec.decoder, sessions=spec.n_sessions):
-            sessions = simulate_cohort(spec, base_seed)
-        inc("fleet.sessions", spec.n_sessions)
+    """Simulate one cohort and collect its rows."""
+    sessions = simulate_cohort(spec, base_seed)
     return CohortResult(spec=spec,
                         seed=cohort_seed(base_seed, spec.name),
                         rows=[s.to_row() for s in sessions],
@@ -272,22 +263,13 @@ def run_cohort(spec: CohortSpec,
 def _run_fleet_sharded(fleet: FleetSpec, base_seed: int | None,
                        jobs: int) -> list[CohortResult]:
     """One forked child per cohort; collect in cohort order."""
-    from repro.perf.parallel import Launcher, merge_payload
+    from repro.perf.parallel import Launcher
 
-    results = []
     with Launcher(jobs) as launcher:
         handles = [launcher.submit(
             lambda spec=spec: run_cohort(spec, base_seed))
             for spec in fleet.cohorts]
-        for handle in handles:
-            payload = launcher.wait(handle)
-            merge_payload(payload)
-            results.append(payload["result"])
-    if _metrics.metrics_enabled():
-        # Registry only: a metric event would break the byte-identical
-        # serial vs sharded timeline.
-        _metrics.REGISTRY.inc("fleet.cohorts_sharded", len(results))
-    return results
+        return [launcher.wait(handle) for handle in handles]
 
 
 def run_fleet(fleet: FleetSpec, base_seed: int | None = None,
@@ -295,9 +277,8 @@ def run_fleet(fleet: FleetSpec, base_seed: int | None = None,
     """Run every cohort of a fleet; ``jobs > 1`` runs each cohort in
     its own forked child, at most ``jobs`` at a time.
 
-    Returns cohort results in fleet order.  Rows — and, with events
-    enabled, the emitted timeline — are byte-identical between serial
-    and sharded execution (see module docstring).
+    Returns cohort results in fleet order; rows are byte-identical
+    between serial and sharded execution (see module docstring).
     """
     if jobs <= 1:
         return [run_cohort(spec, base_seed) for spec in fleet.cohorts]

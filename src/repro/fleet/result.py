@@ -9,8 +9,8 @@ no hits reports 0.0, never NaN.
 
 :func:`summarize_cohort` reduces per-session rows to the one dashboard
 row per cohort the fleet artifacts carry (throughput, bitrate, and
-degradation p50/p95/p99 via the nearest-rank
-:func:`repro.obs.metrics.percentile`).  It is a pure function of the
+degradation p50/p95/p99 as nearest-rank percentiles, NumPy's
+``inverted_cdf`` method).  It is a pure function of the
 rows, so the serial engine and the parent of a sharded run compute
 byte-identical summaries.
 """
@@ -23,7 +23,6 @@ from typing import Any
 import numpy as np
 
 from repro.fleet.spec import CohortSpec
-from repro.obs.metrics import percentile
 
 __all__ = ["SessionResult", "CohortResult", "SESSION_COLUMNS",
            "summarize_cohort"]
@@ -135,7 +134,7 @@ def _pct(values: list[float], pct: float) -> float:
     """Nearest-rank percentile, 0.0 on an empty sample."""
     if not values:
         return 0.0
-    return float(percentile(values, pct))
+    return float(np.percentile(values, pct, method="inverted_cdf"))
 
 
 def summarize_cohort(spec: CohortSpec,

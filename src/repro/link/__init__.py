@@ -28,8 +28,8 @@ from repro.link.budget import (
     transmit_energy_per_bit,
     communication_power,
 )
-from repro.link.channel import (AwgnChannel, measure_ber,
-                                measure_ber_grid, measure_ber_sweep)
+from repro.link.channel import (AwgnChannel, measure_ber_grid,
+                                measure_ber_sweep)
 from repro.link.packetizer import Packet, Packetizer, crc16
 from repro.link.wpt import InductiveLink
 from repro.link.protocol import (
@@ -57,7 +57,6 @@ __all__ = [
     "transmit_energy_per_bit",
     "communication_power",
     "AwgnChannel",
-    "measure_ber",
     "measure_ber_grid",
     "measure_ber_sweep",
     "Packet",

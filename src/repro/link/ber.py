@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from repro.obs.metrics import inc
-
 
 def q_function(x: float) -> float:
     """Gaussian tail probability Q(x) = P(N(0,1) > x)."""
@@ -89,7 +87,6 @@ def required_ebn0(target_ber: float,
         raise ValueError("target BER must lie in (0, 0.5)")
     if scheme not in ("qam", "bpsk", "ook"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    inc("link.ebn0_inversions")
     return _solve_ebn0(target_ber, bits_per_symbol, scheme)
 
 

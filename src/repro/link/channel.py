@@ -13,9 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.link.modulation import Modulation
-from repro.obs.manifest import seeded_rng
-from repro.obs.metrics import inc
-from repro.obs.trace import span
+from repro.seeds import current_seed, derive_stream_seed, seeded_rng
 
 
 @dataclass
@@ -47,48 +45,6 @@ class AwgnChannel:
         return symbols + noise
 
 
-def measure_ber(scheme: Modulation,
-                ebn0_db: float,
-                n_bits: int,
-                rng: np.random.Generator | None = None) -> float:
-    """Empirical BER of a modulation scheme over AWGN.
-
-    Args:
-        scheme: modulation under test.
-        ebn0_db: Eb/N0 operating point in dB.
-        n_bits: number of random bits to push through (rounded down to a
-            whole number of symbols).
-        rng: random generator for both data and noise; defaults to a
-            generator honoring the process run seed
-            (:func:`repro.obs.manifest.seeded_rng`, i.e. the CLI's
-            ``--seed`` flag).
-
-    Returns:
-        Fraction of bit errors observed.
-
-    Raises:
-        ValueError: if fewer than one symbol's worth of bits is requested.
-    """
-    if rng is None:
-        rng = seeded_rng()
-    bits_per_symbol = scheme.bits_per_symbol
-    n_bits = (n_bits // bits_per_symbol) * bits_per_symbol
-    if n_bits <= 0:
-        raise ValueError("need at least one symbol's worth of bits")
-    with span("link.measure_ber", ebn0_db=ebn0_db, n_bits=n_bits):
-        bits = rng.integers(0, 2, size=n_bits).astype(np.int8)
-        symbols = scheme.modulate(bits)
-        channel = AwgnChannel(ebn0_linear=10.0 ** (ebn0_db / 10.0),
-                              rng=rng)
-        received = channel.transmit(symbols)
-        decoded = scheme.demodulate(received)
-        n_errors = int(np.count_nonzero(decoded != bits))
-    inc("link.mc_symbols_simulated", len(symbols))
-    inc("link.mc_bits_simulated", n_bits)
-    inc("link.mc_bit_errors", n_errors)
-    return n_errors / n_bits
-
-
 def measure_ber_sweep(scheme: Modulation,
                       ebn0_db: np.ndarray,
                       n_bits: int,
@@ -103,7 +59,8 @@ def measure_ber_sweep(scheme: Modulation,
     instead of G full Monte-Carlo runs.  Sharing data and noise across
     points is the standard common-random-numbers setup for comparing
     operating points; it intentionally differs from independent
-    :func:`measure_ber` calls.
+    one-point sweeps.  A one-point sweep is the plain Monte-Carlo
+    estimate at that Eb/N0.
 
     Args:
         scheme: modulation under test.
@@ -111,7 +68,7 @@ def measure_ber_sweep(scheme: Modulation,
         n_bits: bits pushed through per grid point (rounded down to a
             whole number of symbols).
         rng: random generator; defaults to the process run seed
-            (:func:`repro.obs.manifest.seeded_rng`).
+            (:func:`repro.seeds.seeded_rng`).
         chunk_bits: upper bound on bits in flight at once — caps peak
             memory regardless of ``n_bits``.
 
@@ -137,33 +94,28 @@ def measure_ber_sweep(scheme: Modulation,
 
     errors = np.zeros(grid.size, dtype=np.int64)
     done = 0
-    with span("link.measure_ber_sweep", points=grid.size, n_bits=n_bits,
-              chunk_bits=chunk_bits):
-        while done < n_bits:
-            take = min(chunk_bits, n_bits - done)
-            bits = rng.integers(0, 2, size=take).astype(np.int8)
-            symbols = scheme.modulate(bits)
-            # Component-wise complex assembly: the same two normal
-            # draws, in the same order, as ``re + 1j * im`` — but
-            # written straight into place instead of through a complex
-            # multiply and add (the noise array is the chunk's single
-            # biggest temporary).
-            unit_noise = np.empty(symbols.shape, dtype=np.complex128)
-            unit_noise.real = rng.standard_normal(symbols.shape)
-            unit_noise.imag = rng.standard_normal(symbols.shape)
-            noisy = np.empty(symbols.shape, dtype=np.complex128)
-            for point, sigma in enumerate(sigmas.tolist()):
-                # sigma*noise + symbols into the reused scratch buffer:
-                # bit-identical to ``symbols + sigma * unit_noise``
-                # without two fresh chunk-sized temporaries per point.
-                np.multiply(unit_noise, sigma, out=noisy)
-                noisy += symbols
-                decoded = scheme.demodulate(noisy)
-                errors[point] += int(np.count_nonzero(decoded != bits))
-            done += take
-    inc("link.mc_symbols_simulated", (n_bits // bits_per_symbol) * grid.size)
-    inc("link.mc_bits_simulated", n_bits * grid.size)
-    inc("link.mc_bit_errors", int(errors.sum()))
+    while done < n_bits:
+        take = min(chunk_bits, n_bits - done)
+        bits = rng.integers(0, 2, size=take).astype(np.int8)
+        symbols = scheme.modulate(bits)
+        # Component-wise complex assembly: the same two normal
+        # draws, in the same order, as ``re + 1j * im`` — but
+        # written straight into place instead of through a complex
+        # multiply and add (the noise array is the chunk's single
+        # biggest temporary).
+        unit_noise = np.empty(symbols.shape, dtype=np.complex128)
+        unit_noise.real = rng.standard_normal(symbols.shape)
+        unit_noise.imag = rng.standard_normal(symbols.shape)
+        noisy = np.empty(symbols.shape, dtype=np.complex128)
+        for point, sigma in enumerate(sigmas.tolist()):
+            # sigma*noise + symbols into the reused scratch buffer:
+            # bit-identical to ``symbols + sigma * unit_noise``
+            # without two fresh chunk-sized temporaries per point.
+            np.multiply(unit_noise, sigma, out=noisy)
+            noisy += symbols
+            decoded = scheme.demodulate(noisy)
+            errors[point] += int(np.count_nonzero(decoded != bits))
+        done += take
     return errors / n_bits
 
 
@@ -189,7 +141,7 @@ def measure_ber_grid(schemes,
         ebn0_db: Eb/N0 grid in dB (any array-like; flattened).
         n_bits: bits pushed through per grid point per scheme.
         seed: base seed for the per-scheme substreams; defaults to the
-            process run seed (:func:`repro.obs.manifest.current_seed`,
+            process run seed (:func:`repro.seeds.current_seed`,
             i.e. the CLI's ``--seed``).
         chunk_bits: per-sweep memory bound, as in
             :func:`measure_ber_sweep`.
@@ -202,21 +154,14 @@ def measure_ber_grid(schemes,
         ValueError: if no schemes are given (grid/bit validation happens
             per sweep).
     """
-    from repro.obs.manifest import current_seed
-    from repro.seeds import derive_stream_seed
-
     schemes = list(schemes)
     if not schemes:
         raise ValueError("need at least one modulation scheme")
     grid = np.asarray(ebn0_db, dtype=np.float64).ravel()
     base_seed = seed if seed is not None else current_seed()
     measured = np.empty((len(schemes), grid.size), dtype=np.float64)
-    with span("link.measure_ber_grid", schemes=len(schemes),
-              points=grid.size, n_bits=n_bits):
-        for index, scheme in enumerate(schemes):
-            rng = seeded_rng(derive_stream_seed(base_seed, "mc",
-                                                scheme.name))
-            measured[index] = measure_ber_sweep(scheme, grid, n_bits,
-                                                rng=rng,
-                                                chunk_bits=chunk_bits)
+    for index, scheme in enumerate(schemes):
+        rng = seeded_rng(derive_stream_seed(base_seed, "mc", scheme.name))
+        measured[index] = measure_ber_sweep(scheme, grid, n_bits, rng=rng,
+                                            chunk_bits=chunk_bits)
     return measured

@@ -1,6 +1,8 @@
 """Observability substrate: span tracing, metrics, and run manifests.
 
-Every layer of the reproduction pipeline reports into this package:
+The experiment drivers, the CLI and the infrastructure (cache, fault
+injector) report into this package; the science packages import
+nothing from it:
 
 * :mod:`repro.obs.trace` — nested wall-clock spans (``with span("x"):``),
   thread-safe, exportable as JSON or a rendered text tree.
@@ -13,9 +15,9 @@ Every layer of the reproduction pipeline reports into this package:
   backing ``python -m repro profile <experiment>``.
 
 Instrumentation is **disabled by default** and the disabled paths are
-deliberate no-ops (a flag check and a cached sentinel object), so the hot
-paths this package watches stay as fast as the uninstrumented code —
-verified by ``tests/obs/test_overhead.py``.
+deliberate no-ops (a flag check and a cached sentinel object), so an
+uninstrumented run pays essentially nothing — verified by
+``tests/obs/test_overhead.py``.
 """
 
 from __future__ import annotations
@@ -33,10 +35,7 @@ from repro.obs.events import disable as disable_events
 from repro.obs.events import enable as enable_events
 from repro.obs.manifest import (
     build_manifest,
-    current_seed,
     environment_info,
-    seeded_rng,
-    set_run_seed,
     write_manifest,
 )
 from repro.obs.metrics import (
@@ -55,8 +54,6 @@ from repro.obs.trace import (
     Span,
     Tracer,
     span,
-    span_from_dict,
-    traced,
     tracing_enabled,
 )
 from repro.obs.trace import disable as disable_tracing
@@ -88,11 +85,10 @@ def reset_all() -> None:
 __all__ = [
     "ENGINE_SCOPE", "EVENTS", "Event", "EventLog", "REGISTRY", "TRACER",
     "MetricsRegistry", "Span", "Tracer",
-    "build_manifest", "current_seed", "disable_all", "disable_events",
+    "build_manifest", "disable_all", "disable_events",
     "disable_metrics", "disable_tracing", "driver_scope", "emit",
     "enable_all", "enable_events", "enable_metrics", "enable_tracing",
     "environment_info", "events_enabled", "hotspots", "inc",
     "metrics_enabled", "observe", "render_hotspots", "reset_all",
-    "seeded_rng", "set_gauge", "set_run_seed", "span", "span_from_dict",
-    "traced", "tracing_enabled", "write_manifest",
+    "set_gauge", "span", "tracing_enabled", "write_manifest",
 ]

@@ -16,14 +16,14 @@ or ``--jobs N`` — which is what makes run-vs-run diffing
 
 Every event is tagged with the experiment driver it belongs to
 (:func:`driver_scope`, entered by ``repro.experiments.run_module``,
-the cached runner and the fleet).  Events emitted outside any driver —
-such as the chaos drills' fault and cache events — carry the empty
-driver tag and are excluded from run-vs-run diffs by default.
+the cached runner and the ``fleet`` command).  Events emitted outside
+any driver — such as the chaos drills' fault and cache events — carry
+the empty driver tag and are excluded from run-vs-run diffs by default.
 
-Sharded fleet runs merge deterministically: each forked child exports
-its event block with its payload, and the parent adopts the blocks in
-cohort order (:meth:`EventLog.adopt`), reassigning sequence numbers so
-the merged timeline is gapless and byte-stable for a fixed seed.
+Only drivers and infrastructure emit: the science packages import
+nothing from :mod:`repro.obs`.  A forked ``fleet --jobs`` child runs
+science only, so it has nothing to send back, and the parent's fleet
+driver records the same spans and gauges as a serial run.
 
 Collection is disabled by default; :func:`emit` is a no-op (one module
 flag check) until :func:`enable` is called, preserving the <5 %
@@ -42,7 +42,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
 __all__ = ["Event", "EventLog", "EVENTS", "emit", "enable", "disable",
            "events_enabled", "driver_scope", "current_driver",
@@ -147,11 +147,7 @@ class EventLog:
             self._events.clear()
             self._driver = ENGINE_SCOPE
 
-    # -- serialization / merge -------------------------------------------
-
-    def to_dicts(self) -> list[dict[str, Any]]:
-        """The whole timeline as JSON-able dicts."""
-        return [event.to_dict() for event in self.events]
+    # -- serialization ----------------------------------------------------
 
     def to_jsonl(self) -> str:
         """Canonical JSONL text (one event per line, trailing newline).
@@ -168,27 +164,6 @@ class EventLog:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(self.to_jsonl(), encoding="utf-8")
         return path
-
-    def adopt(self, records: Iterable[dict[str, Any]]) -> int:
-        """Append externally recorded events, reassigning sequence
-        numbers.
-
-        The sharded fleet calls this once per child payload, in cohort
-        order, so the merged timeline is identical run-to-run
-        regardless of completion order.  Returns the number
-        of events adopted.
-        """
-        adopted = 0
-        with self._lock:
-            for record in records:
-                self._events.append(Event(
-                    seq=len(self._events),
-                    driver=record.get("driver", ENGINE_SCOPE),
-                    kind=record["kind"],
-                    name=record["name"],
-                    attrs=dict(record.get("attrs", {}))))
-                adopted += 1
-        return adopted
 
 
 #: The process-wide event log behind :func:`emit`.

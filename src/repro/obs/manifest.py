@@ -3,12 +3,9 @@
 A manifest answers "what produced this CSV?": the git commit, interpreter
 and NumPy versions, the RNG seed (if one was set), wall-clock duration,
 and peak resident memory.  ``ExperimentResult.save_csv`` writes one
-``<name>.manifest.json`` next to each ``<name>.csv``.
-
-The module also owns the process-wide *run seed*: ``repro evaluate
---seed N`` calls :func:`set_run_seed`, stochastic code asks
-:func:`seeded_rng` for a generator, and every manifest records the seed
-it ran under.
+``<name>.manifest.json`` next to each ``<name>.csv``.  The seed
+recorded is the process run seed (:func:`repro.seeds.current_seed`)
+unless the caller names one.
 """
 
 from __future__ import annotations
@@ -22,39 +19,13 @@ import time
 from pathlib import Path
 from typing import Any
 
-__all__ = ["build_manifest", "current_seed", "environment_info",
-           "git_sha", "peak_rss_bytes", "seeded_rng", "set_run_seed",
-           "write_manifest"]
+from repro.seeds import current_seed
+
+__all__ = ["build_manifest", "environment_info", "git_sha",
+           "peak_rss_bytes", "write_manifest"]
 
 #: Manifest schema version (bump when the field set changes).
 SCHEMA_VERSION = 1
-
-_run_seed: int | None = None
-
-
-def set_run_seed(seed: int | None) -> None:
-    """Set (or clear) the process-wide RNG seed recorded in manifests."""
-    global _run_seed
-    _run_seed = seed
-
-
-def current_seed() -> int | None:
-    """The seed set by :func:`set_run_seed`, or None."""
-    return _run_seed
-
-
-def seeded_rng(seed: int | None = None) -> "Any":
-    """A NumPy generator honoring the run seed (or an explicit one).
-
-    Returns ``np.random.default_rng(seed)`` when ``seed`` is given — the
-    sanctioned constructor for derived substreams
-    (:func:`repro.seeds.derive_stream_seed`) — and
-    ``np.random.default_rng(current_seed())`` otherwise: reproducible
-    when a seed was set via ``--seed``/:func:`set_run_seed`, fresh
-    entropy if not.
-    """
-    import numpy as np
-    return np.random.default_rng(seed if seed is not None else _run_seed)
 
 
 @functools.lru_cache(maxsize=1)
@@ -113,7 +84,7 @@ def build_manifest(name: str,
         "schema_version": SCHEMA_VERSION,
         "name": name,
         "created_unix_s": time.time(),
-        "seed": seed if seed is not None else _run_seed,
+        "seed": seed if seed is not None else current_seed(),
         "duration_s": duration_s,
         "peak_rss_bytes": peak_rss_bytes(),
     }

@@ -1,16 +1,17 @@
 """Metrics registry: named counters, gauges, and histograms.
 
-One process-wide :data:`REGISTRY` collects everything the instrumented
-layers emit — ``link.mc_symbols_simulated``, ``dnn.macs_executed``,
-``compress.ratio``, ... — with :meth:`MetricsRegistry.snapshot` /
-:meth:`MetricsRegistry.reset` semantics so a CLI run (or a benchmark
-session) can scope its own window of observation.
+One process-wide :data:`REGISTRY` collects what the experiment drivers
+and the infrastructure record — ``fig7.multiplier_at_100pct``,
+``experiments.runs``, ``cache.hits``, ... — with
+:meth:`MetricsRegistry.snapshot` / :meth:`MetricsRegistry.reset`
+semantics so a CLI run (or a benchmark session) can scope its own
+window of observation.  The science packages record nothing.
 
 The module-level helpers :func:`inc`, :func:`set_gauge`, and
-:func:`observe` are the instrumentation surface used inside hot paths:
-they check one module flag and return immediately while metrics are
-disabled (the default), so the instrumented code pays essentially nothing
-until someone asks for numbers.  Direct method calls on a registry
+:func:`observe` are the instrumentation surface: they check one module
+flag and return immediately while metrics are disabled (the default),
+so the instrumented code pays essentially nothing until someone asks
+for numbers.  Direct method calls on a registry
 instance always record, independent of the flag — that is the path the
 benchmark harness uses to build its manifest.
 """
@@ -139,50 +140,6 @@ class MetricsRegistry:
             self._counters.clear()
             self._gauges.clear()
             self._histograms.clear()
-
-    def export_state(self) -> dict[str, Any]:
-        """Full registry state for cross-process transfer.
-
-        Unlike :meth:`snapshot` (a human-facing summary), the export
-        keeps each histogram's streaming moments *and* its retained raw
-        samples so a parent process can merge it losslessly with
-        :meth:`merge_state`.
-        """
-        with self._lock:
-            return {
-                "counters": dict(self._counters),
-                "gauges": dict(self._gauges),
-                "histograms": {
-                    name: {"count": hist.count, "total": hist.total,
-                           "min": hist.min, "max": hist.max,
-                           "values": list(hist.values)}
-                    for name, hist in self._histograms.items()},
-            }
-
-    def merge_state(self, state: dict[str, Any]) -> None:
-        """Fold a worker's :meth:`export_state` into this registry.
-
-        Counters add, gauges take the incoming value (last writer wins,
-        matching serial semantics), and histograms merge their streaming
-        moments; retained raw samples are concatenated up to the
-        per-histogram cap.
-        """
-        with self._lock:
-            for name, value in state.get("counters", {}).items():
-                self._counters[name] = (self._counters.get(name, 0.0)
-                                        + value)
-            self._gauges.update(state.get("gauges", {}))
-            for name, incoming in state.get("histograms", {}).items():
-                hist = self._histograms.get(name)
-                if hist is None:
-                    hist = self._histograms[name] = _Histogram()
-                hist.count += incoming["count"]
-                hist.total += incoming["total"]
-                hist.min = min(hist.min, incoming["min"])
-                hist.max = max(hist.max, incoming["max"])
-                room = _HISTOGRAM_CAP - len(hist.values)
-                if room > 0:
-                    hist.values.extend(incoming["values"][:room])
 
     def render(self) -> str:
         """Snapshot rendered as aligned ``name  value`` lines."""

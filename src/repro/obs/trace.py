@@ -1,17 +1,12 @@
 """Span tracer: nested wall-clock timing with attributes.
 
-Usage — context manager (the common form)::
+Usage::
 
     from repro.obs import span
 
     with span("fig5.sweep", socs=8) as sp:
         ...
         sp.set(rows=len(rows))
-
-or decorator::
-
-    @traced("link.measure_ber")
-    def measure_ber(...): ...
 
 Spans nest per thread (each thread keeps its own open-span stack; roots
 from every thread land in one shared, locked list), and the recorded
@@ -26,7 +21,6 @@ instrumented hot paths cost essentially nothing (see
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
 import threading
@@ -35,7 +29,7 @@ import time
 from repro.obs.events import emit as _emit_event
 from repro.obs.events import events_enabled as _events_enabled
 from repro.units import to_ms, to_us
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 try:
     import resource as _resource
@@ -51,8 +45,8 @@ def _peak_rss_bytes() -> int | None:
     # Linux reports kilobytes; macOS reports bytes.
     return peak if sys.platform == "darwin" else peak * 1024
 
-__all__ = ["Span", "Tracer", "TRACER", "span", "span_from_dict", "traced",
-           "enable", "disable", "tracing_enabled"]
+__all__ = ["Span", "Tracer", "TRACER", "span", "enable", "disable",
+           "tracing_enabled"]
 
 
 class Span:
@@ -211,16 +205,6 @@ class Tracer:
             self._roots.clear()
         self._local = threading.local()
 
-    def adopt(self, roots: Iterable[Span]) -> None:
-        """Append externally recorded root spans to this tracer's forest.
-
-        Used by the sharded fleet (:func:`repro.perf.merge_payload`) to
-        merge span trees rebuilt (via :func:`span_from_dict`) from
-        child-process exports into the parent trace.
-        """
-        with self._lock:
-            self._roots.extend(roots)
-
     @property
     def roots(self) -> list[Span]:
         """Completed top-level spans, in completion order."""
@@ -309,41 +293,3 @@ def span(name: str, **attrs: Any):
         return _NOOP
     return Span(name, attrs, TRACER)
 
-
-def span_from_dict(record: dict[str, Any],
-                   tracer: Tracer | None = None) -> Span:
-    """Rebuild a :class:`Span` subtree from its :meth:`Span.to_dict` form.
-
-    The inverse of the JSON export, up to the information the export
-    keeps: absolute start/end times are not preserved (only durations),
-    so rebuilt spans report the right ``duration_s`` / ``self_time_s``
-    but are not aligned on the original clock.  Used to adopt spans
-    recorded in worker processes into the parent tracer
-    (:meth:`Tracer.adopt`).
-    """
-    node = Span(record["name"], dict(record.get("attrs", {})),
-                tracer or TRACER)
-    node.start_s = 0.0
-    node.end_s = float(record.get("duration_s", 0.0))
-    node.thread_name = record.get("thread", node.thread_name)
-    node.rss_delta_bytes = record.get("rss_delta_bytes")
-    node.children = [span_from_dict(child, tracer)
-                     for child in record.get("children", [])]
-    return node
-
-
-def traced(name: str | None = None) -> Callable:
-    """Decorator form of :func:`span`; span name defaults to the function's
-    qualified name."""
-    def decorate(func: Callable) -> Callable:
-        label = name or func.__qualname__
-
-        @functools.wraps(func)
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            if not _enabled:
-                return func(*args, **kwargs)
-            with Span(label, {}, TRACER):
-                return func(*args, **kwargs)
-
-        return wrapper
-    return decorate

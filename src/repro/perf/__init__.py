@@ -1,10 +1,8 @@
 """Process fan-out for ``fleet --jobs``: one forked child per cohort.
 
 * :mod:`repro.perf.parallel` — :class:`Launcher` forks one child per
-  task (at most ``jobs`` alive) and pickles its result and telemetry
-  back over a pipe; :func:`merge_payload` folds each child's spans,
-  metrics, and events into the parent in submission order.  Its one
-  caller is :func:`repro.fleet.run_fleet`.
+  task (at most ``jobs`` alive) and pickles its result back over a
+  pipe.  Its one caller is :func:`repro.fleet.run_fleet`.
 
 Experiment drivers always run serially through
 :func:`repro.experiments.run_module_resilient`.  Seed derivation, which
@@ -17,11 +15,6 @@ bench run``; see ``docs/PERFORMANCE.md``.
 
 from __future__ import annotations
 
-from repro.perf.parallel import (
-    Launcher,
-    TaskFailed,
-    merge_payload,
-    resolve_jobs,
-)
+from repro.perf.parallel import Launcher, TaskFailed, resolve_jobs
 
-__all__ = ["Launcher", "TaskFailed", "merge_payload", "resolve_jobs"]
+__all__ = ["Launcher", "TaskFailed", "resolve_jobs"]

@@ -1,10 +1,9 @@
 """Process fan-out behind ``fleet --jobs``: one forked child per task.
 
 :class:`Launcher` forks one child per submitted task and keeps at most
-``jobs`` children alive.  Each child resets the process-wide tracer,
-metrics registry and event log it inherited, runs its task, pickles
-``{result, spans, metrics, events}`` back over a pipe, and exits.  The
-parent waits on the pipes with :func:`multiprocessing.connection.wait`:
+``jobs`` children alive.  Each child runs its task, pickles the result
+back over a pipe, and exits.  The parent waits on the pipes with
+:func:`multiprocessing.connection.wait`:
 
 * a task that raises reports ``"<ExceptionType>: <message>"``;
 * a child that dies without replying reports ``"WorkerDied: exit code
@@ -14,12 +13,11 @@ Forking (not spawning) is deliberate: a child starts with the parent's
 imports loaded, so a task is any callable — it closes over cohort specs
 directly, and nothing is re-imported or pickled on the way in.  The
 engine starts no threads of its own.  A fresh child per task also means
-no RNG or observability state can leak from one task into the next.
+no RNG state can leak from one task into the next.
 
 :func:`repro.fleet.run_fleet` (``fleet --jobs N``) shards cohorts with
-it and folds every child's telemetry into the parent *in submission
-order* (:func:`merge_payload`), never completion order, which keeps
-``events.jsonl`` byte-identical to a serial run.
+it.  Tasks carry no telemetry: the science a child runs emits none, and
+the fleet driver records its spans and gauges in the parent.
 """
 
 from __future__ import annotations
@@ -31,12 +29,7 @@ from collections import deque
 from multiprocessing import connection
 from typing import Any, Callable
 
-from repro.obs import events as _events
-from repro.obs import metrics as _metrics
-from repro.obs import trace as _trace
-from repro.obs.trace import span_from_dict
-
-__all__ = ["Launcher", "TaskFailed", "merge_payload", "resolve_jobs"]
+__all__ = ["Launcher", "TaskFailed", "resolve_jobs"]
 
 
 def resolve_jobs(jobs: int | None) -> int:
@@ -54,15 +47,9 @@ class TaskFailed(RuntimeError):
 
 
 def _child_main(conn, task: Callable[[], Any]) -> None:
-    """Forked child: run one task and send its payload to the parent."""
-    _trace.TRACER.reset()
-    _metrics.REGISTRY.reset()
-    _events.EVENTS.reset()
+    """Forked child: run one task and send its outcome to the parent."""
     try:
-        payload = {"result": task(), "pid": os.getpid(),
-                   "spans": _trace.TRACER.to_dicts(),
-                   "metrics": _metrics.REGISTRY.export_state(),
-                   "events": _events.EVENTS.to_dicts()}
+        payload = {"result": task()}
     except Exception as error:
         payload = {"error": f"{type(error).__name__}: {error}"}
     conn.send(payload)
@@ -104,8 +91,8 @@ class Launcher:
         self._start_queued()
         return handle
 
-    def wait(self, handle: int) -> dict[str, Any]:
-        """Block until one task finishes; return its payload.
+    def wait(self, handle: int) -> Any:
+        """Block until one task finishes; return its result.
 
         Raises:
             TaskFailed: the task raised or its child died.
@@ -120,7 +107,7 @@ class Launcher:
         payload = self._done.pop(handle)
         if "error" in payload:
             raise TaskFailed(payload["error"])
-        return payload
+        return payload["result"]
 
     def _start_queued(self) -> None:
         while self._queue and len(self._running) < self.jobs:
@@ -155,19 +142,3 @@ class Launcher:
         conn.close()
         self._done[handle] = payload
 
-
-def merge_payload(payload: dict[str, Any]) -> None:
-    """Fold one child's span forest, metrics, and timeline events into
-    the parent's process-wide observability state.
-
-    Called in submission order (never completion order), so the merged
-    event timeline is deterministic for a fixed seed.
-    """
-    roots = []
-    for record in payload["spans"]:
-        root = span_from_dict(record)
-        root.attrs.setdefault("worker_pid", payload["pid"])
-        roots.append(root)
-    _trace.TRACER.adopt(roots)
-    _metrics.REGISTRY.merge_state(payload["metrics"])
-    _events.EVENTS.adopt(payload["events"])

@@ -18,6 +18,11 @@ so evaluating the grid in one pass draws exactly what per-scheme sweeps
 would.  :func:`derive_fault_seed` namespaces the fault layer's streams
 away from both.
 
+The module also owns the process-wide *run seed*: ``repro evaluate
+--seed N`` calls :func:`set_run_seed`, stochastic code asks
+:func:`seeded_rng` for a generator, and every run manifest
+(:mod:`repro.obs.manifest`) records :func:`current_seed`.
+
 Kept free of package-internal imports so the experiment drivers, the
 fleet and the fault layer can all use it without an import cycle.
 """
@@ -25,9 +30,37 @@ fleet and the fault layer can all use it without an import cycle.
 from __future__ import annotations
 
 import hashlib
+from typing import Any
 
-__all__ = ["derive_driver_seed", "derive_fault_seed",
-           "derive_stream_seed"]
+__all__ = ["current_seed", "derive_driver_seed", "derive_fault_seed",
+           "derive_stream_seed", "seeded_rng", "set_run_seed"]
+
+_run_seed: int | None = None
+
+
+def set_run_seed(seed: int | None) -> None:
+    """Set (or clear) the process-wide run seed."""
+    global _run_seed
+    _run_seed = seed
+
+
+def current_seed() -> int | None:
+    """The seed set by :func:`set_run_seed`, or None."""
+    return _run_seed
+
+
+def seeded_rng(seed: int | None = None) -> "Any":
+    """A NumPy generator honoring the run seed (or an explicit one).
+
+    Returns ``np.random.default_rng(seed)`` when ``seed`` is given — the
+    sanctioned constructor for derived substreams
+    (:func:`derive_stream_seed`) — and
+    ``np.random.default_rng(current_seed())`` otherwise: reproducible
+    when a seed was set via ``--seed``/:func:`set_run_seed`, fresh
+    entropy if not.
+    """
+    import numpy as np
+    return np.random.default_rng(seed if seed is not None else _run_seed)
 
 
 def derive_stream_seed(base_seed: int | None, *labels: str) -> int | None:

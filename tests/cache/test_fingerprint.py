@@ -50,8 +50,8 @@ class TestImportClosure:
         closure = import_closure("repro.link.channel")
         assert "repro.link.channel" in closure
         assert "repro.link.modulation" in closure
-        # channel -> obs.trace (spans) is a transitive dependency.
-        assert "repro.obs.trace" in closure
+        # channel -> modulation -> ber is a transitive dependency.
+        assert "repro.link.ber" in closure
 
     def test_contains_parent_packages(self):
         closure = import_closure("repro.link.channel")

@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
 import numpy as np
 import pytest
 
 from repro.core.scaling import ScaledSoC, scale_to_standard
 from repro.core.socs import TABLE1, soc_by_number, wireless_socs
-from repro.obs import metrics
 
 
 @pytest.fixture
@@ -40,14 +37,3 @@ def all_scaled() -> list[ScaledSoC]:
 def wireless_scaled() -> list[ScaledSoC]:
     """SoCs 1-8 scaled to 1024 channels."""
     return [scale_to_standard(record) for record in wireless_socs()]
-
-
-@pytest.fixture
-def counted_metrics() -> Iterator[metrics.MetricsRegistry]:
-    """The global metrics registry, empty and recording for one test."""
-    metrics.disable()
-    metrics.REGISTRY.reset()
-    metrics.enable()
-    yield metrics.REGISTRY
-    metrics.disable()
-    metrics.REGISTRY.reset()

@@ -1,11 +1,12 @@
-"""Tests for the Network container, fMAC, and head splitting."""
+"""Tests for the Network container, its Eq. 10 profile, and head
+splitting."""
 
 import numpy as np
 import pytest
 
 from repro.dnn.layers import Dense, Flatten, ReLU
 from repro.dnn.models import build_speech_dncnn, build_speech_mlp
-from repro.dnn.network import Network, fmac
+from repro.dnn.network import Network
 
 #: Channel counts spanning the MLP depths and the DN-CNN pool-by-4,
 #: pool-by-2 and no-pool branches.
@@ -88,15 +89,21 @@ class TestProfileWalk:
         assert walk.n_parameters == net.n_parameters
 
 
+def _eq10_lists(net: Network) -> tuple[list[int], list[int]]:
+    """Eq. 10's ``[MACseq_i], [#MACop_i]`` of a network."""
+    profiles = net.mac_profiles()
+    return [p.mac_seq for p in profiles], [p.mac_ops for p in profiles]
+
+
 class TestFmac:
     def test_eq10_lists(self):
-        seqs, ops = fmac(small_net())
+        seqs, ops = _eq10_lists(small_net())
         assert seqs == [8, 6, 4]
         assert ops == [6, 4, 2]
 
     def test_flatten_not_counted(self):
         net = Network([Flatten(), Dense(12, 4)], input_shape=(3, 4))
-        seqs, ops = fmac(net)
+        seqs, ops = _eq10_lists(net)
         assert seqs == [12]
         assert ops == [4]
 

@@ -52,11 +52,6 @@ class TestSemantics:
         assert spec.fault_for("fig5", 2) == ("slow", 0.5)
         assert spec.fault_for("fig7", 0) == (None, 0.0)
 
-    def test_backoff_doubles(self):
-        policy = RetryPolicy(backoff_s=0.25)
-        assert [policy.backoff_for(k) for k in range(3)] == [0.25, 0.5,
-                                                             1.0]
-
 
 class TestSerialization:
     def test_json_round_trip(self):

@@ -9,6 +9,8 @@ a whole ``run_all`` byte for byte.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.experiments import (ALL_EXPERIMENTS, FAILURE_COLUMNS,
@@ -77,6 +79,15 @@ class TestSerialResilience:
         assert result.rows == run_module(CHEAP, seed=5).rows
         [event] = injector.events
         assert event.kind == "slow" and event.target == CHEAP_NAME
+
+    def test_backoff_doubles(self, monkeypatch):
+        slept = []
+        monkeypatch.setattr(time, "sleep", slept.append)
+        plan = FaultPlan(worker=WorkerFaults(crash={CHEAP_NAME: 3}))
+        result = run_module_resilient(CHEAP, seed=5, max_retries=3,
+                                      backoff_s=0.25, fault_plan=plan)
+        assert not is_recorded_failure(result)
+        assert slept == [0.25, 0.5, 1.0]
 
     def test_negative_retry_budget_rejected(self):
         with pytest.raises(ValueError):

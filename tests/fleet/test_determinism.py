@@ -11,7 +11,7 @@ from repro.fleet import (
     simulate_cohort,
 )
 from repro.fleet.engine import _simulate
-from repro.obs.manifest import seeded_rng
+from repro.seeds import seeded_rng
 
 BASE_SEED = 99
 

@@ -23,7 +23,7 @@ from repro.fault.plan import FaultPlan, LinkFaults
 from repro.fleet import CohortSpec, cohort_fault_seed, cohort_seed
 from repro.fleet.decoders import calibrate_batch, make_session_decoder
 from repro.fleet.engine import CALIBRATION_CHUNK, _calibration_chunks
-from repro.obs.manifest import seeded_rng
+from repro.seeds import seeded_rng
 from repro.simulate.cursor_task import (
     PARITY_ORACLES,
     run_closed_loop_cohort,

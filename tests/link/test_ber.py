@@ -135,11 +135,11 @@ class TestEbn0Memo:
                 required_ebn0(*args)
         assert ber._solve_ebn0.cache_info().currsize == 0
 
-    def test_counter_counts_requests_not_solves(self, counted_metrics):
+    def test_counter_counts_requests_not_solves(self):
         for _ in range(3):
             required_ebn0(1e-6, 4)
-        assert ber._solve_ebn0.cache_info().misses == 1
-        assert counted_metrics.counter("link.ebn0_inversions") == 3
+        info = ber._solve_ebn0.cache_info()
+        assert (info.hits, info.misses) == (2, 1)
 
 
 #: The 462 inversions the solver must reproduce: QAM b = 1..12, BPSK and

@@ -67,19 +67,6 @@ class TestEventLog:
         log.emit("metric", "after")
         assert [e.driver for e in log.events] == [ev.ENGINE_SCOPE]
 
-    def test_adopt_reassigns_seq_in_order(self):
-        log = ev.EventLog()
-        log.emit("span_start", "engine")
-        worker = ev.EventLog()
-        with worker.scope("fig9"):
-            worker.emit("metric", "fig9.x", value=1.0)
-            worker.emit("metric", "fig9.y", value=2.0)
-        adopted = log.adopt(worker.to_dicts())
-        assert adopted == 2
-        assert [e.seq for e in log.events] == [0, 1, 2]
-        assert [e.driver for e in log.events] == ["", "fig9", "fig9"]
-        assert log.events[1].attrs == {"value": 1.0}
-
     def test_jsonl_round_trip_and_trailing_newline(self, tmp_path):
         log = ev.EventLog()
         log.emit("fault", "link.drop", domain="link")
@@ -87,7 +74,7 @@ class TestEventLog:
         text = path.read_text(encoding="utf-8")
         assert text.endswith("\n")
         assert [json.loads(line) for line in text.splitlines()] \
-            == log.to_dicts()
+            == [event.to_dict() for event in log.events]
         assert ev.EventLog().to_jsonl() == ""
 
     def test_thread_safety_no_lost_or_duplicate_seq(self):

@@ -1,17 +1,14 @@
-"""Tests for run manifests and the process run seed."""
+"""Tests for run manifests and the process run seed they record."""
 
 import json
 
 import numpy as np
 import pytest
 
+from repro import seeds
 from repro.obs import manifest
-from repro.obs.manifest import (
-    build_manifest,
-    seeded_rng,
-    set_run_seed,
-    write_manifest,
-)
+from repro.obs.manifest import build_manifest, write_manifest
+from repro.seeds import seeded_rng, set_run_seed
 
 
 @pytest.fixture(autouse=True)
@@ -23,9 +20,9 @@ def clear_seed():
 
 class TestRunSeed:
     def test_seed_round_trip(self):
-        assert manifest.current_seed() is None
+        assert seeds.current_seed() is None
         set_run_seed(123)
-        assert manifest.current_seed() == 123
+        assert seeds.current_seed() == 123
 
     def test_seeded_rng_is_reproducible(self):
         set_run_seed(7)

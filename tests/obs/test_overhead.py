@@ -1,6 +1,6 @@
 """Disabled instrumentation is nearly free on the fig7 driver.
 
-The ``repro.obs`` contract is that instrumentation left in the hot paths
+The ``repro.obs`` contract is that instrumentation left in the drivers
 costs < 5 % of runtime when disabled (the default), so un-traced timings
 can be trusted.  Checked two ways:
 

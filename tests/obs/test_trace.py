@@ -6,7 +6,7 @@ import threading
 import pytest
 
 from repro.obs import trace
-from repro.obs.trace import Tracer, span, traced
+from repro.obs.trace import Tracer, span
 
 
 @pytest.fixture(autouse=True)
@@ -27,14 +27,6 @@ class TestDisabled:
 
     def test_disabled_span_returns_shared_sentinel(self):
         assert span("a") is span("b")
-
-    def test_traced_decorator_passes_through(self):
-        @traced("f")
-        def f(x):
-            return x + 1
-
-        assert f(1) == 2
-        assert trace.TRACER.roots == []
 
 
 class TestRecording:
@@ -66,16 +58,6 @@ class TestRecording:
         with span("s") as sp:
             sp.set(rows=3)
         assert trace.TRACER.roots[0].attrs == {"rows": 3}
-
-    def test_traced_decorator_records(self):
-        trace.enable()
-
-        @traced("decorated")
-        def f():
-            return 7
-
-        assert f() == 7
-        assert trace.TRACER.roots[0].name == "decorated"
 
     def test_span_count(self):
         trace.enable()

@@ -3,10 +3,10 @@ per-driver seeding.
 
 The launcher's contracts: a fresh child per task, payloads by handle
 with values and types intact, a dead child reports its exit code, and
-no child outlives a run.  Through :func:`repro.fleet.run_fleet`, a
-sharded run merges every child's spans, metrics and events into the
-parent, writes a timeline byte-identical to a serial run, and leaves a
-fresh interpreter with nothing on stderr.
+no child outlives a run.  A sharded fleet run writes a timeline
+byte-identical to a serial run (children emit nothing; the fleet driver
+records its spans and gauges in the parent) and leaves a fresh
+interpreter with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ import pytest
 
 from repro import obs
 from repro.experiments import ALL_EXPERIMENTS, run_module
-from repro.fleet import CohortSpec, FleetSpec, run_fleet
+from repro.experiments.fleet import run_spec
+from repro.fleet import CohortSpec, FleetSpec
 from repro.perf import Launcher, TaskFailed, resolve_jobs
 from repro.seeds import derive_driver_seed
 
@@ -67,7 +68,7 @@ class TestLauncher:
     def test_each_task_gets_a_fresh_child(self):
         with Launcher(1) as launcher:
             handles = [launcher.submit(os.getpid) for _ in range(3)]
-            pids = [launcher.wait(h)["result"] for h in handles]
+            pids = [launcher.wait(h) for h in handles]
         assert len(set(pids)) == 3
         assert os.getpid() not in pids
         assert gc.get_freeze_count() == 0  # the parent collects again
@@ -76,8 +77,8 @@ class TestLauncher:
         with Launcher(2) as launcher:
             slow = launcher.submit(lambda: time.sleep(0.2) or "slow")
             fast = launcher.submit(lambda: "fast")
-            assert launcher.wait(fast)["result"] == "fast"
-            assert launcher.wait(slow)["result"] == "slow"
+            assert launcher.wait(fast) == "fast"
+            assert launcher.wait(slow) == "slow"
 
     def test_raising_task_reports_type_and_message(self):
         def boom():
@@ -93,7 +94,7 @@ class TestLauncher:
             with pytest.raises(TaskFailed,
                                match="^WorkerDied: exit code 3$"):
                 launcher.wait(dead)
-            assert launcher.wait(alive)["result"] == "alive"
+            assert launcher.wait(alive) == "alive"
         assert multiprocessing.active_children() == []
 
     def test_results_keep_values_and_types(self):
@@ -102,7 +103,7 @@ class TestLauncher:
             handles = [launcher.submit(
                 lambda module=module: run_module(module, seed=5))
                 for module in modules]
-            forked = [launcher.wait(h)["result"] for h in handles]
+            forked = [launcher.wait(h) for h in handles]
         for module, result in zip(modules, forked):
             serial = run_module(module, seed=5)
             assert result.rows == serial.rows
@@ -129,7 +130,8 @@ def _timeline(jobs: int) -> str:
     obs.reset_all()
     obs.enable_all()  # events ride on the trace/metrics substrates
     try:
-        run_fleet(_small_fleet(), 5, jobs=jobs)
+        with obs.driver_scope("fleet"):
+            run_spec(_small_fleet(), 5, jobs=jobs)
         return obs.EVENTS.to_jsonl()
     finally:
         obs.disable_all()
@@ -137,26 +139,11 @@ def _timeline(jobs: int) -> str:
 
 
 class TestShardedFleet:
-    def test_child_spans_and_metrics_merge(self):
-        obs.enable_all()
-        try:
-            run_fleet(_small_fleet(), 5, jobs=2)
-            roots = obs.TRACER.roots
-            assert [root.name for root in roots] == ["fleet.cohort"] * 3
-            assert all("worker_pid" in root.attrs for root in roots)
-            assert len({root.attrs["worker_pid"] for root in roots}) == 3
-            counters = obs.REGISTRY.snapshot()["counters"]
-            assert counters.get("fleet.sessions") == 9
-            assert counters.get("fleet.cohorts_sharded") == 3
-        finally:
-            obs.disable_all()
-            obs.reset_all()
-
     def test_timeline_matches_serial_byte_for_byte(self):
         from repro.obs.analyze import diff_runs
         serial = _timeline(jobs=1)
         first = _timeline(jobs=2)
-        assert first  # non-empty: the cohorts actually emitted
+        assert '"fleet.run"' in first  # the driver's span, not empty
         assert first == _timeline(jobs=2) == serial
         events = [json.loads(line) for line in first.splitlines()]
         assert [e["seq"] for e in events] == list(range(len(events)))

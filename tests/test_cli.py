@@ -6,6 +6,7 @@ import os
 import pytest
 
 from repro.cli import main
+from repro.perf import parallel
 
 #: Name of the deleted stage-graph engine's subcommand and evaluate flag.
 REMOVED_ENGINE = "dag"
@@ -227,15 +228,21 @@ class TestFleet:
     ARGS = ["fleet", "--sessions", "2", "--decoder", "kalman",
             "--seed", "3", "--quiet"]
 
-    def test_jobs_zero_shards_across_all_cpus(self, capsys, tmp_path,
-                                              monkeypatch):
+    def test_jobs_zero_shards_across_all_cpus(self, tmp_path, monkeypatch):
         assert main([*self.ARGS,
                      "--output-dir", str(tmp_path / "ser")]) == 0
-        capsys.readouterr()
+        slots = []
+
+        class Recording(parallel.Launcher):
+            def __init__(self, jobs):
+                slots.append(jobs)
+                super().__init__(jobs)
+
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        assert main([*self.ARGS, "--jobs", "0", "--metrics",
+        monkeypatch.setattr(parallel, "Launcher", Recording)
+        assert main([*self.ARGS, "--jobs", "0",
                      "--output-dir", str(tmp_path / "all")]) == 0
-        assert "fleet.cohorts_sharded" in capsys.readouterr().out
+        assert slots == [2]
         assert ((tmp_path / "all" / "fleet.csv").read_bytes()
                 == (tmp_path / "ser" / "fleet.csv").read_bytes())
 

@@ -1,18 +1,20 @@
 """Import direction and reachability of the ``repro`` package.
 
-The model packages (Eq. 3 power budget, thermal limit, link energy,
-compute deadline, and the decoders and codecs they feed) must load
-without the result cache, the process launcher or the fault injector;
-the CLI must not load the launcher or ``multiprocessing`` unless
-``--jobs`` forks, nor networkx, nor scipy, nor the chip heat-grid
-solver, nor a deleted module.  Each of these cases imports one package
-in a fresh interpreter and inspects ``sys.modules``; a default
-``evaluate`` run must load no scipy either.
-
-``repro.fleet`` is a simulation driver built on ``repro.seeds``: it
-draws its link-drop stream from a derived seed, and forks through the
-process launcher only inside ``run_fleet(jobs > 1)``.  So importing it
+The science packages (Eq. 3 power budget, thermal limit, link energy,
+compute deadline, the decoders and codecs they feed, and the fleet and
+session simulators built on them) must load without the result cache,
+the process launcher or the fault injector; the CLI must not load the
+launcher or ``multiprocessing`` unless ``--jobs`` forks, nor networkx,
+nor scipy, nor the chip heat-grid solver, nor a deleted module.  Each
+of these cases imports one package in a fresh interpreter and inspects
+``sys.modules``; a default ``evaluate`` run must load no scipy either.
+``repro.fleet`` forks through the launcher only inside
+``run_fleet(jobs > 1)``, with a function-local import, so importing it
 loads neither the launcher nor the fault injector.
+
+No science module imports ``repro.obs`` at all, not even inside a
+function: the drivers under ``repro.experiments`` and the CLI own every
+span, counter and gauge, and the run seed lives in ``repro.seeds``.
 
 Two static scans keep every module and public definition earning its
 place.  The module walk follows imports (function-local ones included)
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 import ast
 import json
-import re
 import os
 import subprocess
 import sys
@@ -40,7 +41,8 @@ SRC = REPO / "src"
 
 SCIENCE = ["repro.core", "repro.link", "repro.ni", "repro.dnn",
            "repro.accel", "repro.thermal", "repro.signals",
-           "repro.decoders", "repro.compress"]
+           "repro.decoders", "repro.compress", "repro.fleet",
+           "repro.simulate"]
 
 INFRASTRUCTURE = ("repro.cache", "repro.perf", "repro.fault")
 
@@ -176,18 +178,27 @@ def _unreached_modules(src: Path, roots: tuple[str, ...]) -> set[str]:
     return set(modules) - reached
 
 
+def _modules_importing(src: Path, packages: tuple[str, ...],
+                       banned: tuple[str, ...]) -> set[str]:
+    """Modules of ``packages`` that import anything under ``banned``,
+    at module level or inside a function."""
+    return {module for module, path in _module_files(src).items()
+            if _within(module, packages)
+            and any(_within(name, banned)
+                    for name in _imported_names(module, path))}
+
+
 def _names_used(node: ast.AST) -> set[str]:
-    """Identifiers a statement uses: names, attributes, and words in
-    its strings (a docstring cross-reference or a span name counts).
-    Import statements bind names without using them and yield none."""
+    """Identifiers a statement uses: names and attributes.  Words in
+    strings do not count, so a docstring cross-reference keeps nothing
+    alive.  Import statements bind names without using them and yield
+    none."""
     used = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             used.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             used.add(sub.attr)
-        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-            used.update(re.findall(r"[A-Za-z_]\w*", sub.value))
     return used
 
 
@@ -256,6 +267,11 @@ UNREFERENCED_KEEP = {
         "Multi-implant tiling",
     "repro.fleet.decoders.make_session_decoder":
         "scalar parity oracle of the batched calibration",
+    "repro.simulate.cursor_task.run_closed_loop_cohort":
+        "PARITY_ORACLES pair with run_closed_loop_session: the 1-session "
+        "cohort the fleet engine is checked against",
+    "repro.core.sensitivity.tornado": "Sensitivity (split estimates "
+                                      "move the Fig. 10 frontier < 2x)",
 }
 
 
@@ -288,6 +304,12 @@ def test_every_public_definition_is_used():
         "now used or removed: drop them from UNREFERENCED_KEEP")
 
 
+def test_science_imports_no_telemetry():
+    leaked = _modules_importing(SRC, tuple(SCIENCE), ("repro.obs",))
+    assert leaked == set(), (
+        "science emits nothing: move the span or metric into the driver")
+
+
 def _write(root: Path, files: dict[str, str]) -> None:
     for name, text in files.items():
         path = root / name
@@ -302,6 +324,7 @@ def test_scans_on_a_toy_package(tmp_path):
         "pkg/cli.py": (
             "from pkg.sci import near\n"
             "def main():\n"
+            "    \"\"\"Unlike only_tested, reaches the far helper.\"\"\"\n"
             "    from pkg.sci.far import helper\n"
             "    return near.run() + helper()\n"),
         "pkg/orphan.py": "def lost():\n    return 0\n",
@@ -327,7 +350,25 @@ def test_scans_on_a_toy_package(tmp_path):
     # A function-local import reaches pkg.sci.far, a relative one
     # pkg.sci.rel; nothing imports pkg.orphan.
     assert _unreached_modules(src, ("pkg.cli",)) == {"pkg.orphan"}
-    # A re-export, __all__, recursion and a test do not count as use.
+    # A re-export, __all__, recursion, a test and a docstring mention
+    # do not count as use.
     assert _unreferenced_definitions(
         src, ("pkg.sci",), _search_files(tmp_path)) == \
         {"pkg.sci.far.only_tested"}
+
+
+def test_telemetry_scan_on_a_toy_package(tmp_path):
+    _write(tmp_path, {
+        "pkg/__init__.py": "",
+        "pkg/driver.py": "from pkg.obs.trace import span\n",
+        "pkg/sci/__init__.py": "",
+        "pkg/sci/clean.py": "import pkg.sci.local\n",
+        "pkg/sci/local.py": (
+            "def fit():\n"
+            "    from pkg.obs.metrics import inc\n"),
+        "pkg/sci/relative.py": "from ..obs import events\n",
+    })
+    # The driver may import telemetry; a function-local or relative
+    # import inside science may not.
+    assert _modules_importing(tmp_path, ("pkg.sci",), ("pkg.obs",)) == \
+        {"pkg.sci.local", "pkg.sci.relative"}

@@ -36,7 +36,7 @@ TESTS = REPO / "tests"
 
 #: The modules that may build a generator (path under ``src/``) -> why.
 RNG_FACTORIES = {
-    "repro/obs/manifest.py": "seeded_rng honours the run's --seed",
+    "repro/seeds.py": "seeded_rng honours the run's --seed",
     "repro/fault/injector.py": "one stream per fault domain, derived "
                                "from the plan seed",
 }
@@ -227,7 +227,7 @@ def test_randomness_rule_on_toy_sources():
         "import numpy as np\n"
         "def seeded_rng(seed) -> np.random.Generator:\n"
         "    return np.random.default_rng(seed)\n")
-    assert _ambient_randomness("repro/obs/manifest.py", factory) == []
+    assert _ambient_randomness("repro/seeds.py", factory) == []
     assert _ambient_randomness("repro/core/x.py", factory) == [3]
 
 
