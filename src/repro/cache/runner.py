@@ -23,9 +23,7 @@ from typing import Any
 from repro.cache.fingerprint import fingerprint
 from repro.cache.keys import driver_key
 from repro.cache.store import CacheStore
-from repro.obs.events import driver_scope, emit as emit_event
-from repro.obs.metrics import inc
-from repro.obs.trace import span
+from repro.obs.recorder import driver_scope, emit, inc, span
 
 __all__ = ["CACHE_DIR_NAME", "decode_result", "encode_result",
            "result_from_payload", "result_payload", "run_and_save_cached",
@@ -150,7 +148,7 @@ def run_and_save_cached(module: ModuleType,
         entry = store.get(key)
         if entry is not None:
             inc("cache.driver.hits_total")
-            emit_event("cache", "driver.hit", key=key[:12])
+            emit("cache", "driver.hit", key=key[:12])
             with span(f"experiment.{name}.cached", key=key[:12]):
                 result = result_from_payload(entry["payload"])
             result.cache_info = {"hit": True, "key": key,
@@ -160,7 +158,7 @@ def run_and_save_cached(module: ModuleType,
             return result
 
         inc("cache.driver.misses_total")
-        emit_event("cache", "driver.miss", key=key[:12])
+        emit("cache", "driver.miss", key=key[:12])
         result = run_module(module, seed=seed)
         result.cache_info = {"hit": False, "key": key,
                              "fingerprint": source_fingerprint}

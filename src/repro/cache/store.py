@@ -32,8 +32,7 @@ import time
 from pathlib import Path
 from typing import Any, Iterator
 
-from repro.obs.metrics import inc
-from repro.obs.trace import span
+from repro.obs.recorder import inc, span
 
 __all__ = ["CacheStore", "STORE_SCHEMA_VERSION"]
 

@@ -20,8 +20,9 @@ Commands:
   strategy's frontier.
 * ``validate`` — score every machine-checkable paper claim against the
   regenerated results (exit code 0 when all pass).
-* ``profile EXPERIMENT`` — run one experiment (or ``all``) under the
-  span tracer and print the nested span tree plus the top-N hotspots.
+* ``profile EXPERIMENT`` — run one experiment (or ``all``) with the
+  telemetry recorder on and print the nested span tree plus the top-N
+  hotspots.
 * ``cache {stats,clear,gc}`` — inspect or prune the content-addressed
   result cache under ``<output-dir>/.cache``.
 * ``chaos`` — run the fault-injection drills (link, cache) plus the
@@ -44,17 +45,18 @@ plan's faults and applies its retry policy; ``--max-retries N`` bounds
 the per-driver retry budget (failed drivers degrade to recorded-failure
 rows instead of killing the run).
 
-Global observability flags (valid after any subcommand):
+Global observability flags (valid after any subcommand).  Any one of
+them turns on the telemetry recorder (:mod:`repro.obs.recorder`); each
+selects one view of what it recorded:
 
-* ``--trace`` — record spans and write a JSON trace
+* ``--trace`` — write the span forest as JSON
   (``<output-dir>/trace.json`` for ``evaluate``, ``results/trace.json``
   otherwise).
-* ``--metrics`` — collect counters/gauges/histograms and print the
-  snapshot after the command finishes.
-* ``--events`` — record the deterministic run timeline and write it as
-  ``<output-dir>/events.jsonl`` (implies ``--trace --metrics``);
-  byte-identical for a fixed seed (for ``fleet``, serial or
-  ``--jobs N``).
+* ``--metrics`` — print the counters/gauges/histograms snapshot after
+  the command finishes.
+* ``--events`` — write the deterministic run timeline as
+  ``<output-dir>/events.jsonl``; byte-identical for a fixed seed (for
+  ``fleet``, serial or ``--jobs N``).
 * ``--quiet`` — suppress per-experiment renderings (artifacts are still
   written).
 """
@@ -66,7 +68,6 @@ import json
 import sys
 from pathlib import Path
 
-from repro import obs
 from repro.core.explorer import explore
 from repro.core.scaling import scale_to_standard
 from repro.core.socs import TABLE1, soc_by_number
@@ -81,6 +82,8 @@ from repro.experiments import (
     run_module_resilient,
 )
 from repro.experiments.report import DEFAULT_OUTPUT_DIR, format_table
+from repro.obs import recorder
+from repro.obs.recorder import RECORDER
 from repro.seeds import set_run_seed
 from repro.thermal.budget import assess as thermal_assess
 from repro.units import to_mbps, to_mm2, to_mw
@@ -210,7 +213,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     import time
 
     from repro.experiments import fleet as fleet_driver
-    from repro.obs.events import driver_scope
     from repro.perf.parallel import resolve_jobs
     from repro.seeds import derive_driver_seed
 
@@ -228,7 +230,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         print(f"fleet: {error}", file=sys.stderr)
         return 2
     derived = derive_driver_seed(args.seed, "fleet")
-    with driver_scope("fleet"):
+    with recorder.driver_scope("fleet"):
         start = time.perf_counter()
         result = fleet_driver.run_spec(spec, base_seed=derived,
                                        jobs=jobs)
@@ -338,43 +340,33 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         print(f"unknown experiment {args.experiment!r}; "
               f"available: {sorted(known)} (or 'all')", file=sys.stderr)
         return 2
-    obs.enable_tracing()
-    obs.enable_metrics()
+    from repro.obs.profile import hotspots, render_hotspots
+
+    recorder.enable()
     if args.experiment == "all":
-        run_all(output_dir=DEFAULT_OUTPUT_DIR, seed=args.seed,
-                cache=args.cache)
+        run_all(output_dir=DEFAULT_OUTPUT_DIR, seed=args.seed)
         title = "full evaluation"
     else:
-        runner = None
-        if args.cache:
-            from repro.cache import run_and_save_cached
-
-            def runner(module, seed=None):
-                return run_and_save_cached(module, DEFAULT_OUTPUT_DIR,
-                                           seed=seed)
         # Resilient path: a driver that dies (or recorded degraded
         # FAILURE_COLUMNS rows) still profiles — the spans recorded up
         # to the failure render, and the title reports the degradation
         # instead of a missing-column crash.
         result = run_module_resilient(known[args.experiment],
-                                      seed=args.seed, runner=runner)
+                                      seed=args.seed)
         title = result.title
         if is_recorded_failure(result) and not args.quiet:
             print(render_result(known[args.experiment], result))
     print(f"== profile: {title} ==")
     print()
-    print(obs.TRACER.render_tree())
+    print(RECORDER.render_tree())
     print()
     print(f"-- top {args.top} hotspots (by self time) --")
-    print(obs.render_hotspots(obs.hotspots(obs.TRACER.roots,
-                                           top_n=args.top)))
-    snapshot = obs.REGISTRY.snapshot()
-    if any(snapshot.values()) and not args.quiet:
-        rendered = obs.REGISTRY.render()
-        if rendered != "(no metrics recorded)":
-            print()
-            print("-- metrics --")
-            print(rendered)
+    print(render_hotspots(hotspots(RECORDER.roots(), top_n=args.top)))
+    rendered = RECORDER.render_metrics()
+    if rendered != "(no metrics recorded)" and not args.quiet:
+        print()
+        print("-- metrics --")
+        print(rendered)
     return 0
 
 
@@ -550,15 +542,16 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     """Observability flags shared by every subcommand."""
     parser.add_argument(
         "--trace", action="store_true",
-        help="record spans and write a JSON trace next to the outputs")
+        help="record telemetry and write the span forest as JSON next "
+             "to the outputs")
     parser.add_argument(
         "--metrics", action="store_true",
-        help="collect metrics and print the snapshot afterwards")
+        help="record telemetry and print the metrics snapshot "
+             "afterwards")
     parser.add_argument(
         "--events", action="store_true",
-        help="record the unified telemetry timeline (spans, metrics, "
-             "faults, cache) and write <output-dir>/events.jsonl; "
-             "implies --trace and --metrics")
+        help="record telemetry and write the timeline (spans, metrics, "
+             "faults, cache) to <output-dir>/events.jsonl")
     parser.add_argument(
         "--quiet", action="store_true",
         help="suppress per-experiment renderings")
@@ -665,18 +658,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile_cmd = sub.add_parser(
         "profile",
-        help="run one experiment under the tracer and print the span "
-             "tree and hotspots")
+        help="run one experiment with the recorder on and print the "
+             "span tree and hotspots")
     profile_cmd.add_argument("experiment",
                              help="experiment id (e.g. fig5, frontier) "
                                   "or 'all' for the full evaluation")
     profile_cmd.add_argument("--top", type=int, default=10,
                              help="number of hotspots to show")
     profile_cmd.add_argument("--seed", type=int, default=None)
-    profile_cmd.add_argument(
-        "--cache", action=argparse.BooleanOptionalAction, default=False,
-        help="run the profiled experiments through the result cache "
-             "(cache spans appear in the tree)")
     profile_cmd.set_defaults(func=_cmd_profile)
 
     cache_cmd = sub.add_parser(
@@ -826,37 +815,31 @@ def main(argv: list[str] | None = None) -> int:
     # "is True" guards against the obs subcommands, whose positional
     # `events` (a JSONL path) shares the attribute name with the flag.
     events_on = getattr(args, "events", False) is True
-    trace_on = getattr(args, "trace", False) or events_on
-    metrics_on = getattr(args, "metrics", False) or events_on
-    if trace_on:
-        obs.enable_tracing()
-    if metrics_on:
-        obs.enable_metrics()
-    if events_on:
-        # Span and metric events only exist while their substrates
-        # record, so --events implies --trace and --metrics.
-        obs.enable_events()
+    trace_on = getattr(args, "trace", False)
+    metrics_on = getattr(args, "metrics", False)
+    if events_on or trace_on or metrics_on:
+        recorder.enable()
     try:
         code = args.func(args)
         if events_on:
             base = Path(getattr(args, "output_dir", DEFAULT_OUTPUT_DIR))
-            events_path = obs.EVENTS.write_jsonl(base / "events.jsonl")
+            events_path = RECORDER.write_jsonl(base / "events.jsonl")
             if not getattr(args, "quiet", False):
                 print(f"events written to {events_path}")
-        if getattr(args, "trace", False):
+        if trace_on:
             path = _trace_output_path(args)
             path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(json.dumps(obs.TRACER.to_dicts(), indent=2,
+            path.write_text(json.dumps(RECORDER.to_dicts(), indent=2,
                                        default=str) + "\n")
             if not getattr(args, "quiet", False):
                 print(f"trace written to {path}")
-        if getattr(args, "metrics", False):
+        if metrics_on:
             print("-- metrics --")
-            print(obs.REGISTRY.render())
+            print(RECORDER.render_metrics())
         return code
     finally:
-        obs.disable_all()
-        obs.reset_all()
+        recorder.disable()
+        recorder.reset()
         if seed is not None:
             set_run_seed(None)
 

@@ -19,9 +19,7 @@ from typing import Sequence
 
 from repro.experiments.base import ExperimentResult
 from repro.experiments.report import DEFAULT_OUTPUT_DIR, format_table
-from repro.obs.events import driver_scope
-from repro.obs.metrics import inc
-from repro.obs.trace import span
+from repro.obs.recorder import driver_scope, inc, span
 from repro.seeds import current_seed, derive_driver_seed, set_run_seed
 from repro.experiments import (  # noqa: F401 (re-exported driver modules)
     fault_sweep,

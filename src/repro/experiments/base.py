@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 from repro.experiments.report import DEFAULT_OUTPUT_DIR, write_csv
 from repro.obs.manifest import build_manifest, write_manifest
@@ -108,18 +108,14 @@ def mean_of(values: Sequence[float]) -> float:
 
     Raises:
         ValueError: if any value is NaN — silently averaging NaN would
-            poison every downstream summary; callers with possibly-NaN
-            data should pre-filter via :func:`filter_finite`.
+            poison every downstream summary, so callers with
+            possibly-NaN data filter it out first.
     """
     values = list(values)
     if not values:
         return 0.0
     if any(math.isnan(v) for v in values):
-        raise ValueError("mean_of received NaN input; filter first "
-                         "(see filter_finite)")
+        raise ValueError("mean_of received NaN input; filter it out "
+                         "first")
     return sum(values) / len(values)
 
-
-def filter_finite(mapping: Mapping[str, float]) -> dict[str, float]:
-    """Drop non-finite values from a mapping."""
-    return {k: v for k, v in mapping.items() if math.isfinite(v)}

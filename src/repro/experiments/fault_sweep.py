@@ -17,8 +17,7 @@ from repro.experiments.base import ExperimentResult
 from repro.experiments.report import ascii_bars, format_table
 from repro.fault.injector import FaultInjector
 from repro.fault.plan import FaultPlan
-from repro.obs.metrics import set_gauge
-from repro.obs.trace import span
+from repro.obs.recorder import set_gauge, span
 from repro.seeds import current_seed, seeded_rng
 from repro.simulate.cursor_task import (CursorTask, SimulatedUser,
                                         run_closed_loop_session)

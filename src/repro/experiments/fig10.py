@@ -20,8 +20,7 @@ from repro.core.scaling import scale_to_standard
 from repro.core.socs import wireless_socs
 from repro.experiments.base import ExperimentResult, mean_of
 from repro.experiments.report import ascii_plot, format_table
-from repro.obs.metrics import observe
-from repro.obs.trace import span
+from repro.obs.recorder import observe, span
 
 #: The Fig. 10 x-axis.
 CHANNEL_COUNTS = tuple(range(1024, 7168 + 1, 1024))

@@ -14,8 +14,7 @@ from repro.core.scaling import scale_to_standard
 from repro.core.socs import wireless_socs
 from repro.experiments.base import ExperimentResult, mean_of
 from repro.experiments.report import ascii_bars, format_table
-from repro.obs.metrics import set_gauge
-from repro.obs.trace import span
+from repro.obs.recorder import set_gauge, span
 
 COLUMNS = ["soc", "workload", "max_channels_full",
            "max_channels_partitioned", "gain_ratio"]

@@ -13,8 +13,7 @@ from repro.core.scaling import scale_to_standard
 from repro.core.socs import wireless_socs
 from repro.experiments.base import ExperimentResult, mean_of
 from repro.experiments.report import ascii_bars, format_table
-from repro.obs.metrics import observe
-from repro.obs.trace import span
+from repro.obs.recorder import observe, span
 
 #: The Fig. 12 x-axis.
 CHANNEL_COUNTS = (2048, 4096, 8192)

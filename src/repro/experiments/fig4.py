@@ -11,8 +11,7 @@ from repro.core.scaling import scale_to_standard
 from repro.core.socs import TABLE1
 from repro.experiments.base import ExperimentResult
 from repro.experiments.report import ascii_plot, format_table
-from repro.obs.metrics import set_gauge
-from repro.obs.trace import span
+from repro.obs.recorder import set_gauge, span
 from repro.thermal.budget import assess
 from repro.units import to_mm2, to_mw, to_mw_per_cm2
 

@@ -12,8 +12,7 @@ from repro.core.scaling import scale_to_standard
 from repro.core.socs import wireless_socs
 from repro.experiments.base import ExperimentResult
 from repro.experiments.report import ascii_plot, format_table
-from repro.obs.metrics import set_gauge
-from repro.obs.trace import span
+from repro.obs.recorder import set_gauge, span
 
 #: The Fig. 6 x-axis.
 CHANNEL_COUNTS = tuple(range(1024, 8192 + 1, 1024))

@@ -20,8 +20,7 @@ from repro.core.socs import wireless_socs
 from repro.experiments.base import ExperimentResult, mean_of
 from repro.experiments.report import ascii_plot, format_table
 from repro.link.budget import LinkBudget
-from repro.obs.metrics import set_gauge
-from repro.obs.trace import span
+from repro.obs.recorder import set_gauge, span
 
 #: Sweep range of the Fig. 7 x-axis.
 CHANNEL_COUNTS = tuple(range(1024, 6144 + 1, 256))

@@ -13,8 +13,7 @@ from repro.dnn.layers import Conv1D, Dense
 from repro.dnn.macs import fmac_conv_example, fmac_matmul_example
 from repro.experiments.base import ExperimentResult
 from repro.experiments.report import format_table
-from repro.obs.metrics import set_gauge
-from repro.obs.trace import span
+from repro.obs.recorder import set_gauge, span
 
 COLUMNS = ["case", "mac_ops", "mac_seq", "total_macs"]
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 from repro.accel.power import AcceleratorPowerModel, fig9_power_table
 from repro.experiments.base import ExperimentResult
 from repro.experiments.report import ascii_plot, format_table
-from repro.obs.metrics import set_gauge
-from repro.obs.trace import span
+from repro.obs.recorder import set_gauge, span
 
 COLUMNS = ["design", "mac_seq", "mac_hw", "mac_ops", "layer_power_mw",
            "pe_power_mw", "pe_fraction"]

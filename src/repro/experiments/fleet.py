@@ -15,8 +15,7 @@ from __future__ import annotations
 from repro.experiments.base import ExperimentResult
 from repro.experiments.report import ascii_bars, format_table
 from repro.fleet import CohortSpec, FleetSpec, run_fleet
-from repro.obs.metrics import set_gauge
-from repro.obs.trace import span
+from repro.obs.recorder import set_gauge, span
 
 #: Sessions per default cohort (kept modest so the extension run stays
 #: interactive; the CLI ``--sessions`` flag scales it to fleet size).

@@ -15,8 +15,7 @@ from repro.core.scaling import scale_to_standard
 from repro.core.socs import wireless_socs
 from repro.experiments.base import ExperimentResult
 from repro.experiments.report import format_table
-from repro.obs.metrics import set_gauge
-from repro.obs.trace import span
+from repro.obs.recorder import set_gauge, span
 
 #: The short-term scaling target the paper repeatedly discusses (2x).
 TARGET_CHANNELS = 2048

@@ -5,8 +5,7 @@ from __future__ import annotations
 from repro.core.socs import TABLE1
 from repro.experiments.base import ExperimentResult
 from repro.experiments.report import format_table
-from repro.obs.metrics import set_gauge
-from repro.obs.trace import span
+from repro.obs.recorder import set_gauge, span
 from repro.units import to_khz, to_mm2, to_mw_per_cm2
 
 COLUMNS = ["number", "name", "ni_type", "channels", "area_mm2",

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from repro.experiments import ALL_EXPERIMENTS, run_module
-from repro.obs.metrics import inc
-from repro.obs.trace import span
+from repro.obs.recorder import inc, span
 
 
 @dataclass(frozen=True)

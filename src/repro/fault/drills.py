@@ -20,7 +20,7 @@ from repro.cache.store import CacheStore
 from repro.fault.injector import FaultInjector
 from repro.link.packetizer import Packetizer
 from repro.link.protocol import simulate_arq_with_faults
-from repro.obs.trace import span
+from repro.obs.recorder import span
 
 __all__ = ["cache_drill", "link_drill", "run_chaos_drills"]
 

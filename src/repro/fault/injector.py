@@ -12,7 +12,8 @@ in-order event log of :class:`FaultEvent` records (no wall-clock
 timestamps, so logs are byte-stable across runs) and counted into the
 ``injected``/``recovered``/``failed`` counters that the run manifests
 and ``python -m repro chaos`` report.  Events mirror into the
-observability layer as ``fault.*`` metrics (:mod:`repro.obs.metrics`).
+telemetry recorder (:mod:`repro.obs.recorder`) as ``fault.*`` metrics
+and ``fault`` events.
 """
 
 from __future__ import annotations
@@ -25,9 +26,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.fault.plan import FaultPlan
-from repro.obs.events import emit as emit_event
-from repro.obs.events import events_enabled
-from repro.obs.metrics import inc
+from repro.obs.recorder import emit, inc
 from repro.seeds import derive_fault_seed
 
 __all__ = ["FaultEvent", "FaultInjector"]
@@ -107,9 +106,7 @@ class FaultInjector:
             self.counters["injected"] += 1
             inc("fault.injected")
             inc(f"fault.{domain}.injected")
-        if events_enabled():
-            emit_event("fault", f"{domain}.{kind}", target=target,
-                       **detail)
+        emit("fault", f"{domain}.{kind}", target=target, **detail)
         return event
 
     def record_recovered(self, domain: str, target: str,

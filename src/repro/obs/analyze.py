@@ -1,7 +1,7 @@
 """Trace analytics over the event timeline (``python -m repro obs``).
 
 Consumes the ``events.jsonl`` files written by ``--events`` runs
-(:mod:`repro.obs.events`) and answers the questions a run log should:
+(:mod:`repro.obs.recorder`) and answers the questions a run log should:
 where did the work go (:func:`rollup`), what was the longest dependency
 chain (:func:`critical_path`), and what changed between two runs
 (:func:`diff_runs`).
@@ -30,7 +30,7 @@ import json
 from pathlib import Path
 from typing import Any, Iterable
 
-from repro.obs.events import ENGINE_SCOPE
+from repro.obs.recorder import ENGINE_SCOPE
 
 __all__ = [
     "build_span_tree",

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Any, Iterable
 
 from repro.obs.manifest import git_sha
-from repro.obs.metrics import percentile
+from repro.obs.recorder import percentile
 from repro.units import to_ms
 
 __all__ = [

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.obs.trace import Span
+from repro.obs.recorder import Span
 from repro.units import to_ms
 
 __all__ = ["Hotspot", "hotspots", "render_hotspots"]
@@ -38,7 +38,7 @@ def hotspots(roots: Iterable[Span], top_n: int | None = None,
     """Aggregate a span forest by name, ranked by self time.
 
     Args:
-        roots: top-level spans (e.g. ``TRACER.roots``).
+        roots: top-level spans (e.g. ``RECORDER.roots()``).
         top_n: truncate to the N hottest names (None = all).
     """
     table: dict[str, Hotspot] = {}

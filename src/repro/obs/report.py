@@ -20,7 +20,7 @@ physical models — never re-stated numbers:
 
 The dashboard also aggregates fleet-style run statistics: p50/p95/p99 of
 duration and peak RSS over every run manifest found in the given session
-directories, using the nearest-rank :func:`repro.obs.metrics.percentile`.
+directories, using the nearest-rank :func:`repro.obs.recorder.percentile`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Any, Iterable, Sequence
 from repro.link.budget import DEFAULT_BER
 from repro.link.packetizer import Packetizer
 from repro.link.protocol import effective_goodput, expected_transmissions
-from repro.obs.metrics import SUMMARY_PERCENTILES, percentile
+from repro.obs.recorder import SUMMARY_PERCENTILES, percentile
 from repro.thermal.budget import assess as assess_power
 from repro.thermal.model import TissueThermalModel
 from repro.units import SAFE_TEMPERATURE_RISE_K, mm2, mw, to_mw

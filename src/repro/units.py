@@ -96,15 +96,6 @@ def mm(value: float) -> float:
     return value * 1e-3
 
 
-def um(value: float) -> float:
-    """Convert micrometers to meters."""
-    return value * 1e-6
-
-
-def to_um(m: float) -> float:
-    """Convert meters to micrometers."""
-    return m * 1e6
-
 
 # --------------------------------------------------------------------------
 # Power density
@@ -153,10 +144,6 @@ def to_khz(hz: float) -> float:
     return hz / 1e3
 
 
-def mhz(value: float) -> float:
-    """Convert megahertz to hertz."""
-    return value * 1e6
-
 
 def mbps(value: float) -> float:
     """Convert megabits/second to bits/second."""
@@ -177,10 +164,6 @@ def ns(value: float) -> float:
     """Convert nanoseconds to seconds."""
     return value * 1e-9
 
-
-def us(value: float) -> float:
-    """Convert microseconds to seconds."""
-    return value * 1e-6
 
 
 def ms(value: float) -> float:

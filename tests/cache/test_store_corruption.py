@@ -15,7 +15,7 @@ import os
 
 import pytest
 
-from repro import obs
+from repro.obs import recorder
 from repro.cache.keys import value_digest
 from repro.cache.store import CacheStore
 
@@ -27,12 +27,12 @@ def store(tmp_path):
 
 @pytest.fixture
 def metrics():
-    obs.enable_metrics()
+    recorder.enable()
     try:
-        yield obs.REGISTRY
+        yield recorder.RECORDER
     finally:
-        obs.disable_metrics()
-        obs.REGISTRY.reset()
+        recorder.disable()
+        recorder.reset()
 
 
 def _seed_entry(store: CacheStore, tag: str = "corruption"):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.experiments import (ALL_EXPERIMENTS, EXTENSION_EXPERIMENTS,
                                frontier, run_all)
-from repro.experiments.base import ExperimentResult, filter_finite, mean_of
+from repro.experiments.base import ExperimentResult, mean_of
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +59,3 @@ class TestExperimentResult:
     def test_mean_of_empty(self):
         assert mean_of([]) == 0.0
         assert mean_of([2.0, 4.0]) == 3.0
-
-    def test_filter_finite(self):
-        import math
-        assert filter_finite({"a": 1.0, "b": math.inf}) == {"a": 1.0}

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from repro import obs
+from repro.obs import recorder
 from repro.fault import (FaultInjector, FaultPlan, LinkFaults,
                          default_chaos_plan)
 
@@ -63,20 +63,20 @@ class TestCounters:
                                      "failed": 1}
 
     def test_events_mirror_into_metrics(self):
-        obs.enable_all()
+        recorder.enable()
         try:
             injector = FaultInjector(FaultPlan())
             injector.record("link", "drop", "packet:0")
             injector.record("cache", "corrupt", "entry:1")
             injector.record_recovered("cache", "entry:1")
-            counters = obs.REGISTRY.snapshot()["counters"]
+            counters = recorder.RECORDER.snapshot()["counters"]
             assert counters["fault.injected"] == 2
             assert counters["fault.link.injected"] == 1
             assert counters["fault.cache.injected"] == 1
             assert counters["fault.recovered"] == 1
         finally:
-            obs.disable_all()
-            obs.reset_all()
+            recorder.disable()
+            recorder.reset()
 
     def test_write_log_round_trips(self, tmp_path):
         injector = FaultInjector(default_chaos_plan(seed=5))

@@ -10,16 +10,30 @@ Fault logs carry no timestamps, hostnames, or temp paths, so the exact
 bytes must reproduce on any machine.  If an intentional change to the
 fault layer alters the stream, regenerate the fixture with the snippet
 above and review the diff like any other golden update.
+
+The telemetry the drills record (the injector's ``fault`` events and
+``fault.*`` counters, the cache store's spans and counters) is pinned
+too: by its per-kind event counts and the sha256 of its
+``events.jsonl`` text.  A change that moves those numbers must say why.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 
 from repro.fault import FaultInjector, default_chaos_plan, run_chaos_drills
+from repro.obs import recorder
 
 GOLDEN = Path(__file__).parent / "golden" / "fault_log.json"
+
+#: Per-kind event counts and sha256 of the drills' ``events.jsonl``.
+TIMELINE_KINDS = {"fault": 291, "metric": 571, "span_start": 54,
+                  "span_end": 54}
+TIMELINE_SHA256 = ("7181473a9853e76effa6e2db5d8ea27d"
+                   "d4f40ed14e5c5cf5921afab54fb0d3cd")
 
 
 def _run_drills(root):
@@ -52,3 +66,17 @@ def test_drill_report_accounting(tmp_path):
     counters = json.loads(injector.to_json())["counters"]
     assert counters == injector.counters
     assert counters["injected"] > 0 and counters["recovered"] > 0
+
+
+def test_drill_timeline_matches_pinned_digest(tmp_path):
+    recorder.reset()
+    recorder.enable()
+    try:
+        _run_drills(tmp_path)
+        text = recorder.RECORDER.to_jsonl()
+    finally:
+        recorder.disable()
+        recorder.reset()
+    kinds = Counter(json.loads(line)["kind"] for line in text.splitlines())
+    assert kinds == TIMELINE_KINDS
+    assert hashlib.sha256(text.encode()).hexdigest() == TIMELINE_SHA256

@@ -10,7 +10,7 @@ from repro.ni.geometry import (
     channel_spacing,
     volumetric_efficiency,
 )
-from repro.units import mm2, um
+from repro.units import mm2
 
 
 class TestChannelSpacing:
@@ -21,7 +21,7 @@ class TestChannelSpacing:
 
     def test_target_spacing_requires_density(self):
         # One channel per 20 um x 20 um cell.
-        spacing = channel_spacing(um(20) ** 2 * 1024, 1024)
+        spacing = channel_spacing((20e-6) ** 2 * 1024, 1024)
         assert spacing == pytest.approx(20e-6)
 
     def test_rejects_bad_inputs(self):
@@ -78,11 +78,11 @@ class TestArrayGeometry:
 
 class TestGridArray:
     def test_channel_count(self):
-        grid = GridArray(rows=32, cols=32, pitch_m=um(50))
+        grid = GridArray(rows=32, cols=32, pitch_m=50e-6)
         assert grid.n_channels == 1024
 
     def test_sensing_area(self):
-        grid = GridArray(rows=10, cols=10, pitch_m=um(100))
+        grid = GridArray(rows=10, cols=10, pitch_m=100e-6)
         assert grid.sensing_area_m2 == pytest.approx(100 * (100e-6) ** 2)
 
     def test_channel_positions(self):
@@ -96,5 +96,5 @@ class TestGridArray:
             grid.channel_position(4)
 
     def test_spacing_equals_pitch(self):
-        grid = GridArray(rows=8, cols=8, pitch_m=um(20))
+        grid = GridArray(rows=8, cols=8, pitch_m=20e-6)
         assert grid.spacing_m == pytest.approx(20e-6)

@@ -2,46 +2,46 @@
 
 import pytest
 
-from repro.obs import trace
+from repro.obs import recorder
 from repro.obs.profile import hotspots, render_hotspots
-from repro.obs.trace import Tracer
+from repro.obs.recorder import RECORDER, Recorder
 
 
 @pytest.fixture()
-def tracer():
-    t = Tracer()
-    with t.start("root"):
-        with t.start("leaf"):
+def rec():
+    rec = Recorder()
+    with rec.span("root"):
+        with rec.span("leaf"):
             pass
-        with t.start("leaf"):
+        with rec.span("leaf"):
             pass
-    return t
+    return rec
 
 
 class TestHotspots:
-    def test_aggregates_by_name(self, tracer):
-        spots = {s.name: s for s in hotspots(tracer.roots)}
+    def test_aggregates_by_name(self, rec):
+        spots = {s.name: s for s in hotspots(rec.roots())}
         assert spots["leaf"].calls == 2
         assert spots["root"].calls == 1
         assert spots["root"].total_s >= spots["leaf"].total_s
 
-    def test_self_time_excludes_children(self, tracer):
-        root = tracer.roots[0]
-        spots = {s.name: s for s in hotspots(tracer.roots)}
+    def test_self_time_excludes_children(self, rec):
+        root = rec.roots()[0]
+        spots = {s.name: s for s in hotspots(rec.roots())}
         child_total = sum(c.duration_s for c in root.children)
         assert spots["root"].self_s == pytest.approx(
             root.duration_s - child_total, abs=1e-9)
 
-    def test_top_n_truncates(self, tracer):
-        assert len(hotspots(tracer.roots, top_n=1)) == 1
+    def test_top_n_truncates(self, rec):
+        assert len(hotspots(rec.roots(), top_n=1)) == 1
 
     def test_empty_forest(self):
         assert hotspots([]) == []
 
 
 class TestRender:
-    def test_render_contains_columns_and_names(self, tracer):
-        text = render_hotspots(hotspots(tracer.roots))
+    def test_render_contains_columns_and_names(self, rec):
+        text = render_hotspots(hotspots(rec.roots()))
         assert "span" in text and "calls" in text and "share" in text
         assert "root" in text and "leaf" in text
 
@@ -53,14 +53,14 @@ class TestEndToEnd:
     def test_profile_of_instrumented_experiment(self):
         from repro.experiments import fig8, run_module
 
-        trace.enable()
-        trace.TRACER.reset()
+        recorder.enable()
+        recorder.reset()
         try:
             run_module(fig8)
-            spots = hotspots(trace.TRACER.roots)
+            spots = hotspots(RECORDER.roots())
         finally:
-            trace.disable()
-            trace.TRACER.reset()
+            recorder.disable()
+            recorder.reset()
         names = {s.name for s in spots}
         assert "experiment.fig8" in names
         assert "fig8.worked_examples" in names

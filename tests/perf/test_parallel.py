@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import obs
+from repro.obs import recorder
 from repro.experiments import ALL_EXPERIMENTS, run_module
 from repro.experiments.fleet import run_spec
 from repro.fleet import CohortSpec, FleetSpec
@@ -127,15 +127,15 @@ def _small_fleet() -> FleetSpec:
 
 
 def _timeline(jobs: int) -> str:
-    obs.reset_all()
-    obs.enable_all()  # events ride on the trace/metrics substrates
+    recorder.reset()
+    recorder.enable()
     try:
-        with obs.driver_scope("fleet"):
+        with recorder.driver_scope("fleet"):
             run_spec(_small_fleet(), 5, jobs=jobs)
-        return obs.EVENTS.to_jsonl()
+        return recorder.RECORDER.to_jsonl()
     finally:
-        obs.disable_all()
-        obs.reset_all()
+        recorder.disable()
+        recorder.reset()
 
 
 class TestShardedFleet:

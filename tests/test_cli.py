@@ -170,13 +170,13 @@ class TestObservabilityFlags:
 
     def test_state_resets_between_invocations(self, tmp_path):
         from repro.obs import manifest as manifest_mod
-        from repro.obs import metrics, trace
+        from repro.obs import recorder
         assert main(["evaluate", "fig8", "--quiet", "--trace",
                      "--metrics", "--seed", "7",
                      "--output-dir", str(tmp_path)]) == 0
-        assert not trace.tracing_enabled()
-        assert not metrics.metrics_enabled()
-        assert trace.TRACER.roots == []
+        assert recorder.RECORDER.events == []
+        recorder.inc("after.the.run")  # the switch is off again
+        assert recorder.RECORDER.events == []
         assert manifest_mod.current_seed() is None
 
 

@@ -19,10 +19,10 @@ span, counter and gauge, and the run seed lives in ``repro.seeds``.
 Two static scans keep every module and public definition earning its
 place.  The module walk follows imports (function-local ones included)
 from the CLI entry points; the definition scan looks for a use of each
-public science function or class in ``src/``, ``bench/`` or
-``examples/``.  Both name their known exceptions explicitly, with the
-ROADMAP item, EXPERIMENTS.md row or parity-oracle role that justifies
-each.
+public top-level function or class of every reached module in
+``src/``, ``bench/`` or ``examples/``.  Both name their known
+exceptions explicitly, with the ROADMAP item, EXPERIMENTS.md row,
+parity-oracle or test-hook role that justifies each.
 """
 
 from __future__ import annotations
@@ -246,23 +246,18 @@ UNREACHED_PACKAGES = {
                       "ratio with the Rice codec",
     "repro.signals": "ROADMAP item 4: the null-signal decoder control",
     "repro.thermal.grid": "ROADMAP item 4: the thermal-uniformity claim "
-                          "in validate (see UNREFERENCED_KEEP)",
+                          "in validate",
 }
 
-#: Science packages whose public definitions must each be used.
-SCIENCE_DEFINITIONS = ("repro.core", "repro.link", "repro.ni",
-                       "repro.dnn", "repro.accel", "repro.thermal",
-                       "repro.decoders", "repro.fleet", "repro.simulate")
-
-#: Definitions no command, benchmark or example uses yet -> the
-#: EXPERIMENTS.md row their tier-1 tests back (ROADMAP item 4 wires
-#: them into ``validate``), or the oracle role that keeps them.
+#: Definitions of reached modules that no command, benchmark or example
+#: uses yet -> the EXPERIMENTS.md row their tier-1 tests back (ROADMAP
+#: item 4 wires them into ``validate``), or the oracle, test-hook or
+#: round-trip role that keeps them.
 UNREFERENCED_KEEP = {
     "repro.accel.interconnect.InterconnectModel":
         "Second-order memory (memory + routing fit the Eq. 13 margin)",
     "repro.accel.memory.assess_memory_margin":
         "Second-order memory (activation buffers vs the Eq. 13 bound)",
-    "repro.thermal.grid.ChipThermalGrid": "Thermal uniformity",
     "repro.core.multi_implant.channels_vs_single_implant":
         "Multi-implant tiling",
     "repro.fleet.decoders.make_session_decoder":
@@ -272,6 +267,13 @@ UNREFERENCED_KEEP = {
         "cohort the fleet engine is checked against",
     "repro.core.sensitivity.tornado": "Sensitivity (split estimates "
                                       "move the Fig. 10 frontier < 2x)",
+    "repro.cache.fingerprint.clear_cached_fingerprints":
+        "test hook: drops memoized fingerprints after a test edits "
+        "source in place",
+    "repro.units.linear_to_db": "round-trip partner of db_to_linear",
+    "repro.units.mbps": "round-trip partner of to_mbps",
+    "repro.units.pj": "round-trip partner of to_pj",
+    "repro.units.to_cm2": "round-trip partner of cm2",
 }
 
 
@@ -296,8 +298,9 @@ def test_every_module_is_reached_from_the_cli():
 
 
 def test_every_public_definition_is_used():
-    unused = _unreferenced_definitions(SRC, SCIENCE_DEFINITIONS,
-                                       _search_files(REPO))
+    unused = {name for name in _unreferenced_definitions(
+                  SRC, ("repro",), _search_files(REPO))
+              if not _within(name, tuple(UNREACHED_PACKAGES))}
     assert unused - set(UNREFERENCED_KEEP) == set(), (
         "only tests use these definitions: use them or delete them")
     assert set(UNREFERENCED_KEEP) - unused == set(), (
@@ -360,13 +363,13 @@ def test_scans_on_a_toy_package(tmp_path):
 def test_telemetry_scan_on_a_toy_package(tmp_path):
     _write(tmp_path, {
         "pkg/__init__.py": "",
-        "pkg/driver.py": "from pkg.obs.trace import span\n",
+        "pkg/driver.py": "from pkg.obs.recorder import span\n",
         "pkg/sci/__init__.py": "",
         "pkg/sci/clean.py": "import pkg.sci.local\n",
         "pkg/sci/local.py": (
             "def fit():\n"
-            "    from pkg.obs.metrics import inc\n"),
-        "pkg/sci/relative.py": "from ..obs import events\n",
+            "    from pkg.obs.recorder import inc\n"),
+        "pkg/sci/relative.py": "from ..obs import recorder\n",
     })
     # The driver may import telemetry; a function-local or relative
     # import inside science may not.

@@ -233,7 +233,7 @@ def test_randomness_rule_on_toy_sources():
 
 def test_resource_rule_on_toy_sources():
     planted = ast.parse(
-        "from repro.obs.trace import span\n"
+        "from repro.obs.recorder import span\n"
         "def put(path, blob):\n"
         "    handle = open(path, 'wb')\n"
         "    handle.write(blob)\n"
