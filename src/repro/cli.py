@@ -30,13 +30,9 @@ Commands:
   :class:`repro.fault.FaultPlan`, writing ``fault_log.json`` +
   ``chaos_report.json``; byte-identical for a fixed ``--seed``
   (docs/ROBUSTNESS.md).
-* ``obs {view,query,diff,critical-path,bench-gate,report}`` — run
-  telemetry analytics (:mod:`repro.obs.analyze`): per-driver census and
-  per-stage rollups of an ``events.jsonl`` timeline, event queries,
-  run-vs-run diffs (exit 1 on deltas), structural/timed critical paths,
-  the perf-trajectory regression gate over
-  ``results/bench_history.jsonl`` (:mod:`repro.obs.bench`, exit 1 on
-  >20 % slowdown of a benchmark entry), and the markdown/HTML
+* ``obs {bench-gate,report}`` — the perf-trajectory regression gate
+  over ``results/bench_history.jsonl`` (:mod:`repro.obs.bench`, exit 1
+  on >20 % slowdown of a benchmark entry) and the markdown/HTML
   safety-envelope dashboard (:mod:`repro.obs.report`); see
   docs/OBSERVABILITY.md.
 
@@ -340,6 +336,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         print(f"unknown experiment {args.experiment!r}; "
               f"available: {sorted(known)} (or 'all')", file=sys.stderr)
         return 2
+    if args.top < 1:
+        print("--top must be at least 1", file=sys.stderr)
+        return 2
     from repro.obs.profile import hotspots, render_hotspots
 
     recorder.enable()
@@ -389,16 +388,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_events_or_fail(path: str) -> list | None:
-    """Parse one events.jsonl, printing the error on failure."""
-    from repro.obs import analyze
-    try:
-        return analyze.load_events(path)
-    except (OSError, ValueError) as error:
-        print(f"obs: {error}", file=sys.stderr)
-        return None
-
-
 def _print_report(data, text: str, as_json: bool) -> None:
     if as_json:
         print(json.dumps(data, indent=2, sort_keys=True, default=str))
@@ -406,80 +395,14 @@ def _print_report(data, text: str, as_json: bool) -> None:
         print(text)
 
 
-def _cmd_obs_view(args: argparse.Namespace) -> int:
-    from repro.obs import analyze
-    events = _load_events_or_fail(args.events)
-    if events is None:
-        return 2
-    if args.rollup:
-        rows = analyze.rollup(events, include_engine=args.include_engine)
-        if args.top is not None:
-            rows = rows[:args.top]
-        _print_report(rows, analyze.render_rollup(
-            events, include_engine=args.include_engine, top_n=args.top),
-            args.format == "json")
-    else:
-        _print_report(analyze.summarize(events),
-                      analyze.render_summary(events),
-                      args.format == "json")
-    return 0
-
-
-def _cmd_obs_query(args: argparse.Namespace) -> int:
-    from repro.obs import analyze
-    events = _load_events_or_fail(args.events)
-    if events is None:
-        return 2
-    matched = analyze.filter_events(events, driver=args.driver,
-                                    kind=args.kind, name=args.name)
-    shown = matched if args.limit is None else matched[:args.limit]
-    for event in shown:
-        print(json.dumps(event, sort_keys=True, default=str))
-    if len(shown) < len(matched):
-        print(f"... {len(matched) - len(shown)} more "
-              f"({len(matched)} matched)", file=sys.stderr)
-    return 0
-
-
-def _cmd_obs_diff(args: argparse.Namespace) -> int:
-    from repro.obs import analyze
-    events_a = _load_events_or_fail(args.events_a)
-    events_b = _load_events_or_fail(args.events_b)
-    if events_a is None or events_b is None:
-        return 2
-    report = analyze.diff_runs(events_a, events_b,
-                               include_engine=args.include_engine)
-    _print_report(report, analyze.render_diff(report),
-                  args.format == "json")
-    return 0 if report["equal"] else 1
-
-
-def _cmd_obs_critical_path(args: argparse.Namespace) -> int:
-    from repro.obs import analyze
-    if args.timed:
-        try:
-            records = json.loads(Path(args.timed).read_text(
-                encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as error:
-            print(f"obs: bad trace file: {error}", file=sys.stderr)
-            return 2
-        path = analyze.critical_path_spans(records)
-    else:
-        if args.events is None:
-            print("obs: critical-path needs an events.jsonl (or "
-                  "--timed TRACE.json)", file=sys.stderr)
-            return 2
-        events = _load_events_or_fail(args.events)
-        if events is None:
-            return 2
-        path = analyze.critical_path(events, driver=args.driver)
-    _print_report(path, analyze.render_critical_path(path),
-                  args.format == "json")
-    return 0
-
-
 def _cmd_obs_bench_gate(args: argparse.Namespace) -> int:
     from repro.obs import bench
+    # --window 0 would gate against the whole history (samples[-0:]);
+    # exit 1 would read as a regression.
+    if args.window < 1 or args.threshold < 0:
+        print("obs: --window must be at least 1 and --threshold "
+              "non-negative", file=sys.stderr)
+        return 2
     try:
         history = bench.load_history(args.history)
     except ValueError as error:
@@ -689,68 +612,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     obs_cmd = sub.add_parser(
         "obs",
-        help="analytics over recorded run telemetry (events.jsonl, "
-             "bench history, safety dashboards)")
+        help="benchmark regression gate and safety dashboards")
     obs_sub = obs_cmd.add_subparsers(dest="obs_command", required=True)
-
-    obs_view = obs_sub.add_parser(
-        "view", help="per-driver event census or per-stage rollup")
-    obs_view.add_argument("events", help="path to an events.jsonl")
-    obs_view.add_argument("--rollup", action="store_true",
-                          help="per-stage self/total event rollup "
-                               "instead of the census")
-    obs_view.add_argument("--top", type=int, default=None,
-                          help="limit the rollup to the N heaviest "
-                               "stages")
-    obs_view.add_argument("--include-engine", action="store_true",
-                          help="include engine-scope events (driver "
-                               "tag \"\")")
-    obs_view.add_argument("--format", choices=("text", "json"),
-                          default="text")
-    obs_view.set_defaults(func=_cmd_obs_view)
-
-    obs_query = obs_sub.add_parser(
-        "query", help="filter events by driver/kind/name, printed as "
-                      "JSONL")
-    obs_query.add_argument("events", help="path to an events.jsonl")
-    obs_query.add_argument("--driver", default=None,
-                           help="exact driver tag (\"\" for engine "
-                                "scope)")
-    obs_query.add_argument("--kind", default=None,
-                           choices=("span_start", "span_end", "metric",
-                                    "fault", "cache"))
-    obs_query.add_argument("--name", default=None,
-                           help="name substring")
-    obs_query.add_argument("--limit", type=int, default=None)
-    obs_query.set_defaults(func=_cmd_obs_query)
-
-    obs_diff = obs_sub.add_parser(
-        "diff", help="structural diff of two runs' timelines (exit 1 "
-                     "on deltas)")
-    obs_diff.add_argument("events_a", help="baseline events.jsonl")
-    obs_diff.add_argument("events_b", help="candidate events.jsonl")
-    obs_diff.add_argument("--include-engine", action="store_true",
-                          help="also diff engine-scope events (the "
-                               "chaos drills' fault and cache events)")
-    obs_diff.add_argument("--format", choices=("text", "json"),
-                          default="text")
-    obs_diff.set_defaults(func=_cmd_obs_diff)
-
-    obs_cp = obs_sub.add_parser(
-        "critical-path",
-        help="heaviest span chain of a run (structural by default, "
-             "--timed for wall clock)")
-    obs_cp.add_argument("events", nargs="?", default=None,
-                        help="path to an events.jsonl (structural "
-                             "mode)")
-    obs_cp.add_argument("--driver", default=None,
-                        help="restrict to one driver's spans")
-    obs_cp.add_argument("--timed", default=None, metavar="TRACE.json",
-                        help="use recorded span durations from this "
-                             "trace instead (not byte-stable)")
-    obs_cp.add_argument("--format", choices=("text", "json"),
-                        default="text")
-    obs_cp.set_defaults(func=_cmd_obs_critical_path)
 
     obs_gate = obs_sub.add_parser(
         "bench-gate",
@@ -812,9 +675,7 @@ def main(argv: list[str] | None = None) -> int:
     seed = getattr(args, "seed", None)
     if seed is not None:
         set_run_seed(seed)
-    # "is True" guards against the obs subcommands, whose positional
-    # `events` (a JSONL path) shares the attribute name with the flag.
-    events_on = getattr(args, "events", False) is True
+    events_on = getattr(args, "events", False)
     trace_on = getattr(args, "trace", False)
     metrics_on = getattr(args, "metrics", False)
     if events_on or trace_on or metrics_on:

@@ -1,4 +1,4 @@
-"""Observability: one telemetry recorder, run manifests and analytics.
+"""Observability: one telemetry recorder, run manifests and reports.
 
 The experiment drivers, the CLI and the infrastructure (cache, fault
 injector) report into this package; the science packages import
@@ -13,6 +13,6 @@ nothing from it.
   experiment CSV.
 * :mod:`repro.obs.profile` — hotspot aggregation over recorded spans,
   backing ``python -m repro profile <experiment>``.
-* :mod:`repro.obs.analyze`, :mod:`repro.obs.bench`,
-  :mod:`repro.obs.report` — the ``python -m repro obs`` analytics.
+* :mod:`repro.obs.bench`, :mod:`repro.obs.report` — the benchmark
+  regression gate and safety dashboard behind ``python -m repro obs``.
 """

@@ -66,65 +66,6 @@ class TestEventsFlag:
                    for e in warm)
 
 
-class TestObsView:
-    def test_view_census(self, events_run, capsys):
-        _, events_path = events_run
-        assert main(["obs", "view", str(events_path)]) == 0
-        out = capsys.readouterr().out
-        assert "table1" in out and "fig4" in out
-
-    def test_view_rollup_and_json(self, events_run, capsys):
-        _, events_path = events_run
-        assert main(["obs", "view", str(events_path), "--rollup",
-                     "--format", "json"]) == 0
-        rows = json.loads(capsys.readouterr().out)
-        assert any(row["span"] == "experiment.table1" for row in rows)
-
-    def test_view_missing_file_exits_two(self, tmp_path, capsys):
-        assert main(["obs", "view", str(tmp_path / "nope.jsonl")]) == 2
-        assert "obs:" in capsys.readouterr().err
-
-
-class TestObsQuery:
-    def test_query_filters(self, events_run, capsys):
-        _, events_path = events_run
-        assert main(["obs", "query", str(events_path),
-                     "--driver", "fig4", "--kind", "metric"]) == 0
-        out = capsys.readouterr().out.strip().splitlines()
-        events = [json.loads(line) for line in out]
-        assert events
-        assert all(e["driver"] == "fig4" and e["kind"] == "metric"
-                   for e in events)
-
-
-class TestObsDiff:
-    def test_same_run_diffs_equal(self, events_run, capsys):
-        _, events_path = events_run
-        assert main(["obs", "diff", str(events_path),
-                     str(events_path)]) == 0
-        assert "equivalent" in capsys.readouterr().out
-
-    def test_different_runs_exit_one(self, events_run, tmp_path, capsys):
-        _, events_path = events_run
-        other_dir = tmp_path / "other"
-        assert main(["evaluate", "table1", "--seed", "7", "--events",
-                     "--quiet", "--output-dir", str(other_dir)]) == 0
-        capsys.readouterr()
-        code = main(["obs", "diff", str(events_path),
-                     str(other_dir / "events.jsonl")])
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "runs differ" in out
-
-
-class TestObsCriticalPath:
-    def test_structural_path(self, events_run, capsys):
-        _, events_path = events_run
-        assert main(["obs", "critical-path", str(events_path)]) == 0
-        out = capsys.readouterr().out
-        assert "share=" in out
-
-
 class TestObsBenchGate:
     def _seed_history(self, path, after_s_list):
         for after_s in after_s_list:
@@ -186,6 +127,19 @@ class TestObsBenchGate:
         assert main(["obs", "bench-gate", "--history", str(history),
                      "--input", str(bad)]) == 2
         assert "obs: bad bench input:" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("flags", [
+        ["--window", "0"],
+        ["--window", "-1"],
+        ["--threshold", "-0.1"],
+    ], ids=["window-zero", "window-negative", "threshold-negative"])
+    def test_bad_gate_flags_exit_two(self, tmp_path, capsys, flags):
+        history = tmp_path / "bench_history.jsonl"
+        self._seed_history(history, [0.010, 0.010])
+        assert main(["obs", "bench-gate", "--history", str(history),
+                     *flags]) == 2
+        assert "obs:" in capsys.readouterr().err
 
 
 class TestObsReport:

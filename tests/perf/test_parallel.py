@@ -140,15 +140,12 @@ def _timeline(jobs: int) -> str:
 
 class TestShardedFleet:
     def test_timeline_matches_serial_byte_for_byte(self):
-        from repro.obs.analyze import diff_runs
         serial = _timeline(jobs=1)
         first = _timeline(jobs=2)
         assert '"fleet.run"' in first  # the driver's span, not empty
         assert first == _timeline(jobs=2) == serial
         events = [json.loads(line) for line in first.splitlines()]
         assert [e["seq"] for e in events] == list(range(len(events)))
-        assert diff_runs(events, [json.loads(line) for line
-                                  in serial.splitlines()])["equal"]
 
     def test_fresh_interpreter_exits_cleanly(self):
         script = (

@@ -7,6 +7,7 @@ import pytest
 
 from repro.cli import main
 from repro.perf import parallel
+from repro.seeds import derive_driver_seed
 
 #: Name of the deleted stage-graph engine's subcommand and evaluate flag.
 REMOVED_ENGINE = "dag"
@@ -167,6 +168,7 @@ class TestObservabilityFlags:
         manifest = json.loads(
             (tmp_path / "fig8.manifest.json").read_text())
         assert manifest["seed"] == 42
+        assert manifest["derived_seed"] == derive_driver_seed(42, "fig8")
 
     def test_state_resets_between_invocations(self, tmp_path):
         from repro.obs import manifest as manifest_mod
@@ -197,6 +199,11 @@ class TestProfile:
     def test_profile_extension_experiment_is_known(self, capsys):
         assert main(["profile", "fig8", "--top", "3"]) == 0
 
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_profile_top_below_one_exits_two(self, top, capsys):
+        assert main(["profile", "fig8", "--top", top]) == 2
+        assert "--top" in capsys.readouterr().err
+
 
 class TestParser:
     def test_requires_command(self):
@@ -210,6 +217,15 @@ class TestParser:
     def test_removed_graph_engine_surface_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("action",
+                             ["view", "query", "diff", "critical-path"])
+    def test_retired_obs_analytics_rejected(self, action, tmp_path,
+                                            capsys):
+        """Timelines are compared by bytes; the analytics are gone."""
+        with pytest.raises(SystemExit) as exc:
+            main(["obs", action, str(tmp_path / "events.jsonl")])
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv", [

@@ -113,12 +113,13 @@ def test_fleet_does_not_load_the_fault_injector():
     assert leaked == [], f"repro.fleet pulls in {leaked}"
 
 
-#: Modules deleted because no command reached them, and the static
-#: analyzer whose unique checks became tests/test_source_rules.py; none
-#: may return.
+#: Modules deleted because no command reached them, the static
+#: analyzer whose unique checks became tests/test_source_rules.py, and
+#: the timeline analytics that byte comparisons replaced; none may
+#: return.
 DELETED = ("repro.wearable", "repro.dnn.snn", "repro.dnn.quantize",
            "repro.decoders.lda", "repro.accel.simulate", "repro.ni.spad",
-           "repro.signals.audio", "repro.analysis")
+           "repro.signals.audio", "repro.analysis", "repro.obs.analyze")
 
 
 def test_cli_loads_neither_the_heat_grid_nor_a_deleted_module():
@@ -242,16 +243,16 @@ ENTRY_POINTS = ("repro.__main__", "repro.cli")
 #: Packages and modules no command reaches yet -> the ROADMAP item
 #: that wires them.
 UNREACHED_PACKAGES = {
-    "repro.compress": "ROADMAP item 6: measure explore's compression "
+    "repro.compress": "ROADMAP item 4: measure explore's compression "
                       "ratio with the Rice codec",
-    "repro.signals": "ROADMAP item 4: the null-signal decoder control",
-    "repro.thermal.grid": "ROADMAP item 4: the thermal-uniformity claim "
+    "repro.signals": "ROADMAP item 3: the null-signal decoder control",
+    "repro.thermal.grid": "ROADMAP item 3: the thermal-uniformity claim "
                           "in validate",
 }
 
 #: Definitions of reached modules that no command, benchmark or example
 #: uses yet -> the EXPERIMENTS.md row their tier-1 tests back (ROADMAP
-#: item 4 wires them into ``validate``), or the oracle, test-hook or
+#: item 3 wires them into ``validate``), or the oracle, test-hook or
 #: round-trip role that keeps them.
 UNREFERENCED_KEEP = {
     "repro.accel.interconnect.InterconnectModel":
