@@ -10,13 +10,13 @@ effective budget.
 Run:  python examples/closed_loop_bci.py
 """
 
-from repro.core import (
+from repro.core.closed_loop import (
     BRAIN_REACTION_TIME_S,
     StimulationConfig,
     evaluate_closed_loop,
-    scale_to_standard,
-    soc_by_number,
 )
+from repro.core.scaling import scale_to_standard
+from repro.core.socs import soc_by_number
 from repro.dnn.models import build_speech_mlp
 from repro.experiments.report import format_table
 from repro.link.wpt import InductiveLink

@@ -13,16 +13,14 @@ import numpy as np
 
 from repro.accel.schedule import compute_power_lower_bound
 from repro.accel.tech import TECH_45NM
-from repro.decoders import (
-    DnnDecoder,
-    KalmanFilterDecoder,
-    WienerFilterDecoder,
-)
+from repro.decoders.dnn_decoder import DnnDecoder
+from repro.decoders.kalman import KalmanFilterDecoder
+from repro.decoders.wiener import WienerFilterDecoder
 from repro.dnn.layers import Dense, ReLU, Tanh
 from repro.dnn.macs import fmac_dense
 from repro.dnn.network import Network
 from repro.experiments.report import format_table
-from repro.signals import make_cursor_dataset
+from repro.signals.datasets import make_cursor_dataset
 from repro.units import to_uw
 
 N_CHANNELS = 64

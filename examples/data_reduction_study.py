@@ -16,21 +16,18 @@ Run:  python examples/data_reduction_study.py
 
 import numpy as np
 
-from repro.compress import NeuralCompressor
-from repro.core import (
-    EventStreamConfig,
-    evaluate_event_stream,
-    scale_to_standard,
-    soc_by_number,
-)
-from repro.decoders import select_active_channels
+from repro.compress.pipeline import NeuralCompressor
+from repro.core.event_stream import EventStreamConfig, evaluate_event_stream
+from repro.core.scaling import scale_to_standard
+from repro.core.socs import soc_by_number
+from repro.decoders.spikesort import select_active_channels
 from repro.experiments.report import format_table
 from repro.ni.adc import quantize
-from repro.signals import (
+from repro.signals.lfp import synthesize_ecog
+from repro.signals.spikes import (
     biphasic_spike_template,
     poisson_spike_train,
     render_spike_waveform,
-    synthesize_ecog,
 )
 from repro.units import to_mbps, to_mw
 

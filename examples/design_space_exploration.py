@@ -8,19 +8,22 @@ compares: raw OOK streaming, advanced modulation, and on-implant DNNs.
 Run:  python examples/design_space_exploration.py
 """
 
-from repro.core import (
+from repro.core.comm_centric import (
     DesignHypothesis,
-    NIType,
-    SoCRecord,
-    Workload,
     budget_crossing_channels,
     evaluate_comm_centric,
+)
+from repro.core.comp_centric import (
+    Workload,
     evaluate_comp_centric,
+    max_feasible_channels,
+)
+from repro.core.qam_design import (
     evaluate_qam_design,
     max_channels_at_efficiency,
-    max_feasible_channels,
-    scale_to_standard,
 )
+from repro.core.scaling import scale_to_standard
+from repro.core.socs import NIType, SoCRecord
 from repro.experiments.report import format_table
 from repro.ni.afe import AnalogFrontEnd
 from repro.ni.geometry import GridArray

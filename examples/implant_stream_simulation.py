@@ -11,13 +11,19 @@ Run:  python examples/implant_stream_simulation.py
 
 import numpy as np
 
-from repro.core import scale_to_standard, soc_by_number
+from repro.core.scaling import scale_to_standard
+from repro.core.socs import soc_by_number
 from repro.experiments.report import format_table
-from repro.link import AwgnChannel, LinkBudget, OOK, communication_power
+from repro.link.budget import LinkBudget, communication_power
+from repro.link.channel import AwgnChannel
+from repro.link.modulation import OOK
 from repro.link.packetizer import Packet, Packetizer
-from repro.ni import AdcModel, GridArray, NeuralInterface
-from repro.signals import synthesize_ecog
-from repro.thermal import TissueThermalModel, assess
+from repro.ni.adc import AdcModel
+from repro.ni.geometry import GridArray
+from repro.ni.interface import NeuralInterface
+from repro.signals.lfp import synthesize_ecog
+from repro.thermal.budget import assess
+from repro.thermal.model import TissueThermalModel
 from repro.units import to_mbps, to_mw
 
 N_CHANNELS = 64

@@ -12,13 +12,17 @@ Run:  python examples/online_cursor_session.py
 
 import numpy as np
 
-from repro.core import evaluate_closed_loop, scale_to_standard, \
-    soc_by_number
-from repro.decoders import KalmanFilterDecoder
+from repro.core.closed_loop import evaluate_closed_loop
+from repro.core.scaling import scale_to_standard
+from repro.core.socs import soc_by_number
+from repro.decoders.kalman import KalmanFilterDecoder
 from repro.dnn.models import build_speech_mlp
 from repro.experiments.report import format_table
-from repro.simulate import CursorTask, SimulatedUser, \
-    run_closed_loop_session
+from repro.simulate.cursor_task import (
+    CursorTask,
+    SimulatedUser,
+    run_closed_loop_session,
+)
 
 
 def main() -> None:

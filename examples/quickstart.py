@@ -7,17 +7,16 @@ how far can this design stream raw data, and can it host a modern DNN?
 Run:  python examples/quickstart.py
 """
 
-from repro.core import (
-    DesignHypothesis,
+from repro.core.comm_centric import DesignHypothesis, budget_crossing_channels
+from repro.core.comp_centric import (
     Workload,
-    budget_crossing_channels,
     evaluate_comp_centric,
-    evaluate_qam_design,
     max_feasible_channels,
-    scale_to_standard,
-    soc_by_number,
 )
-from repro.thermal import assess
+from repro.core.qam_design import evaluate_qam_design
+from repro.core.scaling import scale_to_standard
+from repro.core.socs import soc_by_number
+from repro.thermal.budget import assess
 from repro.units import to_mbps, to_mw
 
 

@@ -13,16 +13,13 @@ import numpy as np
 
 from repro.accel.schedule import best_schedule
 from repro.accel.tech import TECH_45NM
-from repro.core import (
-    Workload,
-    evaluate_comp_centric,
-    evaluate_partitioned,
-    scale_to_standard,
-    soc_by_number,
-)
-from repro.decoders import DnnDecoder
+from repro.core.comp_centric import Workload, evaluate_comp_centric
+from repro.core.partitioning import evaluate_partitioned
+from repro.core.scaling import scale_to_standard
+from repro.core.socs import soc_by_number
+from repro.decoders.dnn_decoder import DnnDecoder
 from repro.dnn.models import build_speech_mlp
-from repro.signals import make_speech_dataset
+from repro.signals.datasets import make_speech_dataset
 from repro.units import to_mw
 
 #: Small-scale training configuration (the analysis itself runs at any n).

@@ -1,28 +1,22 @@
-"""Spike-sorting walkthrough: from raw waveform to per-unit event stream.
+"""Spike walkthrough: from raw waveform to a measured event rate.
 
 The substrate behind the paper's channel-dropout optimization, end to
-end: band-pass into the spike band, robust threshold detection, trough
-alignment, PCA + k-means unit separation, per-unit firing rates, the
-same sorting as a small classification DNN (Section 5.3's probability
-head), and the event-word data rate this channel would contribute to
-an event-driven implant (Section 7's pattern-detection dataflow).
+end: band-pass into the spike band, robust threshold detection, and the
+event-word data rate this channel would contribute to an event-driven
+implant (Section 7's pattern-detection dataflow).
 
 Run:  python examples/spike_sorting_walkthrough.py
 """
 
 import numpy as np
 
-from repro.core import EventStreamConfig
-from repro.decoders import SpikeDetector, sort_spikes
-from repro.dnn.layers import Dense, Softmax
-from repro.dnn.network import Network
-from repro.dnn.train import cross_entropy_loss, sgd_step
-from repro.experiments.report import format_table
-from repro.signals import (
+from repro.core.event_stream import EventStreamConfig
+from repro.decoders.spikesort import SpikeDetector
+from repro.signals.filters import spike_band
+from repro.signals.spikes import (
     biphasic_spike_template,
     poisson_spike_train,
     render_spike_waveform,
-    spike_band,
 )
 
 FS = 30e3
@@ -62,42 +56,7 @@ def main() -> None:
     print(f"detected {len(detected)} events "
           f"({total_true} ground-truth spikes over {DURATION_S:.0f} s)")
 
-    # 2. Sort into units.
-    result = sort_spikes(filtered, detected, n_units=len(UNITS), rng=rng)
-    rows = []
-    for unit in range(result.n_units):
-        count = int(np.sum(result.labels == unit))
-        rows.append({
-            "unit": unit,
-            "spikes": count,
-            "rate_hz": count / DURATION_S,
-            "template_peak": float(
-                np.abs(result.templates[unit]).max()),
-        })
-    print(format_table(rows))
-    for name, spikes in truth.items():
-        print(f"  ground truth {name}: {len(spikes)} spikes "
-              f"({len(spikes) / DURATION_S:.1f} Hz)")
-
-    # 3. The sorter as a classification DNN: a Dense + Softmax head
-    #    maps each spike's PCA scores to one probability per unit,
-    #    trained with cross-entropy on the k-means labels.
-    n_features = result.features.shape[1]
-    classifier = Network([Dense(n_features, result.n_units, rng=rng),
-                          Softmax()], input_shape=(n_features,),
-                         name="unit classifier")
-    for _ in range(200):
-        classifier.zero_gradients()
-        probabilities = classifier.forward(result.features)
-        loss, grad = cross_entropy_loss(probabilities, result.labels)
-        classifier.backward(grad)
-        sgd_step(classifier, learning_rate=0.5)
-    predicted = np.argmax(classifier.forward(result.features), axis=1)
-    print(f"\n{classifier.name} ({classifier.total_macs} MACs/spike): "
-          f"cross-entropy {loss:.2g}, agrees with the sorter on "
-          f"{np.mean(predicted == result.labels):.0%} of spikes")
-
-    # 4. What this channel costs an event-driven implant.
+    # 2. What this channel costs an event-driven implant.
     config = EventStreamConfig()
     measured_rate = len(detected) / DURATION_S
     event_bps = measured_rate * config.bits_per_event

@@ -12,19 +12,14 @@ Run:  python examples/wireless_link_study.py
 import numpy as np
 
 from repro.experiments.report import ascii_plot, format_table
-from repro.link import (
-    BPSK,
-    MQAM,
-    OOK,
-    QPSK,
-    LinkBudget,
-    Packetizer,
-    communication_power,
+from repro.link.ber import required_ebn0, shannon_ebn0_limit_db
+from repro.link.budget import LinkBudget, communication_power
+from repro.link.channel import measure_ber_grid
+from repro.link.modulation import BPSK, MQAM, OOK, QPSK
+from repro.link.packetizer import Packetizer
+from repro.link.protocol import (
     delivered_energy_per_bit,
     expected_transmissions,
-    measure_ber_grid,
-    required_ebn0,
-    shannon_ebn0_limit_db,
     simulate_arq,
 )
 from repro.units import to_mbps, to_mw, to_pj

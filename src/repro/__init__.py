@@ -7,13 +7,12 @@ and EXPERIMENTS.md for the paper-vs-measured record.
 
 Quick start::
 
-    from repro.core import scale_to_standard, wireless_socs
-    from repro.thermal import assess
+    from repro.core.scaling import scale_to_standard
+    from repro.core.socs import wireless_socs
+    from repro.thermal.budget import assess
 
     bisc = scale_to_standard(wireless_socs()[0])
     print(assess(bisc.power_w, bisc.area_m2).describe())
 """
 
 __version__ = "1.0.0"
-
-__all__ = ["__version__"]

@@ -14,45 +14,3 @@ charging each unit its post-synthesis power.  This package implements:
 * the second-order memory and interconnect models that check the Eq. 13
   bound's headroom.
 """
-
-from repro.accel.tech import (
-    TechnologyNode,
-    TECH_130NM,
-    TECH_45NM,
-    TECH_12NM,
-)
-from repro.accel.schedule import (
-    Schedule,
-    schedule_non_pipelined,
-    schedule_pipelined,
-    best_schedule,
-    compute_power_lower_bound,
-)
-from repro.accel.power import (
-    AcceleratorPowerModel,
-    LayerDesignPoint,
-    FIG9_DESIGN_POINTS,
-    fig9_power_table,
-)
-from repro.accel.memory import MemoryModel, MarginReport, assess_memory_margin
-from repro.accel.interconnect import InterconnectModel
-
-__all__ = [
-    "TechnologyNode",
-    "TECH_130NM",
-    "TECH_45NM",
-    "TECH_12NM",
-    "Schedule",
-    "schedule_non_pipelined",
-    "schedule_pipelined",
-    "best_schedule",
-    "compute_power_lower_bound",
-    "AcceleratorPowerModel",
-    "LayerDesignPoint",
-    "FIG9_DESIGN_POINTS",
-    "fig9_power_table",
-    "MemoryModel",
-    "MarginReport",
-    "assess_memory_margin",
-    "InterconnectModel",
-]

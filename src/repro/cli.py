@@ -27,7 +27,7 @@ Commands:
   result cache under ``<output-dir>/.cache``.
 * ``chaos`` — run the fault-injection drills (link, cache) plus the
   ``fault_sweep`` degradation experiment under a seeded
-  :class:`repro.fault.FaultPlan`, writing ``fault_log.json`` +
+  :class:`repro.fault.plan.FaultPlan`, writing ``fault_log.json`` +
   ``chaos_report.json``; byte-identical for a fixed ``--seed``
   (docs/ROBUSTNESS.md).
 * ``obs {bench-gate,report}`` — the perf-trajectory regression gate
@@ -141,7 +141,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     fault_plan = None
     injector = None
     if args.fault_plan:
-        from repro.fault import FaultInjector, FaultPlan
+        from repro.fault.injector import FaultInjector
+        from repro.fault.plan import FaultPlan
         try:
             fault_plan = FaultPlan.from_file(args.fault_plan)
         except (OSError, ValueError) as error:
@@ -163,8 +164,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.experiments import fault_sweep
-    from repro.fault import (FaultInjector, FaultPlan,
-                             default_chaos_plan, run_chaos_drills)
+    from repro.fault.drills import run_chaos_drills
+    from repro.fault.injector import FaultInjector
+    from repro.fault.plan import FaultPlan, default_chaos_plan
 
     if args.fault_plan:
         try:
@@ -370,7 +372,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    from repro.cache import store_for
+    from repro.cache.runner import store_for
 
     store = store_for(args.output_dir)
     if args.action == "stats":
@@ -424,8 +426,6 @@ def _cmd_obs_bench_gate(args: argparse.Namespace) -> int:
             print(f"obs: bad bench input: {type(error).__name__}: "
                   f"{error}", file=sys.stderr)
             return 2
-        if args.append:
-            bench.append_history(record, args.history)
     elif history:
         record = history[-1]
     else:
@@ -437,7 +437,11 @@ def _cmd_obs_bench_gate(args: argparse.Namespace) -> int:
                                      window=args.window)
     _print_report(report, bench.render_gate(report),
                   args.format == "json")
-    return 0 if report["ok"] else 1
+    if not report["ok"]:
+        return 1
+    if args.input and args.append:
+        bench.append_history(record, args.history)
+    return 0
 
 
 def _cmd_obs_report(args: argparse.Namespace) -> int:
@@ -628,7 +632,8 @@ def build_parser() -> argparse.ArgumentParser:
              "entry")
     obs_gate.add_argument(
         "--append", action="store_true",
-        help="with --input: also append the run to the history ledger")
+        help="with --input: append the run to the history ledger if "
+             "it passes the gate")
     obs_gate.add_argument(
         "--threshold", type=float, default=0.20,
         help="fractional per-entry slowdown that fails (default 0.20)")

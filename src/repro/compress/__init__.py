@@ -9,36 +9,3 @@ used by data-compressive recording ICs such as Jang et al., Table 1 #10),
 plus the bit-accounting needed to fold compression into the Eq. 9
 communication power.
 """
-
-from repro.compress.delta import delta_encode, delta_decode
-from repro.compress.rice import (
-    PackedBits,
-    pack_bitstring,
-    rice_encode,
-    rice_decode,
-    rice_encode_packed,
-    rice_decode_packed,
-    optimal_rice_parameter,
-    optimal_rice_parameters,
-)
-from repro.compress.pipeline import (
-    CompressionResult,
-    NeuralCompressor,
-    compression_ratio,
-)
-
-__all__ = [
-    "delta_encode",
-    "delta_decode",
-    "PackedBits",
-    "pack_bitstring",
-    "rice_encode",
-    "rice_decode",
-    "rice_encode_packed",
-    "rice_decode_packed",
-    "optimal_rice_parameter",
-    "optimal_rice_parameters",
-    "CompressionResult",
-    "NeuralCompressor",
-    "compression_ratio",
-]

@@ -11,7 +11,8 @@ Two implementations live here:
 * the **packed codec** (:func:`rice_encode_packed` /
   :func:`rice_decode_packed`) — the production path.  It materializes the
   stream as a packed ``uint8`` array via fully vectorized NumPy bit
-  construction, and is what :class:`repro.compress.NeuralCompressor` uses.
+  construction, and is what
+  :class:`repro.compress.pipeline.NeuralCompressor` uses.
 * the **string codec** (:func:`rice_encode` / :func:`rice_decode`) — the
   original transparent implementation, kept as the *test oracle*: the
   packed codec must produce bit-for-bit identical streams

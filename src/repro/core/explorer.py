@@ -19,6 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.accel.tech import TECH_45NM, TechnologyNode
+from repro.core.closed_loop import (
+    evaluate_closed_loop,
+    max_channels_closed_loop,
+)
 from repro.core.comm_centric import (
     DesignHypothesis,
     budget_crossing_channels,
@@ -44,6 +48,7 @@ from repro.core.qam_design import (
     max_channels_at_efficiency,
 )
 from repro.core.scaling import ScaledSoC
+from repro.dnn.models import build_speech_mlp
 from repro.units import SAFE_POWER_DENSITY
 
 
@@ -54,7 +59,11 @@ class StrategyOutcome:
     Attributes:
         strategy: strategy label.
         max_channels: largest safe channel count (None when unbounded
-            within the explored limit).
+            within the explored limit).  The two raw-OOK strategies
+            report :func:`~repro.core.comm_centric.budget_crossing_channels`
+            instead: the smallest channel count *over* budget, one above
+            the largest safe one (the anchor count itself when the
+            anchor is already over budget).
         power_ratio_at_target: P_soc/P_budget at the exploration target.
     """
 
@@ -90,7 +99,7 @@ class ExplorationReport:
         return min(feasible, key=lambda o: o.power_ratio_at_target)
 
     def frontier(self) -> dict[str, int | None]:
-        """Strategy -> maximum safe channel count."""
+        """Strategy -> ``max_channels`` (see :class:`StrategyOutcome`)."""
         return {o.strategy: o.max_channels for o in self.outcomes}
 
 
@@ -144,10 +153,15 @@ def explore(soc: ScaledSoC,
         qam_efficiency: achievable transmitter efficiency for the
             advanced-modulation strategy.
         compression_ratio: lossless codec ratio (measure one with
-            :class:`repro.compress.NeuralCompressor`).
+            :class:`repro.compress.pipeline.NeuralCompressor`).
         codec_power_w_per_channel: codec cost per channel.
         event_config: event-stream parameters.
         tech: MAC technology for compute strategies.
+
+    Every outcome's ``max_channels`` is the strategy's largest feasible
+    channel count, except the two raw-OOK rows, which carry the
+    budget-crossing count (the smallest infeasible one; see
+    :class:`StrategyOutcome`).
     """
     if target_channels < soc.n_channels:
         raise ValueError("target must be at least the 1024-ch standard")
@@ -206,11 +220,6 @@ def explore(soc: ScaledSoC,
 
     # Closed loop: decode once per decision, stimulate, no telemetry —
     # a different application class with a far looser compute deadline.
-    from repro.core.closed_loop import (
-        evaluate_closed_loop,
-        max_channels_closed_loop,
-    )
-    from repro.dnn.models import build_speech_mlp
     loop = evaluate_closed_loop(soc, build_speech_mlp(target_channels),
                                 target_channels, tech=tech)
     outcomes.append(StrategyOutcome(

@@ -29,7 +29,11 @@ import numpy as np
 
 from repro.accel.schedule import Schedule, cached_best_schedule
 from repro.accel.tech import TECH_45NM, TechnologyNode
-from repro.core.comp_centric import Workload, _workload_profile
+from repro.core.comp_centric import (
+    Workload,
+    _workload_profile,
+    max_feasible_channels,
+)
 from repro.core.scaling import ScaledSoC
 from repro.dnn.macs import LayerMacs
 from repro.dnn.network import Network, NetworkProfile
@@ -260,7 +264,6 @@ def partitioning_gain(soc: ScaledSoC,
                       tech: TechnologyNode = TECH_45NM,
                       step: int = 64) -> PartitioningGain:
     """Compute the Fig. 11 gain for one SoC and workload."""
-    from repro.core.comp_centric import max_feasible_channels
     full = max_feasible_channels(soc, workload, tech, step=step)
     part = max_feasible_channels_partitioned(soc, workload, tech, step=step)
     return PartitioningGain(soc_name=soc.name, workload=workload,

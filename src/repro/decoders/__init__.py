@@ -8,35 +8,3 @@ This package implements all three, plus a thin decoder wrapper around the
 :mod:`repro.dnn` networks so the examples can compare the families on the
 same synthetic datasets.
 """
-
-from repro.decoders.kalman import KalmanFilterDecoder
-from repro.decoders.wiener import WienerFilterDecoder
-from repro.decoders.spikesort import (
-    SpikeDetector,
-    channel_activity_ranking,
-    select_active_channels,
-)
-from repro.decoders.dnn_decoder import DnnDecoder
-from repro.decoders.cluster import (
-    SortResult,
-    align_snippets,
-    extract_snippets,
-    kmeans,
-    pca_features,
-    sort_spikes,
-)
-
-__all__ = [
-    "KalmanFilterDecoder",
-    "WienerFilterDecoder",
-    "SpikeDetector",
-    "channel_activity_ranking",
-    "select_active_channels",
-    "DnnDecoder",
-    "SortResult",
-    "align_snippets",
-    "extract_snippets",
-    "kmeans",
-    "pca_features",
-    "sort_spikes",
-]

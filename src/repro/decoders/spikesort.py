@@ -5,8 +5,7 @@ This is the substrate behind the paper's *channel dropout* optimization
 to reduce the amount of neural data ... filter out data from inactive
 neurons."  The pipeline here is the standard hardware-friendly one (cf.
 NOEMA, MICRO'21): robust threshold detection per channel and an activity
-ranking that selects the n' most informative channels.  Unit separation
-lives in :mod:`repro.decoders.cluster`.
+ranking that selects the n' most informative channels.
 """
 
 from __future__ import annotations

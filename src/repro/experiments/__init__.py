@@ -21,7 +21,7 @@ from repro.experiments.base import ExperimentResult
 from repro.experiments.report import DEFAULT_OUTPUT_DIR, format_table
 from repro.obs.recorder import driver_scope, inc, span
 from repro.seeds import current_seed, derive_driver_seed, set_run_seed
-from repro.experiments import (  # noqa: F401 (re-exported driver modules)
+from repro.experiments import (
     fault_sweep,
     fig4,
     fleet,
@@ -170,7 +170,7 @@ def run_module_resilient(module: ModuleType,
             when omitted).
         runner: the single-attempt callable, defaulting to
             :func:`run_module`; the cached path passes a closure over
-            :func:`repro.cache.run_and_save_cached`.
+            :func:`repro.cache.runner.run_and_save_cached`.
     """
     if max_retries < 0:
         raise ValueError("max_retries must be non-negative")
@@ -240,7 +240,7 @@ def run_all(output_dir: Path | str = DEFAULT_OUTPUT_DIR,
         seed: RNG seed threaded to stochastic drivers and manifests.
         cache: route every driver through the content-addressed cache
             under ``<output_dir>/.cache``
-            (:func:`repro.cache.run_and_save_cached`); unchanged
+            (:func:`repro.cache.runner.run_and_save_cached`); unchanged
             drivers replay their stored results byte-for-byte.
         max_retries: bounded per-driver retry budget
             (:func:`run_module_resilient`); a driver that still fails
@@ -270,7 +270,7 @@ def run_all(output_dir: Path | str = DEFAULT_OUTPUT_DIR,
             injector = FaultInjector(fault_plan)
     runner = None
     if cache:
-        from repro.cache import run_and_save_cached, store_for
+        from repro.cache.runner import run_and_save_cached, store_for
         store = store_for(output_dir)
 
         def runner(module: ModuleType,
@@ -292,9 +292,3 @@ def run_all(output_dir: Path | str = DEFAULT_OUTPUT_DIR,
             print()
         results.append(result)
     return results
-
-
-__all__ = ["ALL_EXPERIMENTS", "EXTENSION_EXPERIMENTS", "FAILURE_COLUMNS",
-           "ExperimentResult", "experiment_name", "is_recorded_failure",
-           "render_result", "run_all", "run_module",
-           "run_module_resilient"]

@@ -31,7 +31,7 @@ class ExperimentResult:
         duration_s: wall-clock runtime, populated by
             :func:`repro.experiments.run_module`.
         cache_info: cache provenance (``{"hit", "key", "fingerprint"}``)
-            populated by :func:`repro.cache.run_and_save_cached` on
+            populated by :func:`repro.cache.runner.run_and_save_cached` on
             cached runs; None on uncached runs.  Recorded in the
             manifest.
         cached_csv_text: exact CSV text captured by a previous cold run;

@@ -12,7 +12,7 @@ which windows the link lost.
 
 from __future__ import annotations
 
-from repro.decoders import KalmanFilterDecoder
+from repro.decoders.kalman import KalmanFilterDecoder
 from repro.experiments.base import ExperimentResult
 from repro.experiments.report import ascii_bars, format_table
 from repro.fault.injector import FaultInjector

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from repro.experiments.base import ExperimentResult
 from repro.experiments.report import ascii_bars, format_table
-from repro.fleet import CohortSpec, FleetSpec, run_fleet
+from repro.fleet.engine import run_fleet
+from repro.fleet.spec import CohortSpec, FleetSpec
 from repro.obs.recorder import set_gauge, span
 
 #: Sessions per default cohort (kept modest so the extension run stays

@@ -9,25 +9,3 @@ The chaos layer of the reproduction pipeline (``docs/ROBUSTNESS.md``):
 * :mod:`repro.fault.drills` — canned link/cache drills behind
   ``python -m repro chaos``.
 """
-
-from repro.fault.drills import cache_drill, link_drill, run_chaos_drills
-from repro.fault.injector import FaultEvent, FaultInjector
-from repro.fault.plan import (CacheFaults, FaultPlan, InjectedWorkerFault,
-                              LinkFaults, RetryPolicy, WorkerFaults,
-                              default_chaos_plan, derive_fault_seed)
-
-__all__ = [
-    "CacheFaults",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultPlan",
-    "InjectedWorkerFault",
-    "LinkFaults",
-    "RetryPolicy",
-    "WorkerFaults",
-    "cache_drill",
-    "default_chaos_plan",
-    "derive_fault_seed",
-    "link_drill",
-    "run_chaos_drills",
-]

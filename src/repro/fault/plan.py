@@ -24,11 +24,9 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
-from repro.seeds import derive_fault_seed
-
 __all__ = ["CacheFaults", "FaultPlan", "InjectedWorkerFault",
            "LinkFaults", "RetryPolicy", "WorkerFaults",
-           "default_chaos_plan", "derive_fault_seed"]
+           "default_chaos_plan"]
 
 #: Cache corruption modes the injector knows how to apply.
 CACHE_FAULT_MODES = ("truncate", "garbage", "key_mismatch")

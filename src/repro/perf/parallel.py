@@ -15,7 +15,7 @@ directly, and nothing is re-imported or pickled on the way in.  The
 engine starts no threads of its own.  A fresh child per task also means
 no RNG state can leak from one task into the next.
 
-:func:`repro.fleet.run_fleet` (``fleet --jobs N``) shards cohorts with
+:func:`repro.fleet.engine.run_fleet` (``fleet --jobs N``) shards cohorts with
 it.  Tasks carry no telemetry: the science a child runs emits none, and
 the fleet driver records its spans and gauges in the parent.
 """

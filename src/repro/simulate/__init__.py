@@ -10,17 +10,3 @@ simulator of Cunningham et al., cited in Section 2), a cursor plant, and
 a task loop measuring what architects actually care about — hit rate and
 time-to-target as functions of decoder quality and loop latency.
 """
-
-from repro.simulate.cursor_task import (
-    CursorTask,
-    SimulatedUser,
-    TaskOutcome,
-    run_closed_loop_session,
-)
-
-__all__ = [
-    "CursorTask",
-    "SimulatedUser",
-    "TaskOutcome",
-    "run_closed_loop_session",
-]

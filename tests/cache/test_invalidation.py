@@ -68,6 +68,21 @@ class TestKeyLevelInvalidation:
         after = _driver_keys(tmp_tree)
         assert all(after[name] != before[name] for name in DRIVERS)
 
+    def test_editing_the_closed_loop_model_changes_the_frontier_key(
+            self, tmp_tree):
+        # explore() scores the closed-loop strategy, so the frontier
+        # driver's key must follow core/closed_loop.py.
+        def frontier_key():
+            return driver_key(
+                "frontier",
+                fingerprint("repro.experiments.frontier", root=tmp_tree),
+                7, derive_driver_seed(7, "frontier"))
+
+        before = frontier_key()
+        _append(tmp_tree / "repro" / "core" / "closed_loop.py")
+        clear_cached_fingerprints()
+        assert frontier_key() != before
+
     def test_seed_is_part_of_the_key(self, tmp_tree):
         assert _driver_keys(tmp_tree, seed=7) != _driver_keys(tmp_tree,
                                                               seed=8)

@@ -8,7 +8,7 @@ from repro.experiments import (
     run_module,
 )
 from repro.experiments.base import ExperimentResult
-from repro.fleet import FleetSpec
+from repro.fleet.spec import FleetSpec
 
 
 @pytest.fixture(scope="module")

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from repro.obs import recorder
-from repro.fault import (FaultInjector, FaultPlan, LinkFaults,
-                         default_chaos_plan)
+from repro.fault.injector import FaultInjector
+from repro.fault.plan import FaultPlan, LinkFaults, default_chaos_plan
 
 
 def _packet_bytes(n: int = 64) -> bytes:

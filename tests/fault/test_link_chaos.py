@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.fault import (FaultInjector, FaultPlan, LinkFaults,
-                         default_chaos_plan)
+from repro.fault.injector import FaultInjector
+from repro.fault.plan import FaultPlan, LinkFaults, default_chaos_plan
 from repro.link.packetizer import Packet, Packetizer
 from repro.link.protocol import FaultedArqReport, simulate_arq_with_faults
 

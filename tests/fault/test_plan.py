@@ -4,9 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.fault import (CacheFaults, FaultPlan, InjectedWorkerFault,
-                         LinkFaults, RetryPolicy, WorkerFaults,
-                         default_chaos_plan, derive_fault_seed)
+from repro.fault.plan import (
+    CacheFaults,
+    FaultPlan,
+    InjectedWorkerFault,
+    LinkFaults,
+    RetryPolicy,
+    WorkerFaults,
+    default_chaos_plan,
+)
+from repro.seeds import derive_fault_seed
 
 
 class TestRateValidation:

@@ -24,7 +24,9 @@ import json
 from collections import Counter
 from pathlib import Path
 
-from repro.fault import FaultInjector, default_chaos_plan, run_chaos_drills
+from repro.fault.drills import run_chaos_drills
+from repro.fault.injector import FaultInjector
+from repro.fault.plan import default_chaos_plan
 from repro.obs import recorder
 
 GOLDEN = Path(__file__).parent / "golden" / "fault_log.json"

@@ -18,7 +18,8 @@ from pathlib import Path
 
 from repro.experiments import (fig4, fig5, fig8, is_recorded_failure,
                                run_all, run_module, table1)
-from repro.fault import FaultInjector, FaultPlan, RetryPolicy, WorkerFaults
+from repro.fault.injector import FaultInjector
+from repro.fault.plan import FaultPlan, RetryPolicy, WorkerFaults
 
 GOLDEN = Path(__file__).parent / "golden"
 

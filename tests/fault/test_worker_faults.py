@@ -16,8 +16,8 @@ import pytest
 from repro.experiments import (ALL_EXPERIMENTS, FAILURE_COLUMNS,
                                experiment_name, is_recorded_failure,
                                run_module, run_module_resilient)
-from repro.fault import (FaultInjector, FaultPlan, RetryPolicy,
-                         WorkerFaults)
+from repro.fault.injector import FaultInjector
+from repro.fault.plan import FaultPlan, RetryPolicy, WorkerFaults
 
 #: The cheapest driver (a static table) — retried many times in here.
 CHEAP = ALL_EXPERIMENTS[0]

@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.fleet import (
-    CohortSpec,
-    FleetSpec,
+from repro.fleet.engine import (
+    _simulate,
     cohort_seed,
     run_fleet,
     simulate_cohort,
 )
-from repro.fleet.engine import _simulate
+from repro.fleet.spec import CohortSpec, FleetSpec
 from repro.seeds import seeded_rng
 
 BASE_SEED = 99

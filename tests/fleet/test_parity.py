@@ -20,9 +20,14 @@ from repro.dnn.network import Network
 from repro.dnn.train import sgd_train, sgd_train_batch
 from repro.fault.injector import FaultInjector
 from repro.fault.plan import FaultPlan, LinkFaults
-from repro.fleet import CohortSpec, cohort_fault_seed, cohort_seed
 from repro.fleet.decoders import calibrate_batch, make_session_decoder
-from repro.fleet.engine import CALIBRATION_CHUNK, _calibration_chunks
+from repro.fleet.engine import (
+    CALIBRATION_CHUNK,
+    _calibration_chunks,
+    cohort_fault_seed,
+    cohort_seed,
+)
+from repro.fleet.spec import CohortSpec
 from repro.seeds import seeded_rng
 from repro.simulate.cursor_task import (
     PARITY_ORACLES,

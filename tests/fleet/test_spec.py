@@ -2,14 +2,8 @@
 
 import pytest
 
-from repro.fleet import (
-    DECODER_FAMILIES,
-    SESSION_COLUMNS,
-    CohortSpec,
-    FleetSpec,
-    SessionResult,
-    summarize_cohort,
-)
+from repro.fleet.result import SESSION_COLUMNS, SessionResult, summarize_cohort
+from repro.fleet.spec import DECODER_FAMILIES, CohortSpec, FleetSpec
 
 
 class TestSessionResultZeroSafety:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.compress import NeuralCompressor
+from repro.compress.pipeline import NeuralCompressor
 from repro.compress.rice import PackedBits
 from repro.core.event_stream import EventStreamConfig, evaluate_event_stream
 from repro.core.explorer import explore

@@ -110,6 +110,19 @@ class TestObsBenchGate:
                                              "e2e.paper.wall_s"]
         assert "no baseline yet" in capsys.readouterr().out
 
+    def test_failing_run_is_not_appended(self, tmp_path, capsys):
+        history = tmp_path / "bench_history.jsonl"
+        self._seed_history(history, [0.010, 0.010])
+        slow = tmp_path / "slow.json"
+        slow.write_text(json.dumps({"entries": [
+            {"name": "rice_encode", "after_s": 0.050,
+             "speedup": 2.0}], "cpus": 4}),
+            encoding="utf-8")
+        assert main(["obs", "bench-gate", "--history", str(history),
+                     "--input", str(slow), "--append"]) == 1
+        assert "FAIL" in capsys.readouterr().out
+        assert len(history.read_text().splitlines()) == 2
+
     def test_empty_history_exits_two(self, tmp_path, capsys):
         assert main(["obs", "bench-gate", "--history",
                      str(tmp_path / "none.jsonl")]) == 2

@@ -26,8 +26,8 @@ import pytest
 from repro.obs import recorder
 from repro.experiments import ALL_EXPERIMENTS, run_module
 from repro.experiments.fleet import run_spec
-from repro.fleet import CohortSpec, FleetSpec
-from repro.perf import Launcher, TaskFailed, resolve_jobs
+from repro.fleet.spec import CohortSpec, FleetSpec
+from repro.perf.parallel import Launcher, TaskFailed, resolve_jobs
 from repro.seeds import derive_driver_seed
 
 class TestDeriveDriverSeed:
@@ -149,7 +149,8 @@ class TestShardedFleet:
 
     def test_fresh_interpreter_exits_cleanly(self):
         script = (
-            "from repro.fleet import CohortSpec, FleetSpec, run_fleet\n"
+            "from repro.fleet.engine import run_fleet\n"
+            "from repro.fleet.spec import CohortSpec, FleetSpec\n"
             "cohorts = [CohortSpec(name=n, n_sessions=2, n_trials=2, "
             "train_timesteps=60, timeout_s=1.0) for n in 'abc']\n"
             "run_fleet(FleetSpec(cohorts), 3, jobs=2)\n"

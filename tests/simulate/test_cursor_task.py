@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.decoders import KalmanFilterDecoder, WienerFilterDecoder
+from repro.decoders.kalman import KalmanFilterDecoder
+from repro.decoders.wiener import WienerFilterDecoder
 from repro.simulate.cursor_task import (
     CursorTask,
     SimulatedUser,

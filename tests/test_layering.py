@@ -243,8 +243,18 @@ ENTRY_POINTS = ("repro.__main__", "repro.cli")
 #: Packages and modules no command reaches yet -> the ROADMAP item
 #: that wires them.
 UNREACHED_PACKAGES = {
+    "repro.accel.interconnect": "ROADMAP item 3: the second-order "
+                                "memory claim in validate",
+    "repro.accel.memory": "ROADMAP item 3: the second-order memory "
+                          "claim in validate",
     "repro.compress": "ROADMAP item 4: measure explore's compression "
                       "ratio with the Rice codec",
+    "repro.core.sensitivity": "ROADMAP item 3: the sensitivity claim "
+                              "in validate",
+    "repro.decoders.spikesort": "ROADMAP item 4: the measured event "
+                                "rate behind the event-stream strategy",
+    "repro.link.wpt": "ROADMAP item 3: the WPT-derating row as a "
+                      "validate claim",
     "repro.signals": "ROADMAP item 3: the null-signal decoder control",
     "repro.thermal.grid": "ROADMAP item 3: the thermal-uniformity claim "
                           "in validate",
@@ -255,19 +265,18 @@ UNREACHED_PACKAGES = {
 #: item 3 wires them into ``validate``), or the oracle, test-hook or
 #: round-trip role that keeps them.
 UNREFERENCED_KEEP = {
-    "repro.accel.interconnect.InterconnectModel":
-        "Second-order memory (memory + routing fit the Eq. 13 margin)",
-    "repro.accel.memory.assess_memory_margin":
-        "Second-order memory (activation buffers vs the Eq. 13 bound)",
     "repro.core.multi_implant.channels_vs_single_implant":
         "Multi-implant tiling",
+    "repro.dnn.layers.Softmax":
+        "Section 5.3 classification head (ROADMAP item 7: its one example "
+        "user, the spike-unit classifier, went with PCA/k-means sorting)",
+    "repro.dnn.train.cross_entropy_loss":
+        "loss of the Softmax head (ROADMAP item 7, as above)",
     "repro.fleet.decoders.make_session_decoder":
         "scalar parity oracle of the batched calibration",
     "repro.simulate.cursor_task.run_closed_loop_cohort":
         "PARITY_ORACLES pair with run_closed_loop_session: the 1-session "
         "cohort the fleet engine is checked against",
-    "repro.core.sensitivity.tornado": "Sensitivity (split estimates "
-                                      "move the Fig. 10 frontier < 2x)",
     "repro.cache.fingerprint.clear_cached_fingerprints":
         "test hook: drops memoized fingerprints after a test edits "
         "source in place",

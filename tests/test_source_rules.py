@@ -1,6 +1,6 @@
 """Source rules that no behavioural test sees until a run breaks.
 
-Four per-file ``ast`` scans of ``src/``:
+Five per-file ``ast`` scans of ``src/``:
 
 * **Threaded randomness.**  A seeded run writes the same bytes every
   time only if every draw flows from the run seed (:mod:`repro.seeds`).
@@ -19,6 +19,10 @@ Four per-file ``ast`` scans of ``src/``:
   ``<k>_reference``, and each literal ``PARITY_ORACLES`` entry, names
   callables its module defines, and some ``tests/**/test_*.py`` file
   mentions both names.
+* **Thin package roots.**  A subpackage ``__init__.py`` holds its
+  docstring and nothing else, so every name has one import path: its
+  defining module.  A re-export would also let a module that only the
+  root imports look reached from the CLI.
 
 Allowed sites are named in the constants below, never in comments in
 the code they allow.
@@ -39,6 +43,13 @@ RNG_FACTORIES = {
     "repro/seeds.py": "seeded_rng honours the run's --seed",
     "repro/fault/injector.py": "one stream per fault domain, derived "
                                "from the plan seed",
+}
+
+#: Subpackage roots that may hold code (path under ``src/``) -> why.
+ENGINE_ROOTS = {
+    "repro/experiments/__init__.py": "the driver engine; every driver's "
+                                     "cache fingerprint includes it as "
+                                     "the parent package",
 }
 
 #: Calls that must be ``with`` items.
@@ -169,6 +180,19 @@ def _broken_parity_pairs(tree: ast.Module,
     return broken
 
 
+def _root_code(name: str, tree: ast.Module) -> list[int]:
+    """Lines of a subpackage root other than its docstring."""
+    if (not name.endswith("/__init__.py") or name == "repro/__init__.py"
+            or name in ENGINE_ROOTS):
+        return []
+    body = tree.body
+    if not (body and isinstance(body[0], ast.Expr)
+            and isinstance(body[0].value, ast.Constant)
+            and isinstance(body[0].value.value, str)):
+        return [body[0].lineno if body else 1]
+    return [stmt.lineno for stmt in body[1:]]
+
+
 def _test_texts(tests: Path) -> list[str]:
     """Every test module except this one, whose toy sources would
     otherwise cover their own pairs."""
@@ -210,6 +234,11 @@ def test_parity_oracles_are_tested():
     broken = {name: found for name, tree in _parse(SRC).items()
               if (found := _broken_parity_pairs(tree, texts))}
     assert broken == {}
+
+
+def test_package_roots_are_docstrings():
+    assert _scan(_root_code) == [], (
+        "import the name from its defining module instead")
 
 
 def test_randomness_rule_on_toy_sources():
@@ -286,3 +315,19 @@ def test_parity_rule_on_toy_sources():
         ast.parse("def _x(v):\n    return v\n"
                   "def _x_reference(v):\n    return v\n"),
         ["assert _x(1) == _x_reference(1)"]) == []
+
+
+def test_root_rule_on_toy_sources():
+    planted = ast.parse(
+        '"""Package docs."""\n'
+        "from repro.core.socs import TABLE1\n"
+        "__all__ = ['TABLE1']\n")
+    assert _root_code("repro/core/__init__.py", planted) == [2, 3]
+    assert _root_code("repro/core/__init__.py",
+                      ast.parse("import os\n")) == [1]
+    assert _root_code("repro/core/__init__.py", ast.parse("")) == [1]
+    assert _root_code("repro/core/socs.py", planted) == []
+    assert _root_code("repro/__init__.py", planted) == []
+    assert _root_code("repro/experiments/__init__.py", planted) == []
+    assert _root_code("repro/core/__init__.py",
+                      ast.parse('"""Only docs."""\n')) == []
