@@ -24,7 +24,7 @@ import numpy as np
 from repro.accel.schedule import Schedule, cached_best_schedule
 from repro.accel.tech import TECH_45NM, TechnologyNode
 from repro.core.scaling import ScaledSoC
-from repro.dnn.models import build_speech_dncnn, build_speech_mlp
+from repro.dnn.models import speech_dncnn_profile, speech_mlp_profile
 from repro.dnn.network import Network, NetworkProfile
 from repro.units import SAFE_POWER_DENSITY
 
@@ -36,27 +36,22 @@ class Workload(enum.Enum):
     DNCNN = "dncnn"
 
 
-#: Workload -> shape-only network builder.
-_BUILDERS: dict[Workload, Callable[[int], Network]] = {
-    Workload.MLP: build_speech_mlp,
-    Workload.DNCNN: build_speech_dncnn,
+#: Workload -> its network's profile at a channel count, computed from
+#: the layer widths without building a :class:`Network`.
+_PROFILES: dict[Workload, Callable[[int], NetworkProfile]] = {
+    Workload.MLP: speech_mlp_profile,
+    Workload.DNCNN: speech_dncnn_profile,
 }
-
-
-def build_workload(workload: Workload, n_channels: int) -> Network:
-    """Shape-only network for a workload at a channel count."""
-    return _BUILDERS[workload](n_channels)
 
 
 @lru_cache(maxsize=4096)
 def _workload_profile(workload: Workload, n_channels: int) -> NetworkProfile:
-    """The one-walk profile of a workload at a channel count.
+    """The profile of a workload at a channel count, memoized.
 
-    The shape-only networks are deterministic in (workload, n), so the
-    sweeps share one build per point instead of rebuilding the layer
-    stack for every SoC on the grid.
+    The profiles are deterministic in (workload, n), so the sweeps share
+    one entry per grid point across every SoC on the grid.
     """
-    return build_workload(workload, n_channels).profile()
+    return _PROFILES[workload](n_channels)
 
 
 @dataclass(frozen=True)
@@ -118,8 +113,8 @@ def evaluate_comp_centric(soc: ScaledSoC,
         n_channels: target channel count (the DNN input scales with it).
         tech: MAC technology node (45 nm in Fig. 10; 12 nm for the
             technology-scaling optimization).
-        network: pre-built network override (used by the optimization
-            ladder to evaluate channel-dropout-reduced models).
+        network: pre-built network override; its walked profile
+            replaces the workload's width-derived one.
     """
     if n_channels <= 0:
         raise ValueError("channel count must be positive")
@@ -152,7 +147,7 @@ def power_ratio_curve(soc: ScaledSoC,
                       tech: TechnologyNode = TECH_45NM) -> np.ndarray:
     """P_soc/P_budget over a channel grid (the Fig. 10 y-axis).
 
-    Network shapes and MAC schedules are memoized
+    Network profiles and MAC schedules are memoized
     (:func:`_workload_profile`,
     :func:`repro.accel.schedule.cached_best_schedule`), so sweeping the
     same grid across several SoCs costs one schedule search per distinct

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.accel.tech import TECH_45NM, TechnologyNode
 from repro.core.closed_loop import (
-    evaluate_closed_loop,
+    _evaluate_profiles,
     max_channels_closed_loop,
 )
 from repro.core.comm_centric import (
@@ -30,6 +30,7 @@ from repro.core.comm_centric import (
 )
 from repro.core.comp_centric import (
     Workload,
+    _workload_profile,
     evaluate_comp_centric,
     max_feasible_channels,
 )
@@ -48,7 +49,6 @@ from repro.core.qam_design import (
     max_channels_at_efficiency,
 )
 from repro.core.scaling import ScaledSoC
-from repro.dnn.models import build_speech_mlp
 from repro.units import SAFE_POWER_DENSITY
 
 
@@ -220,8 +220,9 @@ def explore(soc: ScaledSoC,
 
     # Closed loop: decode once per decision, stimulate, no telemetry —
     # a different application class with a far looser compute deadline.
-    loop = evaluate_closed_loop(soc, build_speech_mlp(target_channels),
-                                target_channels, tech=tech)
+    loop = _evaluate_profiles(
+        soc, _workload_profile(Workload.MLP, target_channels).profiles,
+        target_channels, tech=tech)
     outcomes.append(StrategyOutcome(
         "closed loop (mlp, no telemetry)",
         max_channels_closed_loop(soc, Workload.MLP, tech),

@@ -28,11 +28,7 @@ from functools import lru_cache
 
 from repro.accel.schedule import best_schedule
 from repro.accel.tech import TECH_12NM, TECH_45NM, TechnologyNode
-from repro.core.comp_centric import (
-    Workload,
-    _workload_profile,
-    build_workload,
-)
+from repro.core.comp_centric import _PROFILES, Workload, _workload_profile
 from repro.core.partitioning import split_candidates
 from repro.core.scaling import ScaledSoC
 from repro.units import SAFE_POWER_DENSITY
@@ -77,14 +73,15 @@ def _implant_options(workload: Workload, active_channels: int,
     of the n'-channel network: "no split" first, then each admissible
     split in layer order.
 
-    Compute power is ``None`` when no schedule meets the deadline.  Only
-    scalars are kept, so the table stays small across the many n' a
-    ladder bisection probes; the SoC-dependent communication term is
-    added by the caller.
+    The n'-channel profile is computed from the layer widths
+    (``_PROFILES``); no network is built.  Compute power is ``None`` when
+    no schedule meets the deadline.  Only scalars are kept, so the table
+    stays small across the many n' a ladder bisection probes; the
+    SoC-dependent communication term is added by the caller.
     """
-    # Built transiently, not through the ``_workload_profile`` memo: a
-    # bisection probes many n' and the profile tuples would pile up.
-    profile = build_workload(workload, active_channels).profile()
+    # Read past the ``_workload_profile`` memo: a bisection probes many
+    # n' and the profile tuples would pile up.
+    profile = _PROFILES[workload](active_channels)
     options = []
     for _, head, transmitted in split_candidates(profile):
         schedule = best_schedule(head, deadline_s, tech)
@@ -187,9 +184,9 @@ def evaluate_ladder_step(soc: ScaledSoC, n_channels: int, step_name: str,
         fraction = 0.0
     else:
         # The target n is a grid point the sweeps share; the probed n'
-        # is built transiently, like the probe itself.
+        # stays out of the memo, like the probe itself.
         full = _workload_profile(workload, n_channels).n_parameters
-        reduced = build_workload(workload, active).n_parameters
+        reduced = _PROFILES[workload](active).n_parameters
         fraction = reduced / full
     return OptimizedDesign(soc_name=soc.name, step_name=step_name,
                            n_channels=n_channels, active_channels=active,

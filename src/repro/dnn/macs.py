@@ -57,17 +57,18 @@ NO_MACS = LayerMacs(mac_seq=0, mac_ops=0)
 
 def fmac_dense(in_features: int, out_features: int) -> LayerMacs:
     """MAC profile of a dense (matrix-vector) layer."""
-    _check_positive(in_features=in_features, out_features=out_features)
-    return LayerMacs(mac_seq=in_features, mac_ops=out_features)
+    if in_features <= 0 or out_features <= 0:
+        _check_positive(in_features=in_features, out_features=out_features)
+    return LayerMacs(in_features, out_features)
 
 
 def fmac_conv1d(in_channels: int, out_channels: int, kernel_size: int,
                 output_length: int) -> LayerMacs:
     """MAC profile of a 1-D convolution layer."""
-    _check_positive(in_channels=in_channels, out_channels=out_channels,
-                    kernel_size=kernel_size, output_length=output_length)
-    return LayerMacs(mac_seq=kernel_size * in_channels,
-                     mac_ops=out_channels * output_length)
+    if min(in_channels, out_channels, kernel_size, output_length) <= 0:
+        _check_positive(in_channels=in_channels, out_channels=out_channels,
+                        kernel_size=kernel_size, output_length=output_length)
+    return LayerMacs(kernel_size * in_channels, out_channels * output_length)
 
 
 def fmac_matmul_example() -> LayerMacs:

@@ -25,16 +25,26 @@ Architecture notes relevant to partitioning (Section 6.1):
 * The DN-CNN's feature maps are all wider than 1024 values until the final
   40-label layer, so no useful split exists — matching the paper's finding
   that the DN-CNN gains nothing from partitioning.
+
+Each workload's architecture is one :class:`_Plan` of layer widths.
+``build_speech_*`` turns it into a :class:`~repro.dnn.network.Network`
+of layers; ``speech_*_profile`` reads the same plan's
+:class:`~repro.dnn.network.NetworkProfile` by arithmetic alone, which is
+what the design scans use (a probe needs the Eq. 10 MAC profile of a
+network, never its layer objects).
 """
 
 from __future__ import annotations
 
 import math
+from itertools import pairwise
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.dnn.layers import AvgPool1D, Conv1D, Dense, Flatten, ReLU, Tanh
-from repro.dnn.network import Network
+from repro.dnn.macs import fmac_conv1d, fmac_dense
+from repro.dnn.network import Network, NetworkProfile
 
 #: Original workload parameters (paper Section 5.3).
 SPEECH_BASE_CHANNELS = 128
@@ -43,6 +53,34 @@ SPEECH_OUTPUT_LABELS = 40
 
 #: Input window length in samples per channel.
 SPEECH_WINDOW = 2
+
+#: Arithmetic profile -> the built network whose ``profile()`` it must
+#: equal field for field (tests/dnn/test_models.py).
+PARITY_ORACLES = {
+    "speech_mlp_profile": "build_speech_mlp",
+    "speech_dncnn_profile": "build_speech_dncnn",
+}
+
+
+class _Plan(NamedTuple):
+    """Layer widths of a speech network, input first.
+
+    Attributes:
+        convs: channel counts of the 'same'-padded convolution stack
+            over the ``length`` axis (input channels first); empty for
+            a network without convolutions.
+        kernel_size: convolution receptive field (odd).
+        length: convolution axis length (the NI channel count).
+        pool: average-pooling factor after the convolutions (1: none).
+        dense: widths of the dense stack, its input first; the last
+            layer has a Tanh head, the others ReLU.
+    """
+
+    convs: tuple[int, ...]
+    kernel_size: int
+    length: int
+    pool: int
+    dense: tuple[int, ...]
 
 
 def alpha_scaling_factor(n_channels: int,
@@ -58,6 +96,74 @@ def _extra_depth(alpha: float) -> int:
     if alpha < 1.0:
         return 0
     return max(0, round(math.log2(alpha)))
+
+
+def _mlp_plan(n_channels: int, window: int, n_outputs: int) -> _Plan:
+    """Widths of :func:`build_speech_mlp`."""
+    if n_channels <= 0:
+        raise ValueError("n_channels must be positive")
+    n = n_channels
+    widths = (window * n, 2 * n, max(16, n // 4), n)
+    widths += (n,) * _extra_depth(alpha_scaling_factor(n))
+    return _Plan(convs=(), kernel_size=1, length=n, pool=1,
+                 dense=widths + (n_outputs,))
+
+
+def _dncnn_plan(n_channels: int, window: int, n_outputs: int,
+                kernel_size: int) -> _Plan:
+    """Widths of :func:`build_speech_dncnn`."""
+    if n_channels <= 0:
+        raise ValueError("n_channels must be positive")
+    if kernel_size % 2 != 1:
+        raise ValueError("kernel_size must be odd for 'same' padding")
+    n = n_channels
+    convs = (window, 8, 16, 16) + (16,) * _extra_depth(
+        alpha_scaling_factor(n))
+    # Pool by 4 where the length allows it, then the dense head.
+    pool = next((p for p in (4, 2) if n % p == 0), 1)
+    return _Plan(convs=convs, kernel_size=kernel_size, length=n, pool=pool,
+                 dense=(convs[-1] * (n // pool), 2 * n, n, n_outputs))
+
+
+def _build(plan: _Plan, rng: np.random.Generator | None,
+           name: str) -> Network:
+    """The plan's layer stack (weights materialized when ``rng`` is
+    given, in layer order)."""
+    layers: list = []
+    if plan.convs:
+        pad = plan.kernel_size // 2
+        for c_in, c_out in pairwise(plan.convs):
+            layers += [Conv1D(c_in, c_out, plan.kernel_size, padding=pad,
+                              rng=rng), ReLU()]
+        if plan.pool > 1:
+            layers.append(AvgPool1D(plan.pool))
+        layers.append(Flatten())
+        input_shape = (plan.convs[0], plan.length)
+    else:
+        input_shape = (plan.dense[0],)
+    last = len(plan.dense) - 2
+    for i, (d_in, d_out) in enumerate(pairwise(plan.dense)):
+        layers += [Dense(d_in, d_out, rng=rng),
+                   Tanh() if i == last else ReLU()]
+    return Network(layers, input_shape=input_shape, name=name)
+
+
+def _profile(plan: _Plan) -> NetworkProfile:
+    """:meth:`Network.profile` of :func:`_build`'s network, from the
+    widths alone.  'Same' padding keeps every feature map ``length``
+    long."""
+    k, length = plan.kernel_size, plan.length
+    profiles = [fmac_conv1d(c_in, c_out, k, length)
+                for c_in, c_out in pairwise(plan.convs)]
+    profiles += [fmac_dense(d_in, d_out)
+                 for d_in, d_out in pairwise(plan.dense)]
+    sizes = tuple(c * length for c in plan.convs[1:]) + plan.dense[1:]
+    n_parameters = (
+        sum(c_in * c_out * k + c_out for c_in, c_out in pairwise(plan.convs))
+        + sum(d_in * d_out + d_out for d_in, d_out in pairwise(plan.dense)))
+    return NetworkProfile(tuple(profiles), sizes, plan.dense[-1],
+                          sum(p.total_macs for p in profiles),
+                          n_parameters)
 
 
 def build_speech_mlp(n_channels: int,
@@ -77,22 +183,16 @@ def build_speech_mlp(n_channels: int,
         window: samples per channel in the input frame.
         n_outputs: output labels (40 speech frequencies in the paper).
     """
-    if n_channels <= 0:
-        raise ValueError("n_channels must be positive")
-    n = n_channels
-    alpha = alpha_scaling_factor(n)
-    bottleneck = max(16, n // 4)
-    widths = [window * n, 2 * n, bottleneck, n]
-    widths += [n] * _extra_depth(alpha)
-    widths.append(n_outputs)
+    return _build(_mlp_plan(n_channels, window, n_outputs), rng,
+                  f"speech-mlp-{n_channels}ch")
 
-    layers = []
-    for i in range(len(widths) - 1):
-        layers.append(Dense(widths[i], widths[i + 1], rng=rng))
-        is_last = i == len(widths) - 2
-        layers.append(Tanh() if is_last else ReLU())
-    return Network(layers, input_shape=(window * n,),
-                   name=f"speech-mlp-{n}ch")
+
+def speech_mlp_profile(n_channels: int, window: int = SPEECH_WINDOW,
+                       n_outputs: int = SPEECH_OUTPUT_LABELS,
+                       ) -> NetworkProfile:
+    """``build_speech_mlp(n_channels, ...).profile()`` without building
+    the layers."""
+    return _profile(_mlp_plan(n_channels, window, n_outputs))
 
 
 def build_speech_dncnn(n_channels: int,
@@ -113,35 +213,13 @@ def build_speech_dncnn(n_channels: int,
         n_outputs: output labels.
         kernel_size: conv receptive field (odd; 'same' padding).
     """
-    if n_channels <= 0:
-        raise ValueError("n_channels must be positive")
-    if kernel_size % 2 != 1:
-        raise ValueError("kernel_size must be odd for 'same' padding")
-    n = n_channels
-    alpha = alpha_scaling_factor(n)
-    pad = kernel_size // 2
+    return _build(_dncnn_plan(n_channels, window, n_outputs, kernel_size),
+                  rng, f"speech-dncnn-{n_channels}ch")
 
-    layers: list = [
-        Conv1D(window, 8, kernel_size, padding=pad, rng=rng), ReLU(),
-        Conv1D(8, 16, kernel_size, padding=pad, rng=rng), ReLU(),
-        Conv1D(16, 16, kernel_size, padding=pad, rng=rng), ReLU(),
-    ]
-    for _ in range(_extra_depth(alpha)):
-        layers += [Conv1D(16, 16, kernel_size, padding=pad, rng=rng), ReLU()]
 
-    # Pool by 4 where the length allows it, then the dense head.
-    pooled = n
-    for pool in (4, 2):
-        if n % pool == 0:
-            layers.append(AvgPool1D(pool))
-            pooled = n // pool
-            break
-    layers.append(Flatten())
-    head_in = 16 * pooled
-    layers += [
-        Dense(head_in, 2 * n, rng=rng), ReLU(),
-        Dense(2 * n, n, rng=rng), ReLU(),
-        Dense(n, n_outputs, rng=rng), Tanh(),
-    ]
-    return Network(layers, input_shape=(window, n),
-                   name=f"speech-dncnn-{n}ch")
+def speech_dncnn_profile(n_channels: int, window: int = SPEECH_WINDOW,
+                         n_outputs: int = SPEECH_OUTPUT_LABELS,
+                         kernel_size: int = 7) -> NetworkProfile:
+    """``build_speech_dncnn(n_channels, ...).profile()`` without building
+    the layers."""
+    return _profile(_dncnn_plan(n_channels, window, n_outputs, kernel_size))

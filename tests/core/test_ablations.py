@@ -22,7 +22,7 @@ from repro.core.comp_centric import Workload, max_feasible_channels
 from repro.core.explorer import _max_channels_compressed
 from repro.core.partitioning import max_feasible_channels_partitioned
 from repro.core.qam_design import max_channels_at_efficiency
-from repro.dnn.models import build_speech_mlp
+from repro.dnn.models import build_speech_mlp, speech_mlp_profile
 from repro.link.budget import LinkBudget
 from repro.link.wpt import InductiveLink
 
@@ -61,11 +61,11 @@ def test_optimal_partition_never_trails_earliest(bisc):
 def test_input_window_shrinks_mlp_frontier_sublinearly(bisc, monkeypatch):
     # Doubling the input window widens the first layer, so the MLP
     # frontier shrinks, but by less than half: later layers dominate at
-    # scale.  The shape-only networks are memoized per (workload, n), so
-    # the memo is cleared around every builder swap.
+    # scale.  The profiles are memoized per (workload, n), so the memo
+    # is cleared around every profile swap.
     def frontier(window: int) -> int:
-        monkeypatch.setitem(comp_centric._BUILDERS, Workload.MLP,
-                            partial(build_speech_mlp, window=window))
+        monkeypatch.setitem(comp_centric._PROFILES, Workload.MLP,
+                            partial(speech_mlp_profile, window=window))
         comp_centric._workload_profile.cache_clear()
         return max_feasible_channels(bisc, Workload.MLP)
 

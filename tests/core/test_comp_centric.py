@@ -7,21 +7,21 @@ import pytest
 from repro.accel.tech import TECH_12NM
 from repro.core.comp_centric import (
     Workload,
-    build_workload,
     evaluate_comp_centric,
     max_feasible_channels,
 )
+from repro.dnn.models import build_speech_dncnn, build_speech_mlp
 
 
 class TestBuildWorkload:
     def test_both_workloads_build(self):
-        for workload in Workload:
-            net = build_workload(workload, 1024)
+        for build in (build_speech_mlp, build_speech_dncnn):
+            net = build(1024)
             assert net.output_values == 40
 
     def test_workload_scales_with_channels(self):
-        small = build_workload(Workload.MLP, 512).total_macs
-        large = build_workload(Workload.MLP, 1024).total_macs
+        small = build_speech_mlp(512).total_macs
+        large = build_speech_mlp(1024).total_macs
         assert large > 2 * small
 
 

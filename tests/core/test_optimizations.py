@@ -10,7 +10,7 @@ from repro.accel.schedule import (
     schedule_pipelined,
 )
 from repro.accel.tech import TECH_12NM, TECH_45NM
-from repro.core.comp_centric import Workload, build_workload
+from repro.core.comp_centric import Workload
 from repro.core.optimizations import (
     LADDER,
     OptimizationConfig,
@@ -20,6 +20,7 @@ from repro.core.optimizations import (
     evaluate_ladder_step,
     max_active_channels,
 )
+from repro.dnn.models import build_speech_mlp
 from repro.units import SAFE_POWER_DENSITY
 
 
@@ -178,11 +179,10 @@ def _reference_implant_power_w(soc, net, transmitted, tech):
     return schedule.power_w(tech) + comm
 
 
-def _reference_design_fits(soc, workload, n_channels, active_channels,
-                           config):
+def _reference_design_fits(soc, n_channels, active_channels, config):
     """The ladder feasibility test written out directly: rebuild the
     n'-channel network and every head, and schedule each one."""
-    net = build_workload(workload, active_channels)
+    net = build_speech_mlp(active_channels)
     non_sensing = _reference_implant_power_w(soc, net, net.output_values,
                                              config.tech)
     if config.layer_reduction:
@@ -200,7 +200,7 @@ def _reference_design_fits(soc, workload, n_channels, active_channels,
 
 def _reference_max_active(soc, n_channels, config, min_active=16):
     def fits(active):
-        return _reference_design_fits(soc, Workload.MLP, n_channels, active,
+        return _reference_design_fits(soc, n_channels, active,
                                       config)
 
     if fits(n_channels):

@@ -2,26 +2,27 @@
 
 import pytest
 
-from repro.core.comp_centric import Workload, build_workload
+from repro.core.comp_centric import Workload
 from repro.core.partitioning import (
     admissible_splits,
     evaluate_partitioned,
     max_feasible_channels_partitioned,
     partitioning_gain,
 )
+from repro.dnn.models import build_speech_dncnn, build_speech_mlp
 
 
 class TestSplitSelection:
     def test_mlp_has_admissible_split_at_2048(self):
-        net = build_workload(Workload.MLP, 2048)
+        net = build_speech_mlp(2048)
         assert admissible_splits(net.profile())  # the n/4 bottleneck qualifies
 
     def test_dncnn_has_no_admissible_split_at_2048(self):
-        net = build_workload(Workload.DNCNN, 2048)
+        net = build_speech_dncnn(2048)
         assert admissible_splits(net.profile()) == []
 
     def test_earliest_rule_returns_first(self, bisc):
-        net = build_workload(Workload.MLP, 2048)
+        net = build_speech_mlp(2048)
         point = evaluate_partitioned(bisc, Workload.MLP, 2048,
                                      rule="earliest")
         assert point.split_layer == admissible_splits(net.profile())[0]
@@ -32,14 +33,14 @@ class TestSplitSelection:
         assert point.split_layer is None
 
     def test_split_output_within_transmission_cap(self):
-        net = build_workload(Workload.MLP, 4096)
+        net = build_speech_mlp(4096)
         sizes = net.compute_layer_output_values()
         for split in admissible_splits(net.profile()):
             assert sizes[split - 1] <= 1024
 
     def test_mlp_beyond_4096_loses_its_split(self):
         # The n/4 bottleneck exceeds 1024 values past 4096 channels.
-        net = build_workload(Workload.MLP, 8192)
+        net = build_speech_mlp(8192)
         assert admissible_splits(net.profile()) == []
 
 

@@ -12,6 +12,7 @@ from repro.core import comp_centric, optimizations
 from repro.core.comp_centric import Workload
 from repro.core.explorer import explore
 from repro.core.optimizations import evaluate_ladder
+from repro.dnn.network import Network
 from repro.experiments.fig12 import CHANNEL_COUNTS
 from repro.link import ber
 
@@ -76,3 +77,22 @@ def test_ladder_probes_stay_out_of_the_profile_memo(wireless_scaled):
     # Looking the targets up added no entry beyond them, so they are all
     # the memo holds.
     assert memo.cache_info().currsize == len(CHANNEL_COUNTS)
+
+
+def test_design_scan_builds_no_network(wireless_scaled, monkeypatch):
+    # Every design-scan profile comes from the layer widths: the Fig. 12
+    # grid and explore run with network construction disabled.
+    def no_network(*args, **kwargs):
+        raise AssertionError("the design scan built a Network")
+
+    clear_solver_memos()
+    monkeypatch.setattr(Network, "__init__", no_network)
+    try:
+        designs = [design for soc in wireless_scaled
+                   for n_channels in CHANNEL_COUNTS
+                   for design in evaluate_ladder(soc, n_channels)]
+        reports = [explore(soc) for soc in wireless_scaled]
+    finally:
+        clear_solver_memos()
+    assert any(0 < d.active_channels < d.n_channels for d in designs)
+    assert len(reports) == len(wireless_scaled)

@@ -1,5 +1,7 @@
 """Tests for the speech-workload builders and alpha scaling."""
 
+from functools import partial
+
 import pytest
 
 from repro.dnn.models import (
@@ -8,6 +10,8 @@ from repro.dnn.models import (
     alpha_scaling_factor,
     build_speech_dncnn,
     build_speech_mlp,
+    speech_dncnn_profile,
+    speech_mlp_profile,
 )
 
 
@@ -96,3 +100,38 @@ class TestDncnnBuilder:
         assert net.total_macs > 1e8
         assert all(not getattr(layer, "materialized", False)
                    for layer in net.layers)
+
+
+class TestArithmeticProfile:
+    """``speech_*_profile`` reads the profile off the layer widths; it must
+    equal the built network's ``profile()`` on every field."""
+
+    @pytest.mark.parametrize("build, profile", [
+        (build_speech_mlp, speech_mlp_profile),
+        (build_speech_dncnn, speech_dncnn_profile),
+        (partial(build_speech_mlp, window=4),
+         partial(speech_mlp_profile, window=4)),
+    ], ids=["mlp", "dncnn", "mlp-window4"])
+    def test_matches_the_built_network_up_to_16384_channels(self, build,
+                                                            profile):
+        for n in range(1, 16385):
+            assert profile(n) == build(n).profile(), n
+
+    @pytest.mark.parametrize("kwargs", [
+        {"n_channels": 0},
+        {"n_channels": 128, "window": 0},
+        {"n_channels": 128, "n_outputs": 0},
+    ])
+    @pytest.mark.parametrize("build, profile", [
+        (build_speech_mlp, speech_mlp_profile),
+        (build_speech_dncnn, speech_dncnn_profile),
+    ], ids=["mlp", "dncnn"])
+    def test_rejects_what_the_builder_rejects(self, build, profile, kwargs):
+        for make in (build, profile):
+            with pytest.raises(ValueError):
+                make(**kwargs)
+
+    def test_dncnn_rejects_even_kernels(self):
+        for make in (build_speech_dncnn, speech_dncnn_profile):
+            with pytest.raises(ValueError):
+                make(128, kernel_size=4)

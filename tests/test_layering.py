@@ -267,6 +267,9 @@ UNREACHED_PACKAGES = {
 UNREFERENCED_KEEP = {
     "repro.core.multi_implant.channels_vs_single_implant":
         "Multi-implant tiling",
+    "repro.dnn.models.build_speech_dncnn":
+        "PARITY_ORACLES pair with speech_dncnn_profile: the layer stack "
+        "its width arithmetic is checked against",
     "repro.dnn.layers.Softmax":
         "Section 5.3 classification head (ROADMAP item 7: its one example "
         "user, the spike-unit classifier, went with PCA/k-means sorting)",
