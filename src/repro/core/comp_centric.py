@@ -25,7 +25,7 @@ from repro.accel.schedule import Schedule, cached_best_schedule
 from repro.accel.tech import TECH_45NM, TechnologyNode
 from repro.core.scaling import ScaledSoC
 from repro.dnn.models import speech_dncnn_profile, speech_mlp_profile
-from repro.dnn.network import Network, NetworkProfile
+from repro.dnn.network import NetworkProfile
 from repro.units import SAFE_POWER_DENSITY
 
 
@@ -103,7 +103,6 @@ def evaluate_comp_centric(soc: ScaledSoC,
                           workload: Workload,
                           n_channels: int,
                           tech: TechnologyNode = TECH_45NM,
-                          network: Network | None = None,
                           ) -> CompCentricPoint:
     """Project a scaled SoC running a DNN workload at ``n_channels``.
 
@@ -113,13 +112,13 @@ def evaluate_comp_centric(soc: ScaledSoC,
         n_channels: target channel count (the DNN input scales with it).
         tech: MAC technology node (45 nm in Fig. 10; 12 nm for the
             technology-scaling optimization).
-        network: pre-built network override; its walked profile
-            replaces the workload's width-derived one.
+
+    The network's MAC profile comes from the workload's layer widths
+    (:func:`_workload_profile`); no network is built.
     """
     if n_channels <= 0:
         raise ValueError("channel count must be positive")
-    profile = (_workload_profile(workload, n_channels) if network is None
-               else network.profile())
+    profile = _workload_profile(workload, n_channels)
     deadline = 1.0 / soc.sampling_hz
     schedule = cached_best_schedule(profile.profiles, deadline, tech)
     comp_power = schedule.power_w(tech) if schedule else math.inf

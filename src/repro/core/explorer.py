@@ -13,6 +13,7 @@ paper's conclusions call for, packaged as an API (and surfaced by
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -138,6 +139,49 @@ def _max_channels_compressed(soc: ScaledSoC, compression_ratio: float,
         n_limit)
 
 
+@functools.lru_cache(maxsize=64)
+def _strategy_limits(soc: ScaledSoC,
+                     qam_efficiency: float,
+                     compression_ratio: float,
+                     codec_power_w_per_channel: float,
+                     event_config: EventStreamConfig,
+                     tech: TechnologyNode,
+                     ) -> tuple[tuple[str, int | None], ...]:
+    """Every strategy's label and ``max_channels``, in presentation order.
+
+    These limits are properties of the design and the strategy
+    parameters, not of the exploration target, so one entry serves every
+    target :func:`explore` is asked about for the same design.  The key
+    holds the whole ``ScaledSoC`` (field-based equality and hash); the
+    caller normalises ``event_config=None`` first.
+    """
+    event_limit = 1 << 20
+    event_max = max_channels_event_stream(soc, event_config, tech,
+                                          n_limit=event_limit)
+    limits = [
+        ("raw OOK (naive)",
+         budget_crossing_channels(soc, DesignHypothesis.NAIVE)),
+        ("raw OOK (high margin)",
+         budget_crossing_channels(soc, DesignHypothesis.HIGH_MARGIN)),
+        (f"QAM @ {qam_efficiency:.0%}",
+         max_channels_at_efficiency(soc, qam_efficiency)),
+        (f"compressed stream (x{compression_ratio:g})",
+         _max_channels_compressed(soc, compression_ratio,
+                                  codec_power_w_per_channel)),
+        ("event stream (spikes only)",
+         None if event_max >= event_limit - 256 else event_max),
+    ]
+    for workload in Workload:
+        limits.append((f"on-implant {workload.value}",
+                       max_feasible_channels(soc, workload, tech)))
+        limits.append((f"partitioned {workload.value}",
+                       max_feasible_channels_partitioned(soc, workload,
+                                                         tech)))
+    limits.append(("closed loop (mlp, no telemetry)",
+                   max_channels_closed_loop(soc, Workload.MLP, tech)))
+    return tuple(limits)
+
+
 def explore(soc: ScaledSoC,
             target_channels: int = 2048,
             qam_efficiency: float = 0.20,
@@ -161,73 +205,47 @@ def explore(soc: ScaledSoC,
     Every outcome's ``max_channels`` is the strategy's largest feasible
     channel count, except the two raw-OOK rows, which carry the
     budget-crossing count (the smallest infeasible one; see
-    :class:`StrategyOutcome`).
+    :class:`StrategyOutcome`).  Those limits do not depend on the target:
+    they come from :func:`_strategy_limits`, memoized per design and
+    strategy parameters, so only the at-target power ratios are
+    evaluated on each call.
     """
     if target_channels < soc.n_channels:
         raise ValueError("target must be at least the 1024-ch standard")
     event_config = event_config or EventStreamConfig()
-    outcomes = []
-
-    naive = evaluate_comm_centric(soc, target_channels,
-                                  DesignHypothesis.NAIVE)
-    outcomes.append(StrategyOutcome(
-        "raw OOK (naive)",
-        budget_crossing_channels(soc, DesignHypothesis.NAIVE),
-        naive.power_ratio))
-
-    margin = evaluate_comm_centric(soc, target_channels,
-                                   DesignHypothesis.HIGH_MARGIN)
-    outcomes.append(StrategyOutcome(
-        "raw OOK (high margin)",
-        budget_crossing_channels(soc, DesignHypothesis.HIGH_MARGIN),
-        margin.power_ratio))
+    limits = _strategy_limits(soc, qam_efficiency, compression_ratio,
+                              codec_power_w_per_channel, event_config, tech)
 
     qam = evaluate_qam_design(soc, target_channels)
-    qam_ratio = (qam.min_efficiency / qam_efficiency
-                 if math.isfinite(qam.min_efficiency) else math.inf)
-    outcomes.append(StrategyOutcome(
-        f"QAM @ {qam_efficiency:.0%}",
-        max_channels_at_efficiency(soc, qam_efficiency),
-        qam_ratio))
-
-    outcomes.append(StrategyOutcome(
-        f"compressed stream (x{compression_ratio:g})",
-        _max_channels_compressed(soc, compression_ratio,
-                                 codec_power_w_per_channel),
+    ratios = [
+        evaluate_comm_centric(soc, target_channels,
+                              DesignHypothesis.NAIVE).power_ratio,
+        evaluate_comm_centric(soc, target_channels,
+                              DesignHypothesis.HIGH_MARGIN).power_ratio,
+        (qam.min_efficiency / qam_efficiency
+         if math.isfinite(qam.min_efficiency) else math.inf),
         _compressed_stream_ratio(soc, target_channels, compression_ratio,
-                                 codec_power_w_per_channel)))
-
-    event = evaluate_event_stream(soc, target_channels, event_config, tech)
-    event_limit = 1 << 20
-    event_max = max_channels_event_stream(soc, event_config, tech,
-                                          n_limit=event_limit)
-    outcomes.append(StrategyOutcome(
-        "event stream (spikes only)",
-        None if event_max >= event_limit - 256 else event_max,
-        event.power_ratio))
-
+                                 codec_power_w_per_channel),
+        evaluate_event_stream(soc, target_channels, event_config,
+                              tech).power_ratio,
+    ]
     for workload in Workload:
-        full = evaluate_comp_centric(soc, workload, target_channels, tech)
-        outcomes.append(StrategyOutcome(
-            f"on-implant {workload.value}",
-            max_feasible_channels(soc, workload, tech),
-            full.power_ratio))
-        part = evaluate_partitioned(soc, workload, target_channels, tech)
-        outcomes.append(StrategyOutcome(
-            f"partitioned {workload.value}",
-            max_feasible_channels_partitioned(soc, workload, tech),
-            part.power_ratio))
+        ratios.append(evaluate_comp_centric(soc, workload, target_channels,
+                                            tech).power_ratio)
+        ratios.append(evaluate_partitioned(soc, workload, target_channels,
+                                           tech).power_ratio)
 
     # Closed loop: decode once per decision, stimulate, no telemetry —
     # a different application class with a far looser compute deadline.
     loop = _evaluate_profiles(
         soc, _workload_profile(Workload.MLP, target_channels).profiles,
         target_channels, tech=tech)
-    outcomes.append(StrategyOutcome(
-        "closed loop (mlp, no telemetry)",
-        max_channels_closed_loop(soc, Workload.MLP, tech),
-        loop.power_ratio if loop.meets_deadline else math.inf))
+    ratios.append(loop.power_ratio if loop.meets_deadline else math.inf)
 
-    return ExplorationReport(soc_name=soc.name,
-                             target_channels=target_channels,
-                             outcomes=tuple(outcomes))
+    return ExplorationReport(
+        soc_name=soc.name,
+        target_channels=target_channels,
+        outcomes=tuple(
+            StrategyOutcome(strategy, max_channels, ratio)
+            for (strategy, max_channels), ratio
+            in zip(limits, ratios, strict=True)))

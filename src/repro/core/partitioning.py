@@ -36,7 +36,7 @@ from repro.core.comp_centric import (
 )
 from repro.core.scaling import ScaledSoC
 from repro.dnn.macs import LayerMacs
-from repro.dnn.network import Network, NetworkProfile
+from repro.dnn.network import NetworkProfile
 from repro.units import SAFE_POWER_DENSITY
 
 
@@ -129,7 +129,6 @@ def evaluate_partitioned(soc: ScaledSoC,
                          workload: Workload,
                          n_channels: int,
                          tech: TechnologyNode = TECH_45NM,
-                         network: Network | None = None,
                          max_values: int = MAX_SPLIT_VALUES,
                          rule: str = "optimal") -> PartitionedPoint:
     """Project a scaled SoC running the best on-implant head of a workload.
@@ -139,7 +138,6 @@ def evaluate_partitioned(soc: ScaledSoC,
         workload: MLP or DN-CNN.
         n_channels: target channel count.
         tech: MAC technology node.
-        network: pre-built network override.
         max_values: transmission cap in values per sampling period.
         rule: "optimal" picks the admissible split (or no split) with the
             lowest implant power; "earliest" applies the paper's rule
@@ -152,8 +150,7 @@ def evaluate_partitioned(soc: ScaledSoC,
         raise ValueError("channel count must be positive")
     if rule not in ("optimal", "earliest"):
         raise ValueError(f"unknown partitioning rule {rule!r}")
-    profile = (_workload_profile(workload, n_channels) if network is None
-               else network.profile())
+    profile = _workload_profile(workload, n_channels)
     all_candidates = split_candidates(profile, max_values)
 
     if rule == "earliest":
@@ -198,8 +195,8 @@ def power_ratio_curve(soc: ScaledSoC,
     """P_soc/P_budget of the partitioned design over a channel grid.
 
     Network profiles and MAC schedules are memoized, so sweeping the same
-    grid across several SoCs reuses the network builds and schedule
-    searches instead of repeating them per point.
+    grid across several SoCs reuses the profiles and schedule searches
+    instead of repeating them per point.
     """
     return np.array([
         evaluate_partitioned(soc, workload, int(n), tech,

@@ -9,6 +9,7 @@ non-sensing split, the Eq. 3 power budget, and the Eq. 6 throughput.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -95,10 +96,13 @@ class ScaledSoC:
         n = self.n_channels if n_channels is None else n_channels
         return sensing_throughput(n, self.sample_bits, self.sampling_hz)
 
-    @property
+    @functools.cached_property
     def implied_energy_per_bit_j(self) -> float:
         """Transceiver energy per bit implied by the anchor split:
-        E_b = P_non-sensing(1024) / T_sensing(1024)."""
+        E_b = P_non-sensing(1024) / T_sensing(1024).
+
+        Fixed per design, so computed once per instance; equality and
+        hashing stay on the dataclass fields."""
         return self.comm_power_anchor_w / self.sensing_throughput_bps()
 
     # ---------------------------------------------------------------- budget

@@ -9,7 +9,7 @@ from repro.accel.schedule import (
     schedule_non_pipelined,
     schedule_pipelined,
 )
-from repro.accel.tech import TECH_12NM, TECH_45NM
+from repro.accel.tech import TECH_12NM
 from repro.core.comp_centric import Workload
 from repro.core.optimizations import (
     LADDER,

@@ -8,7 +8,7 @@ import pytest
 
 from repro.accel.schedule import cached_best_schedule
 from repro.cli import main
-from repro.core import comp_centric, optimizations
+from repro.core import comp_centric, explorer, optimizations
 from repro.core.comp_centric import Workload
 from repro.core.explorer import explore
 from repro.core.optimizations import evaluate_ladder
@@ -21,7 +21,19 @@ SOLVER_MEMOS = (
     cached_best_schedule,
     comp_centric._workload_profile,
     optimizations._implant_options,
+    explorer._strategy_limits,
     ber._solve_ebn0,
+)
+
+#: The target-independent searches ``explore`` reads its limits from.
+STRATEGY_SEARCHES = (
+    "budget_crossing_channels",
+    "max_channels_at_efficiency",
+    "_max_channels_compressed",
+    "max_channels_event_stream",
+    "max_feasible_channels",
+    "max_feasible_channels_partitioned",
+    "max_channels_closed_loop",
 )
 
 
@@ -96,3 +108,24 @@ def test_design_scan_builds_no_network(wireless_scaled, monkeypatch):
         clear_solver_memos()
     assert any(0 < d.active_channels < d.n_channels for d in designs)
     assert len(reports) == len(wireless_scaled)
+
+
+def test_a_new_target_reuses_the_design_limits(wireless_scaled,
+                                               monkeypatch):
+    # Strategy limits are properties of the design: once one target of
+    # a design is explored, another target runs none of the searches and
+    # reads the same frontier a cold exploration computes.
+    def no_search(*args, **kwargs):
+        raise AssertionError("explore re-ran a strategy search")
+
+    for soc in wireless_scaled:
+        clear_solver_memos()
+        cold = explore(soc, target_channels=8192)
+        clear_solver_memos()
+        explore(soc, target_channels=2048)
+        with monkeypatch.context() as patch:
+            for name in STRATEGY_SEARCHES:
+                patch.setattr(explorer, name, no_search)
+            warm = explore(soc, target_channels=8192)
+        assert warm.frontier() == cold.frontier()
+        assert warm == cold

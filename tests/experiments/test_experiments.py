@@ -16,9 +16,7 @@ from repro.experiments import (
     fig7,
     fig8,
     fig9,
-    fig10,
     fig11,
-    fig12,
     table1,
 )
 

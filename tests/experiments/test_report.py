@@ -2,8 +2,6 @@
 
 import math
 
-import pytest
-
 from repro.experiments.report import (
     ascii_bars,
     ascii_plot,

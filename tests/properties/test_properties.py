@@ -1,7 +1,5 @@
 """Hypothesis property-based tests on core invariants."""
 
-import math
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
