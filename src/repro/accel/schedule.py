@@ -156,16 +156,6 @@ def cached_best_schedule(profiles: tuple[LayerMacs, ...],
     return best_schedule(profiles, deadline_s, tech)
 
 
-def compute_power_lower_bound(profiles: Sequence[LayerMacs],
-                              deadline_s: float,
-                              tech: TechnologyNode) -> float | None:
-    """Eq. 13: minimal P_comp [W] over both modes, or None when infeasible."""
-    schedule = best_schedule(profiles, deadline_s, tech)
-    if schedule is None:
-        return None
-    return schedule.power_w(tech)
-
-
 def _validate(profiles: Sequence[LayerMacs], deadline_s: float) -> None:
     if not profiles:
         raise ValueError("need at least one compute layer")

@@ -446,8 +446,7 @@ def _cmd_obs_bench_gate(args: argparse.Namespace) -> int:
 
 def _cmd_obs_report(args: argparse.Namespace) -> int:
     from repro.obs import report as obs_report
-    dashboard = obs_report.build_dashboard(args.output_dir,
-                                           args.sessions)
+    dashboard = obs_report.build_dashboard(args.output_dir)
     if args.format == "json":
         rendered = json.dumps(dashboard, indent=2, sort_keys=True,
                               default=str) + "\n"
@@ -650,11 +649,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="render the safety-envelope dashboard for a run directory")
     obs_report.add_argument(
         "--output-dir", default=str(DEFAULT_OUTPUT_DIR),
-        help="run output directory (fig4.csv/fig7.csv + manifests)")
-    obs_report.add_argument(
-        "--sessions", nargs="*", default=[], metavar="DIR",
-        help="additional session directories folded into the fleet "
-             "percentiles")
+        help="run output directory (fig4.csv/fig7.csv)")
     obs_report.add_argument(
         "--out", default=None, metavar="PATH",
         help="write the dashboard here instead of stdout")

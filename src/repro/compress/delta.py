@@ -1,15 +1,41 @@
-"""Delta (first-difference) predictive coding for neural samples.
+"""ADC quantization and delta (first-difference) predictive coding.
 
-Neural waveforms are strongly oversampled relative to their bandwidth, so
-consecutive ADC codes are highly correlated; transmitting first differences
-concentrates the distribution near zero, which the Rice coder then exploits.
-Per-channel state is a single previous sample — the kind of negligible
-memory footprint an implant can afford.
+:func:`quantize` turns analog samples into the signed integer codes an
+implant's ADC emits (the bitwidth ``d`` of Eq. 6).  Neural waveforms are
+strongly oversampled relative to their bandwidth, so consecutive codes
+are highly correlated; transmitting first differences concentrates the
+distribution near zero, which the Rice coder then exploits.  Per-channel
+state is a single previous sample — the kind of negligible memory
+footprint an implant can afford.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def quantize(signal: np.ndarray, bits: int,
+             full_scale: float = 1.0) -> np.ndarray:
+    """Quantize to signed integer codes with a mid-rise uniform quantizer.
+
+    Values outside +/- full_scale clip to the extreme codes.
+
+    Args:
+        signal: analog samples.
+        bits: resolution; codes span [-2^(bits-1), 2^(bits-1) - 1].
+        full_scale: analog amplitude mapped to the positive full-scale code.
+
+    Returns:
+        Integer codes with dtype int32.
+    """
+    if bits < 1:
+        raise ValueError("bit depth must be >= 1")
+    if full_scale <= 0:
+        raise ValueError("full scale must be positive")
+    levels = 2 ** bits
+    lsb = 2.0 * full_scale / levels
+    codes = np.floor(np.asarray(signal, dtype=float) / lsb)
+    return np.clip(codes, -levels // 2, levels // 2 - 1).astype(np.int32)
 
 
 def delta_encode(codes: np.ndarray) -> np.ndarray:

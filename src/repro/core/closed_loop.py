@@ -27,7 +27,6 @@ from repro.accel.tech import TECH_45NM, TechnologyNode
 from repro.core.comp_centric import Workload, _workload_profile
 from repro.core.scaling import ScaledSoC
 from repro.dnn.macs import LayerMacs
-from repro.dnn.network import Network
 from repro.units import SAFE_POWER_DENSITY, ms
 
 #: Brain reaction time used as the real-time bound (Section 2, ~0.18 s).
@@ -147,7 +146,7 @@ def max_channels_closed_loop(soc: ScaledSoC,
     n = step
     while n <= n_limit:
         profiles = _workload_profile(workload, n).profiles
-        point = _evaluate_profiles(soc, profiles, n, tech=tech, **kwargs)
+        point = evaluate_closed_loop(soc, profiles, n, tech=tech, **kwargs)
         if point.feasible:
             best = n
         elif best:
@@ -157,7 +156,7 @@ def max_channels_closed_loop(soc: ScaledSoC,
 
 
 def evaluate_closed_loop(soc: ScaledSoC,
-                         network: Network,
+                         profiles: tuple[LayerMacs, ...],
                          n_channels: int,
                          window_samples: int = 4,
                          stimulation: StimulationConfig | None = None,
@@ -170,21 +169,17 @@ def evaluate_closed_loop(soc: ScaledSoC,
     the reaction budget; Eq. 11/14 then sizes the MAC pool for that
     deadline (a much looser one than the per-sample bound of Fig. 10 —
     closed-loop decoding happens once per decision, not once per sample).
+
+    Args:
+        soc: the anchor design.
+        profiles: the decoder's per-layer MAC profiles (hashable, so the
+            schedule search is memoized across calls).
+        n_channels: NI channel count.
+        window_samples: input window per decision.
+        stimulation: stimulation parameters (defaults when None).
+        tech: MAC technology node.
+        deadline_s: the loop's real-time bound.
     """
-    return _evaluate_profiles(soc, tuple(network.mac_profiles()),
-                              n_channels, window_samples, stimulation,
-                              tech, deadline_s)
-
-
-def _evaluate_profiles(soc: ScaledSoC,
-                       profiles: tuple[LayerMacs, ...],
-                       n_channels: int,
-                       window_samples: int = 4,
-                       stimulation: StimulationConfig | None = None,
-                       tech: TechnologyNode = TECH_45NM,
-                       deadline_s: float = BRAIN_REACTION_TIME_S,
-                       ) -> ClosedLoopPoint:
-    """:func:`evaluate_closed_loop` on the decoder's MAC profiles."""
     if n_channels <= 0 or window_samples <= 0:
         raise ValueError("channel count and window must be positive")
     if deadline_s <= 0:

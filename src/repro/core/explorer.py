@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.accel.tech import TECH_45NM, TechnologyNode
 from repro.core.closed_loop import (
-    _evaluate_profiles,
+    evaluate_closed_loop,
     max_channels_closed_loop,
 )
 from repro.core.comm_centric import (
@@ -237,7 +237,7 @@ def explore(soc: ScaledSoC,
 
     # Closed loop: decode once per decision, stimulate, no telemetry —
     # a different application class with a far looser compute deadline.
-    loop = _evaluate_profiles(
+    loop = evaluate_closed_loop(
         soc, _workload_profile(Workload.MLP, target_channels).profiles,
         target_channels, tech=tech)
     ratios.append(loop.power_ratio if loop.meets_deadline else math.inf)

@@ -19,9 +19,24 @@ from repro.core.socs import (
     ScalingRule,
     SoCRecord,
 )
-from repro.ni.interface import sensing_throughput
 from repro.thermal.budget import power_budget
 from repro.units import SAFE_POWER_DENSITY
+
+
+def sensing_throughput(n_channels: int, sample_bits: int,
+                       sampling_rate_hz: float) -> float:
+    """Eq. 6: raw digitized data rate of the NI [bit/s].
+
+    Raises:
+        ValueError: on non-positive arguments.
+    """
+    if n_channels <= 0:
+        raise ValueError("channel count must be positive")
+    if sample_bits <= 0:
+        raise ValueError("sample bitwidth must be positive")
+    if sampling_rate_hz <= 0:
+        raise ValueError("sampling rate must be positive")
+    return float(sample_bits) * n_channels * sampling_rate_hz
 
 
 @dataclass(frozen=True)

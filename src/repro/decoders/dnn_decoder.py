@@ -1,8 +1,8 @@
 """DNN decoder wrapper: trains a repro.dnn network as a drop-in decoder.
 
 Gives the neural-network workloads the same fit/decode/score interface as
-the Kalman and Wiener baselines so the example applications can compare
-the decoder families head-to-head on one dataset.
+the Kalman and Wiener baselines so the fleet's cohorts can compare the
+decoder families head-to-head on one dataset.
 """
 
 from __future__ import annotations

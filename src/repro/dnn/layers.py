@@ -352,36 +352,6 @@ class Tanh(Layer):
         return input_shape
 
 
-class Softmax(Layer):
-    """Row-wise softmax — the probability head of classification DNNs.
-
-    Section 5.3: "the output is typically a vector of probabilities, one
-    for each label in a fixed set."  Pairs with
-    :func:`repro.dnn.train.cross_entropy_loss`; when used together the
-    loss gradient shortcut (p - y) is applied there, and this layer's
-    backward implements the full Jacobian for standalone use.
-    """
-
-    def __init__(self) -> None:
-        self._out: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        shifted = x - np.max(x, axis=-1, keepdims=True)
-        exp = np.exp(shifted)
-        self._out = exp / exp.sum(axis=-1, keepdims=True)
-        return self._out
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._out is None:
-            raise RuntimeError("backward called before forward")
-        p = self._out
-        dot = np.sum(grad * p, axis=-1, keepdims=True)
-        return p * (grad - dot)
-
-    def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
-        return input_shape
-
-
 class Flatten(Layer):
     """Reshape (batch, channels, length) -> (batch, channels * length)."""
 

@@ -1,9 +1,9 @@
 """Minimal SGD training loop for the NumPy networks.
 
 The MINDFUL analysis never trains — it consumes layer shapes — but the
-example applications demonstrate the substrate end-to-end by fitting small
-instances of the speech workloads on synthetic data.  Mean-squared error
-plus plain mini-batch SGD is sufficient for that purpose.
+fleet's DNN cohorts (:mod:`repro.decoders.dnn_decoder`) fit small networks
+on synthetic data.  Mean-squared error plus plain mini-batch SGD is
+sufficient for that purpose.
 """
 
 from __future__ import annotations
@@ -26,44 +26,6 @@ def mse_loss(prediction: np.ndarray,
     diff = prediction - target
     loss = float(np.mean(diff ** 2))
     grad = 2.0 * diff / diff.size
-    return loss, grad
-
-
-def cross_entropy_loss(probabilities: np.ndarray,
-                       labels: np.ndarray,
-                       eps: float = 1e-12) -> tuple[float, np.ndarray]:
-    """Categorical cross-entropy over softmax outputs.
-
-    Args:
-        probabilities: (batch, n_classes) softmax outputs.
-        labels: integer class labels of shape (batch,) or one-hot rows of
-            shape (batch, n_classes).
-        eps: numerical floor inside the log.
-
-    Returns:
-        (mean loss, gradient w.r.t. the probabilities).  When the network
-        ends in a :class:`~repro.dnn.layers.Softmax`, back-propagating
-        this gradient through it reproduces the classic (p - y)/batch.
-    """
-    probabilities = np.asarray(probabilities, dtype=float)
-    if probabilities.ndim != 2:
-        raise ValueError("probabilities must be (batch, n_classes)")
-    batch, n_classes = probabilities.shape
-    labels = np.asarray(labels)
-    if labels.ndim == 1:
-        if labels.shape[0] != batch:
-            raise ValueError("label count must match the batch")
-        one_hot = np.zeros_like(probabilities)
-        if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
-            raise ValueError("labels out of class range")
-        one_hot[np.arange(batch), labels.astype(int)] = 1.0
-    elif labels.shape == probabilities.shape:
-        one_hot = labels.astype(float)
-    else:
-        raise ValueError("labels must be (batch,) ints or one-hot rows")
-    clipped = np.clip(probabilities, eps, 1.0)
-    loss = float(-np.sum(one_hot * np.log(clipped)) / batch)
-    grad = -(one_hot / clipped) / batch
     return loss, grad
 
 

@@ -180,19 +180,6 @@ def _brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
                        f"is {xcur}")
 
 
-def shannon_ebn0_limit_db(spectral_efficiency: float) -> float:
-    """Minimum Eb/N0 [dB] at a given spectral efficiency (bit/s/Hz).
-
-    From C = B log2(1 + S/N): Eb/N0 >= (2^eta - 1) / eta.  As eta -> 0 this
-    approaches -1.59 dB; it grows without bound as eta rises — the paper's
-    "Shannon's limit suggests ... diminishing returns" argument (Section 5.1).
-    """
-    if spectral_efficiency <= 0:
-        raise ValueError("spectral efficiency must be positive")
-    ratio = (2.0 ** spectral_efficiency - 1.0) / spectral_efficiency
-    return 10.0 * math.log10(ratio)
-
-
 def _check_ebn0(ebn0_linear: float) -> None:
     if ebn0_linear <= 0:
         raise ValueError("Eb/N0 must be positive (linear ratio)")

@@ -108,17 +108,3 @@ def transmit_energy_per_bit(bits_per_symbol: int = 1,
     """Convenience wrapper over :meth:`LinkBudget.transmit_energy_per_bit`."""
     return (budget or LinkBudget()).transmit_energy_per_bit(
         bits_per_symbol, efficiency, scheme)
-
-
-def communication_power(throughput_bps: float,
-                        energy_per_bit_j: float) -> float:
-    """Eq. 9: P_comm = T_comm * Eb [W].
-
-    Raises:
-        ValueError: on negative throughput or energy.
-    """
-    if throughput_bps < 0:
-        raise ValueError("throughput must be non-negative")
-    if energy_per_bit_j < 0:
-        raise ValueError("energy per bit must be non-negative")
-    return throughput_bps * energy_per_bit_j

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.link.modulation import Modulation
-from repro.seeds import current_seed, derive_stream_seed, seeded_rng
+from repro.seeds import seeded_rng
 
 
 @dataclass
@@ -117,51 +117,3 @@ def measure_ber_sweep(scheme: Modulation,
             errors[point] += int(np.count_nonzero(decoded != bits))
         done += take
     return errors / n_bits
-
-
-def measure_ber_grid(schemes,
-                     ebn0_db: np.ndarray,
-                     n_bits: int,
-                     seed: int | None = None,
-                     chunk_bits: int = 1 << 20) -> np.ndarray:
-    """Empirical BER over a whole (scheme x Eb/N0) design grid.
-
-    The whole-grid entry point of the link-budget drivers: one call
-    evaluates every modulation scheme over every operating point, each
-    scheme in a single batched :func:`measure_ber_sweep` pass.  Every
-    scheme draws from its own independent substream derived from the
-    base seed and the scheme name
-    (:func:`repro.seeds.derive_stream_seed`), so results are
-    schedule-independent: evaluating schemes in any order — or one at a
-    time — yields bit-identical numbers.
-
-    Args:
-        schemes: iterable of :class:`~repro.link.modulation.Modulation`
-            instances (each contributes one output row).
-        ebn0_db: Eb/N0 grid in dB (any array-like; flattened).
-        n_bits: bits pushed through per grid point per scheme.
-        seed: base seed for the per-scheme substreams; defaults to the
-            process run seed (:func:`repro.seeds.current_seed`,
-            i.e. the CLI's ``--seed``).
-        chunk_bits: per-sweep memory bound, as in
-            :func:`measure_ber_sweep`.
-
-    Returns:
-        Array of shape ``(len(schemes), grid size)`` of observed
-        bit-error fractions.
-
-    Raises:
-        ValueError: if no schemes are given (grid/bit validation happens
-            per sweep).
-    """
-    schemes = list(schemes)
-    if not schemes:
-        raise ValueError("need at least one modulation scheme")
-    grid = np.asarray(ebn0_db, dtype=np.float64).ravel()
-    base_seed = seed if seed is not None else current_seed()
-    measured = np.empty((len(schemes), grid.size), dtype=np.float64)
-    for index, scheme in enumerate(schemes):
-        rng = seeded_rng(derive_stream_seed(base_seed, "mc", scheme.name))
-        measured[index] = measure_ber_sweep(scheme, grid, n_bits, rng=rng,
-                                            chunk_bits=chunk_bits)
-    return measured

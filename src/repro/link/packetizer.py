@@ -4,8 +4,8 @@ In the communication-centric dataflow (paper Fig. 3, Section 3.1) the only
 on-implant computation is "digitize and packetize".  This module is that
 stage: frames of ADC codes are split into fixed-payload packets carrying a
 sequence number and CRC-16 so the wearable can detect loss and corruption.
-The overhead ratio it reports feeds the effective-throughput accounting in
-the streaming example.
+Its header and CRC sizes set the framing overhead of the ARQ goodput
+accounting (:mod:`repro.link.protocol`) and the dashboard's link envelope.
 """
 
 from __future__ import annotations

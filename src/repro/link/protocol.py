@@ -70,19 +70,6 @@ def effective_goodput(raw_rate_bps: float, ber: float,
     return raw_rate_bps * (payload_bits / total) / retx
 
 
-def delivered_energy_per_bit(energy_per_bit_j: float, ber: float,
-                             payload_bits: int,
-                             overhead_bits: int) -> float:
-    """Transmit energy per *delivered payload* bit under ARQ."""
-    if energy_per_bit_j < 0:
-        raise ValueError("energy must be non-negative")
-    total = payload_bits + overhead_bits
-    retx = expected_transmissions(ber, total)
-    if math.isinf(retx):
-        return math.inf
-    return energy_per_bit_j * retx * total / payload_bits
-
-
 @dataclass
 class ArqSimulationResult:
     """Outcome of a Monte-Carlo ARQ session.
@@ -183,8 +170,7 @@ class FaultedArqReport:
     def delivered_energy_per_bit(self, energy_per_bit_j: float) -> float:
         """Transmit energy per delivered payload bit.
 
-        The faulted-link analogue of :func:`delivered_energy_per_bit`:
-        every transmitted bit (framing + retransmissions) costs
+        Every transmitted bit (framing + retransmissions) costs
         ``energy_per_bit_j``, and only the delivered payload counts.
         Infinite when nothing got through.
         """

@@ -17,39 +17,28 @@ physical models — never re-stated numbers:
   efficiency at the paper's BER target) plus the ARQ goodput ratio the
   default packet geometry sustains at that BER
   (:func:`repro.link.protocol.effective_goodput`).
-
-The dashboard also aggregates fleet-style run statistics: p50/p95/p99 of
-duration and peak RSS over every run manifest found in the given session
-directories, using the nearest-rank :func:`repro.obs.recorder.percentile`.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any
 
 from repro.link.budget import DEFAULT_BER
 from repro.link.packetizer import Packetizer
 from repro.link.protocol import effective_goodput, expected_transmissions
-from repro.obs.recorder import SUMMARY_PERCENTILES, percentile
 from repro.thermal.budget import assess as assess_power
 from repro.thermal.model import TissueThermalModel
 from repro.units import SAFE_TEMPERATURE_RISE_K, mm2, mw, to_mw
 
-__all__ = ["build_dashboard", "fleet_stats", "load_csv_rows",
-           "render_html", "render_markdown", "safety_envelopes"]
+__all__ = ["build_dashboard", "load_csv_rows", "render_html",
+           "render_markdown", "safety_envelopes"]
 
 #: Upper edge of the paper's safe heating window (Section 3.2: 1-2 degC).
 #: Below SAFE_TEMPERATURE_RISE_K is unconditionally safe; between the
 #: two the dashboard warns; above fails.
 UPPER_TEMPERATURE_RISE_K = 2.0
-
-
-def _to_mb(n_bytes: float) -> float:
-    """Bytes to megabytes for display; no repro.units helper covers bytes."""
-    return n_bytes / 1e6
 
 
 def load_csv_rows(path: Path | str) -> list[dict[str, str]]:
@@ -173,52 +162,13 @@ def safety_envelopes(output_dir: Path | str) -> list[dict[str, Any]]:
             _link_envelope(fig7_rows)]
 
 
-# -- fleet aggregation -----------------------------------------------------
-
-def fleet_stats(session_dirs: Sequence[Path | str]) -> dict[str, Any]:
-    """Percentile aggregates over every run manifest in the sessions.
-
-    Scans each directory for ``*.manifest.json`` files (one per saved
-    experiment artifact) and reports nearest-rank p50/p95/p99 of run
-    duration and peak RSS across the whole fleet of runs.
-    """
-    durations: list[float] = []
-    rss: list[float] = []
-    n_manifests = 0
-    for session in session_dirs:
-        for path in sorted(Path(session).glob("*.manifest.json")):
-            try:
-                manifest = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError):
-                continue
-            n_manifests += 1
-            if manifest.get("duration_s") is not None:
-                durations.append(float(manifest["duration_s"]))
-            if manifest.get("peak_rss_bytes") is not None:
-                rss.append(float(manifest["peak_rss_bytes"]))
-
-    def summarize(values: list[float]) -> dict[str, float] | None:
-        if not values:
-            return None
-        return {f"p{pct}": percentile(values, pct)
-                for pct in SUMMARY_PERCENTILES}
-
-    return {"n_sessions": len(session_dirs), "n_manifests": n_manifests,
-            "duration_s": summarize(durations),
-            "peak_rss_bytes": summarize(rss)}
-
-
 # -- dashboard assembly ----------------------------------------------------
 
-def build_dashboard(output_dir: Path | str,
-                    session_dirs: Iterable[Path | str] = (),
-                    ) -> dict[str, Any]:
-    """The full dashboard as JSON-able data (envelopes + fleet stats)."""
-    sessions = [Path(output_dir), *map(Path, session_dirs)]
+def build_dashboard(output_dir: Path | str) -> dict[str, Any]:
+    """The full dashboard as JSON-able data."""
     return {
         "output_dir": str(output_dir),
         "envelopes": safety_envelopes(output_dir),
-        "fleet": fleet_stats(sessions),
     }
 
 
@@ -249,23 +199,6 @@ def render_markdown(dashboard: dict[str, Any]) -> str:
             f"| {env['envelope']} | {env['limit']} "
             f"| {env['n_within']}/{env['n_designs']} | {worst} "
             f"| {env['verdict']} |")
-    fleet = dashboard["fleet"]
-    lines += ["", "## Fleet run statistics", "",
-              f"{fleet['n_manifests']} run manifest(s) across "
-              f"{fleet['n_sessions']} session dir(s).", ""]
-    if fleet["duration_s"] or fleet["peak_rss_bytes"]:
-        lines += ["| metric | p50 | p95 | p99 |", "|---|---|---|---|"]
-        if fleet["duration_s"]:
-            p = fleet["duration_s"]
-            lines.append(f"| duration_s | {p['p50']:.4f} | {p['p95']:.4f}"
-                         f" | {p['p99']:.4f} |")
-        if fleet["peak_rss_bytes"]:
-            p = fleet["peak_rss_bytes"]
-            lines.append(
-                f"| peak_rss_mb | {_to_mb(p['p50']):.1f} "
-                f"| {_to_mb(p['p95']):.1f} | {_to_mb(p['p99']):.1f} |")
-    else:
-        lines.append("No manifests with timing data found.")
     verdicts = [env["verdict"] for env in dashboard["envelopes"]]
     if "FAIL" in verdicts:
         overall = "FAIL — check envelopes above"
@@ -293,17 +226,6 @@ def render_html(dashboard: dict[str, Any]) -> str:
                          f"{env['n_within']}/{env['n_designs']}",
                          str(env.get("worst_case") or "-"),
                          _verdict_cell(env["verdict"])])
-    fleet = dashboard["fleet"]
-    fleet_rows = []
-    if fleet["duration_s"]:
-        p = fleet["duration_s"]
-        fleet_rows.append(["duration_s", f"{p['p50']:.4f}",
-                           f"{p['p95']:.4f}", f"{p['p99']:.4f}"])
-    if fleet["peak_rss_bytes"]:
-        p = fleet["peak_rss_bytes"]
-        fleet_rows.append(["peak_rss_mb", f"{_to_mb(p['p50']):.1f}",
-                           f"{_to_mb(p['p95']):.1f}",
-                           f"{_to_mb(p['p99']):.1f}"])
     parts = [
         "<!DOCTYPE html><html><head><meta charset='utf-8'>",
         "<title>Safety-envelope dashboard</title>",
@@ -316,11 +238,6 @@ def render_html(dashboard: dict[str, Any]) -> str:
         "<h2>Safety envelopes</h2>",
         table(["envelope", "limit", "within", "worst case", "verdict"],
               env_rows),
-        f"<h2>Fleet run statistics</h2>"
-        f"<p>{fleet['n_manifests']} run manifest(s) across "
-        f"{fleet['n_sessions']} session dir(s).</p>",
+        "</body></html>",
     ]
-    if fleet_rows:
-        parts.append(table(["metric", "p50", "p95", "p99"], fleet_rows))
-    parts.append("</body></html>")
     return "\n".join(parts) + "\n"

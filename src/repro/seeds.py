@@ -11,12 +11,11 @@ by construction, so serial and sharded runs draw identical streams and
 produce byte-identical CSVs.
 
 :func:`derive_stream_seed` generalizes the same construction to any
-labelled substream — the whole-grid Monte-Carlo batcher
-(:func:`repro.link.channel.measure_ber_grid`) derives one independent
-stream per modulation scheme from ``(base_seed, "mc", scheme name)``,
-so evaluating the grid in one pass draws exactly what per-scheme sweeps
-would.  :func:`derive_fault_seed` namespaces the fault layer's streams
-away from both.
+labelled substream — the fleet engine derives one independent stream
+per cohort from ``(base_seed, "fleet", cohort name)``, so a cohort
+draws the same numbers whichever process runs it.
+:func:`derive_fault_seed` namespaces the fault layer's streams away
+from both.
 
 The module also owns the process-wide *run seed*: ``repro evaluate
 --seed N`` calls :func:`set_run_seed`, stochastic code asks
@@ -69,7 +68,7 @@ def derive_stream_seed(base_seed: int | None, *labels: str) -> int | None:
     Args:
         base_seed: the run-level seed; ``None`` (unseeded run) passes
             through unchanged.
-        labels: the substream's path (e.g. ``("mc", "16-QAM")``),
+        labels: the substream's path (e.g. ``("fleet", "kalman_clean")``),
             joined with ``:`` into the hash input — the same scheme
             that has always derived per-driver seeds, so
             ``derive_stream_seed(s, name) == derive_driver_seed(s,

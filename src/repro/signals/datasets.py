@@ -1,4 +1,4 @@
-"""Parametric decoding datasets for the example applications.
+"""Parametric decoding datasets for the baseline decoders.
 
 Two dataset families mirror the paper's motivating workloads:
 

@@ -3,8 +3,8 @@
 ECoG and LFP recordings are dominated by a power-law ("pink") background with
 superimposed oscillatory bands (theta, alpha, beta, gamma...).  The MINDFUL
 workloads decode from exactly this kind of signal, so the synthetic ECoG here
-gives the examples and decoder substrate realistic inputs without in-vivo
-data (DESIGN.md substitution 4).
+gives the compression and decoder substrates realistic inputs without
+in-vivo data (DESIGN.md substitution 4).
 """
 
 from __future__ import annotations

@@ -39,16 +39,22 @@ def exponential_spike_template(sampling_rate_hz: float,
 
 
 def biphasic_spike_template(sampling_rate_hz: float,
-                            duration_s: float = 2e-3,
+                            duration_s: float | None = None,
                             depolarization_s: float = 2e-4,
                             repolarization_s: float = 6e-4,
                             amplitude: float = 1.0) -> np.ndarray:
     """Biphasic extracellular spike: sharp trough, slow positive hump.
 
     The shape is a difference of two exponential-rise/decay lobes, normalized
-    so the trough magnitude equals ``amplitude``.
+    so the trough magnitude equals ``amplitude``.  The default length,
+    ``2 * depolarization_s + 6 * repolarization_s``, runs four widths past
+    the hump's centre: a template cut while the hump is still high ends
+    in a step, which a spike-band high-pass turns into a second trough
+    that a threshold detector counts as a spike.
     """
     _validate_rate(sampling_rate_hz)
+    if duration_s is None:
+        duration_s = 2 * depolarization_s + 6 * repolarization_s
     n = max(2, int(round(duration_s * sampling_rate_hz)))
     t = np.arange(n) / sampling_rate_hz
     trough = -np.exp(

@@ -57,11 +57,6 @@ def uw(value: float) -> float:
     return value * 1e-6
 
 
-def to_uw(watts: float) -> float:
-    """Convert watts to microwatts."""
-    return watts * 1e6
-
-
 def nw(value: float) -> float:
     """Convert nanowatts to watts."""
     return value * 1e-9
@@ -114,16 +109,6 @@ def to_mw_per_cm2(w_per_m2: float) -> float:
 # --------------------------------------------------------------------------
 # Energy
 # --------------------------------------------------------------------------
-
-def pj(value: float) -> float:
-    """Convert picojoules to joules."""
-    return value * 1e-12
-
-
-def to_pj(joules: float) -> float:
-    """Convert joules to picojoules."""
-    return joules * 1e12
-
 
 def fj(value: float) -> float:
     """Convert femtojoules to joules."""

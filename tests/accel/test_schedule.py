@@ -6,7 +6,6 @@ import pytest
 
 from repro.accel.schedule import (
     best_schedule,
-    compute_power_lower_bound,
     schedule_non_pipelined,
     schedule_pipelined,
 )
@@ -125,19 +124,15 @@ class TestBestSchedule:
         assert best_schedule(profiles, 1e-6, TECH_45NM) is None
 
     def test_power_lower_bound_eq13(self):
-        profiles = profiles_simple()
-        bound = compute_power_lower_bound(profiles, 1e-5, TECH_45NM)
-        best = best_schedule(profiles, 1e-5, TECH_45NM)
-        assert bound == pytest.approx(best.mac_units * TECH_45NM.p_mac_w)
-
-    def test_power_lower_bound_infeasible_is_none(self):
-        profiles = [LayerMacs(mac_seq=10_000_000, mac_ops=1)]
-        assert compute_power_lower_bound(profiles, 1e-6, TECH_45NM) is None
+        # Eq. 13: P_comp of the minimal schedule = units * P_MAC.
+        best = best_schedule(profiles_simple(), 1e-5, TECH_45NM)
+        assert best.power_w(TECH_45NM) == pytest.approx(
+            best.mac_units * TECH_45NM.p_mac_w)
 
     def test_power_scales_with_throughput_demand(self):
         profiles = [LayerMacs(mac_seq=256, mac_ops=4096)]
-        slow = compute_power_lower_bound(profiles, 1e-2, TECH_45NM)
-        fast = compute_power_lower_bound(profiles, 1e-4, TECH_45NM)
+        slow = best_schedule(profiles, 1e-2, TECH_45NM).power_w(TECH_45NM)
+        fast = best_schedule(profiles, 1e-4, TECH_45NM).power_w(TECH_45NM)
         assert fast > slow
 
     def test_total_mac_conservation(self):

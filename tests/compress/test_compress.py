@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.compress.delta import delta_decode, delta_encode
+from repro.compress.delta import delta_decode, delta_encode, quantize
 from repro.compress.pipeline import (
     CompressionResult,
     NeuralCompressor,
@@ -17,8 +17,62 @@ from repro.compress.rice import (
     unzigzag,
     zigzag,
 )
-from repro.ni.adc import quantize
 from repro.signals.lfp import synthesize_ecog
+
+
+def reconstruct(codes: np.ndarray, bits: int) -> np.ndarray:
+    """Mid-points of the unit-full-scale mid-rise cells ``codes`` name."""
+    return (codes + 0.5) * (2.0 / 2 ** bits)
+
+
+def measured_sqnr_db(signal: np.ndarray, bits: int) -> float:
+    """Signal-to-quantization-noise ratio of a quantize/reconstruct
+    round trip at unit full scale."""
+    noise = signal - reconstruct(quantize(signal, bits), bits)
+    return 10.0 * np.log10(np.mean(signal ** 2) / np.mean(noise ** 2))
+
+
+class TestQuantize:
+    def test_code_range(self):
+        signal = np.linspace(-2.0, 2.0, 101)
+        codes = quantize(signal, bits=8, full_scale=1.0)
+        assert codes.min() >= -128
+        assert codes.max() <= 127
+
+    def test_zero_maps_to_zero_cell(self):
+        assert quantize(np.array([0.0]), bits=8)[0] == 0
+
+    def test_clipping(self):
+        codes = quantize(np.array([10.0, -10.0]), bits=4, full_scale=1.0)
+        assert codes[0] == 7
+        assert codes[1] == -8
+
+    def test_round_trip_error_bounded_by_lsb(self, rng):
+        signal = rng.uniform(-0.99, 0.99, size=1000)
+        bits = 10
+        recon = reconstruct(quantize(signal, bits), bits)
+        lsb = 2.0 / 2 ** bits
+        assert np.max(np.abs(signal - recon)) <= lsb / 2 + 1e-12
+
+    def test_rejects_bad_bits(self):
+        with pytest.raises(ValueError):
+            quantize(np.array([0.0]), bits=0)
+
+
+class TestSqnr:
+    def test_tracks_ideal_for_sinusoid(self, rng):
+        t = np.linspace(0, 1, 100000)
+        signal = 0.999 * np.sin(2 * np.pi * 123.0 * t)
+        for bits in (6, 8, 10):
+            # Textbook 6.02 d + 1.76 dB for a full-scale sinusoid.
+            ideal = 6.02 * bits + 1.76
+            assert measured_sqnr_db(signal, bits) == pytest.approx(
+                ideal, abs=1.5)
+
+    def test_more_bits_more_sqnr(self, rng):
+        signal = rng.uniform(-1, 1, 10000)
+        assert (measured_sqnr_db(signal, 12) > measured_sqnr_db(signal, 8)
+                > measured_sqnr_db(signal, 4))
 
 
 class TestDelta:

@@ -12,7 +12,16 @@ from repro.core.closed_loop import (
     max_channels_closed_loop,
 )
 from repro.core.comp_centric import Workload
-from repro.dnn.models import build_speech_dncnn, build_speech_mlp
+from repro.dnn.models import (
+    build_speech_dncnn,
+    build_speech_mlp,
+    speech_mlp_profile,
+)
+
+
+def mlp(n_channels):
+    """MAC profiles of the speech MLP decoder at a channel count."""
+    return speech_mlp_profile(n_channels).profiles
 
 
 class TestStimulation:
@@ -47,14 +56,14 @@ class TestClosedLoop:
         assert BRAIN_REACTION_TIME_S == pytest.approx(0.18)
 
     def test_loop_feasible_at_1024(self, bisc):
-        net = build_speech_mlp(1024)
-        point = evaluate_closed_loop(bisc, net, 1024)
+        decoder = mlp(1024)
+        point = evaluate_closed_loop(bisc, decoder, 1024)
         assert point.meets_deadline
         assert point.feasible
 
     def test_loop_latency_components(self, bisc):
-        net = build_speech_mlp(1024)
-        point = evaluate_closed_loop(bisc, net, 1024, window_samples=8)
+        decoder = mlp(1024)
+        point = evaluate_closed_loop(bisc, decoder, 1024, window_samples=8)
         assert point.acquisition_s == pytest.approx(8 / bisc.sampling_hz)
         assert point.loop_latency_s == pytest.approx(
             point.acquisition_s + point.decode_s + point.stimulation_s)
@@ -63,29 +72,29 @@ class TestClosedLoop:
         # Decoding once per decision (0.18 s budget) is far cheaper than
         # the per-sample real-time constraint of Fig. 10.
         from repro.core.comp_centric import Workload, evaluate_comp_centric
-        net = build_speech_mlp(1024)
-        loop = evaluate_closed_loop(bisc, net, 1024)
+        decoder = mlp(1024)
+        loop = evaluate_closed_loop(bisc, decoder, 1024)
         streaming = evaluate_comp_centric(bisc, Workload.MLP, 1024)
         assert loop.comp_power_w < 0.05 * streaming.comp_power_w
 
     def test_tight_deadline_fails(self, bisc):
-        net = build_speech_mlp(1024)
-        point = evaluate_closed_loop(bisc, net, 1024,
+        decoder = mlp(1024)
+        point = evaluate_closed_loop(bisc, decoder, 1024,
                                      deadline_s=5e-3)
         # 5 ms minus acquisition and stimulation leaves nothing.
         assert not point.meets_deadline
 
     def test_infinite_decode_when_budget_consumed(self, bisc):
-        net = build_speech_mlp(1024)
+        decoder = mlp(1024)
         point = evaluate_closed_loop(
-            bisc, net, 1024, window_samples=10_000,
+            bisc, decoder, 1024, window_samples=10_000,
             deadline_s=0.18)  # acquisition alone exceeds the deadline
         assert math.isinf(point.decode_s)
         assert not point.feasible
 
     def test_no_transmitter_power_in_loop(self, bisc):
-        net = build_speech_mlp(1024)
-        point = evaluate_closed_loop(bisc, net, 1024)
+        decoder = mlp(1024)
+        point = evaluate_closed_loop(bisc, decoder, 1024)
         assert point.total_power_w == pytest.approx(
             point.sensing_power_w + point.comp_power_w
             + point.stim_power_w)
@@ -95,24 +104,27 @@ class TestClosedLoop:
         # beyond the Fig. 10 streaming limit.
         from repro.core.comp_centric import Workload, max_feasible_channels
         stream_limit = max_feasible_channels(bisc, Workload.MLP)
-        net = build_speech_mlp(stream_limit + 1024)
-        point = evaluate_closed_loop(bisc, net, stream_limit + 1024)
+        decoder = mlp(stream_limit + 1024)
+        point = evaluate_closed_loop(bisc, decoder, stream_limit + 1024)
         assert point.feasible
 
     def test_rejects_invalid(self, bisc):
-        net = build_speech_mlp(128)
+        decoder = mlp(128)
         with pytest.raises(ValueError):
-            evaluate_closed_loop(bisc, net, 0)
+            evaluate_closed_loop(bisc, decoder, 0)
         with pytest.raises(ValueError):
-            evaluate_closed_loop(bisc, net, 128, deadline_s=0.0)
+            evaluate_closed_loop(bisc, decoder, 128, deadline_s=0.0)
 
 
 def _reference_scan(soc, build_network, step=256, n_limit=16384,
                     **kwargs):
-    """The closed-loop scan over freshly built networks."""
+    """The closed-loop scan over freshly built networks, evaluated
+    through the module attribute so a patched evaluator sees it."""
     best = 0
     for n in range(step, n_limit + 1, step):
-        if evaluate_closed_loop(soc, build_network(n), n, **kwargs).feasible:
+        profiles = build_network(n).profile().profiles
+        if closed_loop.evaluate_closed_loop(soc, profiles, n,
+                                            **kwargs).feasible:
             best = n
         elif best:
             break
@@ -139,13 +151,13 @@ class TestMaxChannelsClosedLoop:
     def test_counts_one_evaluation_per_scanned_point(self, bisc,
                                                      monkeypatch):
         calls = []
-        evaluate = closed_loop._evaluate_profiles
+        evaluate = closed_loop.evaluate_closed_loop
 
         def counted(*args, **kwargs):
             calls.append(args[2])
             return evaluate(*args, **kwargs)
 
-        monkeypatch.setattr(closed_loop, "_evaluate_profiles", counted)
+        monkeypatch.setattr(closed_loop, "evaluate_closed_loop", counted)
         max_channels_closed_loop(bisc, step=1024)
         scan = list(calls)
         calls.clear()

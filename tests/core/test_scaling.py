@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.scaling import scale_to_standard
+from repro.core.scaling import scale_to_standard, sensing_throughput
 from repro.core.socs import TABLE1, soc_by_number
 from repro.units import mbps, to_mm2, to_mw, to_mw_per_cm2
 
@@ -98,3 +98,25 @@ class TestScaledSoCProperties:
     def test_rejects_bad_channels(self, bisc):
         with pytest.raises(ValueError):
             bisc.sensing_power_w(0)
+
+
+class TestSensingThroughput:
+    def test_paper_example(self):
+        # Section 5.1: n=1024, d=10, f=8 kHz -> ~82 Mbps.
+        assert sensing_throughput(1024, 10, 8e3) == pytest.approx(81.92e6)
+
+    def test_linear_in_channels(self):
+        assert sensing_throughput(2048, 10, 8e3) == pytest.approx(
+            2 * sensing_throughput(1024, 10, 8e3))
+
+    def test_linear_in_bits(self):
+        assert sensing_throughput(1024, 16, 8e3) == pytest.approx(
+            1.6 * sensing_throughput(1024, 10, 8e3))
+
+    def test_rejects_invalid(self):
+        with pytest.raises(ValueError):
+            sensing_throughput(0, 10, 8e3)
+        with pytest.raises(ValueError):
+            sensing_throughput(10, 0, 8e3)
+        with pytest.raises(ValueError):
+            sensing_throughput(10, 10, 0.0)

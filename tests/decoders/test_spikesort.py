@@ -9,6 +9,7 @@ from repro.decoders.spikesort import (
     mad_noise_estimate,
     select_active_channels,
 )
+from repro.signals.filters import spike_band
 from repro.signals.spikes import (
     biphasic_spike_template,
     poisson_spike_train,
@@ -74,6 +75,40 @@ class TestSpikeDetector:
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):
             SpikeDetector(threshold_sigmas=0.0)
+
+
+class TestTwoUnitChannel:
+    """Two units of different width on one band-passed channel."""
+
+    #: (depolarization, trough amplitude, rate) of a fast large unit and
+    #: a slow small one, in 0.6-sigma noise at 30 kHz for 6 s.
+    UNITS = ((1.5e-4, 9.0, 9.0), (4.0e-4, 5.0, 7.0))
+    DURATION_S = 6.0
+
+    def _channel(self):
+        rng = np.random.default_rng(31)
+        n = int(self.DURATION_S * FS)
+        signal = 0.6 * rng.standard_normal(n)
+        n_spikes = 0
+        for depolarization, amplitude, rate in self.UNITS:
+            template = biphasic_spike_template(
+                FS, depolarization_s=depolarization, amplitude=amplitude)
+            spikes = np.flatnonzero(poisson_spike_train(
+                rate, self.DURATION_S, FS, rng, refractory_s=5e-3))
+            signal += render_spike_waveform(spikes, template, n)
+            n_spikes += spikes.size
+        return spike_band(signal, FS), n_spikes
+
+    def test_each_spike_is_detected_once(self):
+        # A template cut while its positive hump is still high leaves a
+        # step that the high-pass turns into a second trough, which the
+        # detector counts 61-80 samples after the true spike.
+        filtered, n_spikes = self._channel()
+        detector = SpikeDetector(threshold_sigmas=4.5,
+                                 refractory_samples=60)
+        assert n_spikes == 84
+        assert len(detector.detect(filtered)) == pytest.approx(
+            n_spikes, rel=0.1)
 
 
 class TestChannelSelection:

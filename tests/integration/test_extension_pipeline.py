@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.compress.delta import quantize
 from repro.compress.pipeline import NeuralCompressor
 from repro.compress.rice import PackedBits
 from repro.core.event_stream import EventStreamConfig, evaluate_event_stream
@@ -12,7 +13,6 @@ from repro.core.comp_centric import Workload, evaluate_comp_centric
 from repro.core.qam_design import evaluate_qam_design
 from repro.decoders.spikesort import SpikeDetector
 from repro.link.packetizer import Packetizer
-from repro.ni.adc import quantize
 from repro.signals.lfp import synthesize_ecog
 from repro.signals.spikes import (
     biphasic_spike_template,

@@ -5,31 +5,26 @@ import pytest
 
 from repro.accel.schedule import best_schedule
 from repro.accel.tech import TECH_45NM
+from repro.compress.delta import quantize
 from repro.core.comp_centric import Workload, evaluate_comp_centric
 from repro.core.scaling import scale_to_standard
 from repro.core.socs import soc_by_number
 from repro.dnn.models import build_speech_mlp
-from repro.link.budget import LinkBudget, communication_power
+from repro.link.budget import LinkBudget
 from repro.link.channel import AwgnChannel
 from repro.link.modulation import OOK
 from repro.link.packetizer import Packetizer
-from repro.ni.adc import AdcModel
-from repro.ni.geometry import GridArray
-from repro.ni.interface import NeuralInterface
 from repro.signals.lfp import synthesize_ecog
 from repro.thermal.budget import assess
 
 
 class TestCommCentricStream:
-    """Signals -> NI -> packetizer -> modulated link -> wearable."""
+    """Signals -> ADC -> packetizer -> modulated link -> wearable."""
 
     def test_lossless_stream_over_clean_link(self, rng):
         n_channels, fs = 16, 2000.0
-        ni = NeuralInterface(
-            geometry=GridArray(rows=4, cols=4, pitch_m=20e-6),
-            adc=AdcModel(bits=10, sampling_rate_hz=fs))
         analog = synthesize_ecog(n_channels, 0.1, fs, rng) * 0.1
-        codes = ni.acquire(analog)
+        codes = quantize(analog, bits=10)
 
         packetizer = Packetizer(payload_bytes=128, sample_bits=10)
         packets = packetizer.packetize(codes)
@@ -56,9 +51,7 @@ class TestCommCentricStream:
     def test_stream_power_is_within_bisc_budget(self):
         # Eq. 6 + Eq. 9 for a BISC-like configuration stays within Eq. 3.
         soc = scale_to_standard(soc_by_number(1))
-        throughput = soc.sensing_throughput_bps()
-        power = communication_power(throughput,
-                                    soc.implied_energy_per_bit_j)
+        power = soc.sensing_throughput_bps() * soc.implied_energy_per_bit_j
         report = assess(soc.sensing_power_anchor_w + power, soc.area_m2)
         assert report.safe
 
@@ -99,8 +92,7 @@ class TestEndToEndFeasibilityStory:
         # Compute grows quadratically while streaming grows linearly, so
         # the compute-to-streaming power ratio worsens with scale — the
         # reason computation-centric designs stop paying off (Fig. 10).
-        raw_comm_power = communication_power(
-            raw_rate, soc.implied_energy_per_bit_j)
+        raw_comm_power = raw_rate * soc.implied_energy_per_bit_j
         point_2x = evaluate_comp_centric(soc, Workload.MLP, 2048)
         ratio_1x = point.comp_power_w / raw_comm_power
         ratio_2x = point_2x.comp_power_w / (2 * raw_comm_power)
@@ -112,5 +104,5 @@ class TestEndToEndFeasibilityStory:
         soc = scale_to_standard(soc_by_number(1))
         energy = LinkBudget().transmit_energy_per_bit(
             bits_per_symbol=1, efficiency=0.15)
-        power = communication_power(soc.sensing_throughput_bps(), energy)
+        power = soc.sensing_throughput_bps() * energy
         assert 1e-3 < power < 50e-3

@@ -12,7 +12,6 @@ from repro.link.ber import (
     ber_ook,
     q_function,
     required_ebn0,
-    shannon_ebn0_limit_db,
 )
 
 
@@ -196,16 +195,3 @@ class TestBrentqPort:
             with pytest.raises(RuntimeError,
                                match="Failed to converge after 100"):
                 solve(step, -1.0, 2.0, xtol=1e-300, rtol=1e-12)
-
-
-class TestShannonLimit:
-    def test_low_efficiency_approaches_minus_1_59_db(self):
-        assert shannon_ebn0_limit_db(0.001) == pytest.approx(-1.59, abs=0.01)
-
-    def test_grows_with_spectral_efficiency(self):
-        assert (shannon_ebn0_limit_db(1.0) < shannon_ebn0_limit_db(4.0)
-                < shannon_ebn0_limit_db(8.0))
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            shannon_ebn0_limit_db(0.0)

@@ -7,7 +7,6 @@ import pytest
 
 from repro.link.modulation import BPSK, QPSK
 from repro.link.protocol import (
-    delivered_energy_per_bit,
     effective_goodput,
     expected_transmissions,
     packet_success_probability,
@@ -42,15 +41,6 @@ class TestAnalytics:
         clean = effective_goodput(100e6, 1e-6, 512, 32)
         dirty = effective_goodput(100e6, 1e-2, 512, 32)
         assert dirty < 0.1 * clean
-
-    def test_delivered_energy_rises_with_ber(self):
-        base = delivered_energy_per_bit(50e-12, 1e-9, 512, 32)
-        noisy = delivered_energy_per_bit(50e-12, 1e-3, 512, 32)
-        assert noisy > base
-
-    def test_delivered_energy_includes_overhead(self):
-        energy = delivered_energy_per_bit(50e-12, 0.0, 512, 32)
-        assert energy == pytest.approx(50e-12 * 544 / 512)
 
     def test_infinite_at_ber_one_limit(self):
         assert math.isinf(expected_transmissions(0.99, 10_000))

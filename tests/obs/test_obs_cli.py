@@ -170,3 +170,11 @@ class TestObsReport:
                      "--format", "html", "--out", str(target)]) == 0
         assert target.read_text(encoding="utf-8").startswith(
             "<!DOCTYPE html>")
+
+    def test_sessions_option_is_gone(self, tmp_path, capsys):
+        # The dashboard reads one run directory's safety envelopes.
+        with pytest.raises(SystemExit) as exc:
+            main(["obs", "report", "--output-dir", str(tmp_path),
+                  "--sessions", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--sessions" in capsys.readouterr().err

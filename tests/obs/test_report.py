@@ -6,9 +6,8 @@ import csv
 import json
 from pathlib import Path
 
-from repro.obs.report import (build_dashboard, fleet_stats, load_csv_rows,
-                              render_html, render_markdown,
-                              safety_envelopes)
+from repro.obs.report import (build_dashboard, load_csv_rows, render_html,
+                              render_markdown, safety_envelopes)
 
 
 def _write_csv(path: Path, rows: list[dict[str, object]]) -> None:
@@ -30,13 +29,6 @@ def _write_fig7(directory: Path, feasible: bool = True) -> None:
     _write_csv(directory / "fig7.csv",
                [{"soc": "demo-soc", "channels": 1024,
                  "feasible": feasible}])
-
-
-def _write_manifest(directory: Path, stem: str, duration_s: float,
-                    rss: int) -> None:
-    (directory / f"{stem}.manifest.json").write_text(
-        json.dumps({"duration_s": duration_s, "peak_rss_bytes": rss}),
-        encoding="utf-8")
 
 
 class TestEnvelopes:
@@ -78,34 +70,10 @@ class TestEnvelopes:
         assert load_csv_rows(tmp_path / "absent.csv") == []
 
 
-class TestFleetStats:
-    def test_percentiles_over_manifests(self, tmp_path):
-        for i in range(10):
-            _write_manifest(tmp_path, f"run{i}", duration_s=float(i + 1),
-                            rss=(i + 1) * 1_000_000)
-        stats = fleet_stats([tmp_path])
-        assert stats["n_manifests"] == 10
-        assert stats["duration_s"]["p50"] == 5.0
-        assert stats["duration_s"]["p99"] == 10.0
-
-    def test_corrupt_manifest_skipped(self, tmp_path):
-        _write_manifest(tmp_path, "good", 1.0, 1_000_000)
-        (tmp_path / "bad.manifest.json").write_text("{broken",
-                                                    encoding="utf-8")
-        stats = fleet_stats([tmp_path])
-        assert stats["n_manifests"] == 1
-
-    def test_empty_fleet(self, tmp_path):
-        stats = fleet_stats([tmp_path])
-        assert stats["n_manifests"] == 0
-        assert stats["duration_s"] is None
-
-
 class TestRendering:
     def _dashboard(self, tmp_path):
         _write_fig4(tmp_path)
         _write_fig7(tmp_path)
-        _write_manifest(tmp_path, "fig4", 0.25, 50_000_000)
         return build_dashboard(tmp_path)
 
     def test_markdown_has_verdicts_and_overall(self, tmp_path):
@@ -114,7 +82,6 @@ class TestRendering:
         assert "thermal_rise" in text
         assert "link_ber_goodput" in text
         assert "**Overall: PASS**" in text
-        assert "| duration_s | 0.2500" in text
 
     def test_markdown_overall_fail_dominates(self, tmp_path):
         _write_fig4(tmp_path, power_mw=500.0, area_mm2=10.0, safe=False)
@@ -126,7 +93,6 @@ class TestRendering:
         html = render_html(self._dashboard(tmp_path))
         assert html.startswith("<!DOCTYPE html>")
         assert "power_budget" in html
-        assert "peak_rss_mb" in html
 
     def test_dashboard_is_json_able_and_deterministic(self, tmp_path):
         first = self._dashboard(tmp_path)

@@ -9,11 +9,11 @@ from repro.accel.schedule import (
     schedule_pipelined,
 )
 from repro.accel.tech import TECH_45NM, TechnologyNode
+from repro.compress.delta import quantize
 from repro.dnn.macs import LayerMacs, fmac_conv1d, fmac_dense
 from repro.link.ber import ber_mqam, required_ebn0
 from repro.link.modulation import MQAM
 from repro.link.packetizer import Packetizer
-from repro.ni.adc import quantize
 from repro.thermal.budget import power_budget, power_density
 from repro.units import db_to_linear, linear_to_db
 

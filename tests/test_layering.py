@@ -20,9 +20,11 @@ Two static scans keep every module and public definition earning its
 place.  The module walk follows imports (function-local ones included)
 from the CLI entry points; the definition scan looks for a use of each
 public top-level function or class of every reached module in
-``src/``, ``bench/`` or ``examples/``.  Both name their known
-exceptions explicitly, with the ROADMAP item, EXPERIMENTS.md row,
-parity-oracle or test-hook role that justifies each.
+``src/`` or ``bench/``; tests do not count, so a definition only a
+test calls must earn its place as the reference that test checks
+other code against.  Both scans name their known exceptions
+explicitly, with the ROADMAP item, EXPERIMENTS.md row, parity-oracle,
+Monte-Carlo-check or test-hook role that justifies each.
 """
 
 from __future__ import annotations
@@ -39,10 +41,9 @@ import pytest
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
 
-SCIENCE = ["repro.core", "repro.link", "repro.ni", "repro.dnn",
-           "repro.accel", "repro.thermal", "repro.signals",
-           "repro.decoders", "repro.compress", "repro.fleet",
-           "repro.simulate"]
+SCIENCE = ["repro.core", "repro.link", "repro.dnn", "repro.accel",
+           "repro.thermal", "repro.signals", "repro.decoders",
+           "repro.compress", "repro.fleet", "repro.simulate"]
 
 INFRASTRUCTURE = ("repro.cache", "repro.perf", "repro.fault")
 
@@ -114,11 +115,12 @@ def test_fleet_does_not_load_the_fault_injector():
 
 
 #: Modules deleted because no command reached them, the static
-#: analyzer whose unique checks became tests/test_source_rules.py, and
-#: the timeline analytics that byte comparisons replaced; none may
+#: analyzer whose unique checks became tests/test_source_rules.py, the
+#: timeline analytics that byte comparisons replaced, and the
+#: waveform-level neural-interface model only examples used; none may
 #: return.
 DELETED = ("repro.wearable", "repro.dnn.snn", "repro.dnn.quantize",
-           "repro.decoders.lda", "repro.accel.simulate", "repro.ni.spad",
+           "repro.decoders.lda", "repro.accel.simulate", "repro.ni",
            "repro.signals.audio", "repro.analysis", "repro.obs.analyze")
 
 
@@ -260,21 +262,36 @@ UNREACHED_PACKAGES = {
                           "in validate",
 }
 
-#: Definitions of reached modules that no command, benchmark or example
-#: uses yet -> the EXPERIMENTS.md row their tier-1 tests back (ROADMAP
-#: item 3 wires them into ``validate``), or the oracle, test-hook or
-#: round-trip role that keeps them.
+#: Definitions of reached modules that no command or benchmark uses
+#: yet -> the EXPERIMENTS.md row their tier-1 tests back (ROADMAP item
+#: 3 wires them into ``validate``), or the oracle, Monte-Carlo-check,
+#: test-hook or round-trip role that keeps them, naming the test.
 UNREFERENCED_KEEP = {
     "repro.core.multi_implant.channels_vs_single_implant":
         "Multi-implant tiling",
     "repro.dnn.models.build_speech_dncnn":
         "PARITY_ORACLES pair with speech_dncnn_profile: the layer stack "
         "its width arithmetic is checked against",
-    "repro.dnn.layers.Softmax":
-        "Section 5.3 classification head (ROADMAP item 7: its one example "
-        "user, the spike-unit classifier, went with PCA/k-means sorting)",
-    "repro.dnn.train.cross_entropy_loss":
-        "loss of the Softmax head (ROADMAP item 7, as above)",
+    "repro.dnn.models.build_speech_mlp":
+        "PARITY_ORACLES pair with speech_mlp_profile: the layer stack "
+        "tests/dnn/test_models.py checks its width arithmetic against",
+    "repro.link.modulation.OOK":
+        "Monte-Carlo check of the closed-form OOK BER "
+        "(tests/link/test_channel.py::TestMeasuredVsTheory)",
+    "repro.link.modulation.BPSK":
+        "Monte-Carlo check of the closed-form BPSK BER "
+        "(tests/link/test_channel.py::TestMeasuredVsTheory)",
+    "repro.link.modulation.QPSK":
+        "Monte-Carlo check of the closed-form QPSK BER "
+        "(tests/link/test_channel.py::TestMeasuredVsTheory)",
+    "repro.link.channel.measure_ber_sweep":
+        "the seeded Monte-Carlo BER that "
+        "tests/link/test_channel.py::TestMeasuredVsTheory checks the "
+        "closed-form BER of every scheme against",
+    "repro.link.protocol.simulate_arq":
+        "Monte-Carlo ARQ session that tests/link/test_protocol.py::"
+        "TestSimulation::test_simulation_tracks_theory checks "
+        "expected_transmissions against",
     "repro.fleet.decoders.make_session_decoder":
         "scalar parity oracle of the batched calibration",
     "repro.simulate.cursor_task.run_closed_loop_cohort":
@@ -285,15 +302,13 @@ UNREFERENCED_KEEP = {
         "source in place",
     "repro.units.linear_to_db": "round-trip partner of db_to_linear",
     "repro.units.mbps": "round-trip partner of to_mbps",
-    "repro.units.pj": "round-trip partner of to_pj",
     "repro.units.to_cm2": "round-trip partner of cm2",
 }
 
 
 def _search_files(repo: Path) -> list[Path]:
-    """Python files outside tests under ``src/``, ``bench/`` and
-    ``examples/``."""
-    return [path for top in ("src", "bench", "examples")
+    """Python files outside tests under ``src/`` and ``bench/``."""
+    return [path for top in ("src", "bench")
             for path in sorted((repo / top).rglob("*.py"))
             if "tests" not in path.relative_to(repo).parts]
 

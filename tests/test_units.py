@@ -11,8 +11,8 @@ class TestPowerConversions:
     def test_mw_round_trip(self):
         assert units.to_mw(units.mw(38.9)) == pytest.approx(38.9)
 
-    def test_uw_round_trip(self):
-        assert units.to_uw(units.uw(5.0)) == pytest.approx(5.0)
+    def test_uw_magnitude(self):
+        assert units.uw(5.0) == pytest.approx(5e-6)
 
     def test_nw_is_small(self):
         assert units.nw(1.0) == pytest.approx(1e-9)
@@ -43,9 +43,6 @@ class TestDensity:
 
 
 class TestEnergyAndRates:
-    def test_pj_round_trip(self):
-        assert units.to_pj(units.pj(50.0)) == pytest.approx(50.0)
-
     def test_khz(self):
         assert units.khz(8.0) == pytest.approx(8000.0)
 
