@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 from repro.accel.schedule import Schedule, cached_best_schedule
 from repro.accel.tech import TECH_45NM, TechnologyNode
-from repro.core.comp_centric import Workload, _workload_profile
+from repro.core.comp_centric import Workload, workload_profile
+from repro.core.frontier import first_run_frontier
 from repro.core.scaling import ScaledSoC
 from repro.dnn.macs import LayerMacs
 from repro.units import SAFE_POWER_DENSITY, ms
@@ -142,17 +143,13 @@ def max_channels_closed_loop(soc: ScaledSoC,
         step / n_limit: scan granularity and ceiling.
         **kwargs: forwarded to :func:`evaluate_closed_loop`.
     """
-    best = 0
-    n = step
-    while n <= n_limit:
-        profiles = _workload_profile(workload, n).profiles
-        point = evaluate_closed_loop(soc, profiles, n, tech=tech, **kwargs)
-        if point.feasible:
-            best = n
-        elif best:
-            break
-        n += step
-    return best
+    def feasible(n: int) -> bool:
+        profiles = workload_profile(workload, n).profiles
+        return evaluate_closed_loop(soc, profiles, n, tech=tech,
+                                    **kwargs).feasible
+
+    grid = range(step, n_limit + 1, step)
+    return first_run_frontier(grid, map(feasible, grid))
 
 
 def evaluate_closed_loop(soc: ScaledSoC,

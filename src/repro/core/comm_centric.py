@@ -19,8 +19,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.scaling import ScaledSoC
 from repro.units import SAFE_POWER_DENSITY
 
@@ -104,31 +102,6 @@ def evaluate_comm_centric(soc: ScaledSoC, n_channels: int,
         total_area_m2=total_area,
         budget_w=total_area * SAFE_POWER_DENSITY,
     )
-
-
-def power_ratio_curve(soc: ScaledSoC,
-                      channel_counts: np.ndarray,
-                      hypothesis: DesignHypothesis) -> np.ndarray:
-    """Vectorized Fig. 5 y-axis: P_soc/P_budget over a whole channel grid.
-
-    Numerically identical, point for point, to
-    ``evaluate_comm_centric(soc, n, hypothesis).power_ratio`` — the array
-    form repeats the scalar expressions elementwise in the same order.
-    """
-    n = np.asarray(channel_counts, dtype=np.float64)
-    if n.size and float(n.min()) < soc.n_channels:
-        raise ValueError("communication-centric scaling explores "
-                         f"n >= {soc.n_channels}")
-    x = n / soc.n_channels
-    sensing_power = soc.sensing_power_anchor_w * n / soc.n_channels
-    non_sensing_power = soc.comm_power_anchor_w * x
-    sensing_area = soc.sensing_area_anchor_m2 * n / soc.n_channels
-    if hypothesis is DesignHypothesis.NAIVE:
-        non_sensing_area = soc.non_sensing_area_m2 * x
-    else:
-        non_sensing_area = np.full_like(x, soc.non_sensing_area_m2)
-    budget = (sensing_area + non_sensing_area) * SAFE_POWER_DENSITY
-    return (sensing_power + non_sensing_power) / budget
 
 
 def budget_crossing_channels(soc: ScaledSoC,

@@ -1,4 +1,4 @@
-"""Computation-centric architectures with on-implant DNNs (Fig. 10).
+"""Computation-centric architectures with on-implant DNNs (Fig. 10, Fig. 11).
 
 Paper Section 5.3: instead of streaming raw data, the implant runs the DNN
 and transmits only its output (Eq. 8), paying the Eq. 13 compute power
@@ -9,6 +9,24 @@ lower bound:
 where P_comp comes from the best of the pipelined / non-pipelined MAC
 schedules under the real-time deadline t = 1/f, and the non-sensing area
 is reused for computation (as in the QAM analysis, it must not grow).
+
+Section 6.1 (Fig. 11) places only a head of the DNN on the implant and
+streams the intermediate activations to the wearable.  The paper's rule:
+partition at the *earliest* layer whose output is at most 1024 values per
+sampling period (the rate of a 1024-channel communication-centric design;
+the d and f factors are shared, so they cancel).  Applied literally below
+~512 channels that rule splits after the very first layer and *increases*
+implant power (transmitting 2n activations costs more than the saved tail
+compute), so the ``"optimal"`` rule considers every admissible split —
+including "no split" — and keeps the one with the lowest implant power.
+For the scaling regime the paper studies (n >= 1024) the two rules
+coincide.  When no intermediate layer fits the transmission cap (the
+DN-CNN case — every feature map is wider than 1024 values), partitioning
+degenerates to the full on-implant design and brings no benefit.
+
+Every on-implant head of a network is priced once, in
+:func:`implant_options`; Fig. 10, Fig. 11, ``explore`` and the Fig. 12
+ladder all read that table.
 """
 
 from __future__ import annotations
@@ -19,10 +37,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-import numpy as np
-
-from repro.accel.schedule import Schedule, cached_best_schedule
+from repro.accel.schedule import best_schedule
 from repro.accel.tech import TECH_45NM, TechnologyNode
+from repro.core.frontier import first_run_frontier
 from repro.core.scaling import ScaledSoC
 from repro.dnn.models import speech_dncnn_profile, speech_mlp_profile
 from repro.dnn.network import NetworkProfile
@@ -43,15 +60,77 @@ _PROFILES: dict[Workload, Callable[[int], NetworkProfile]] = {
     Workload.DNCNN: speech_dncnn_profile,
 }
 
+#: Transmission cap of a split, in values per sampling period: the rate
+#: of a 1024-channel communication-centric design.
+MAX_SPLIT_VALUES = 1024
+
+#: How :func:`evaluate_comp_centric` picks the on-implant head: "none"
+#: runs the whole network (Fig. 10), "optimal" the lowest-power
+#: candidate and "earliest" the paper's rule verbatim (Fig. 11).
+RULES = ("none", "optimal", "earliest")
+
+#: (split, compute power, transmitted values) of one on-implant
+#: candidate; split is the 1-based compute layer, None for "no split",
+#: and compute power is ``inf`` when no schedule meets the deadline.
+Option = tuple[int | None, float, int]
+
+
+def network_profile(workload: Workload, n_channels: int) -> NetworkProfile:
+    """The profile of a workload's network at a channel count.
+
+    Not memoized: a ladder bisection probes many channel counts and the
+    profile tuples would pile up.  Grid points go through
+    :func:`workload_profile`.
+    """
+    return _PROFILES[workload](n_channels)
+
 
 @lru_cache(maxsize=4096)
-def _workload_profile(workload: Workload, n_channels: int) -> NetworkProfile:
+def workload_profile(workload: Workload, n_channels: int) -> NetworkProfile:
     """The profile of a workload at a channel count, memoized.
 
     The profiles are deterministic in (workload, n), so the sweeps share
     one entry per grid point across every SoC on the grid.
     """
-    return _PROFILES[workload](n_channels)
+    return network_profile(workload, n_channels)
+
+
+def admissible_splits(profile: NetworkProfile) -> list[int]:
+    """All 1-based compute-layer indices whose output fits the
+    transmission cap, excluding the final layer (which is the
+    unpartitioned design)."""
+    return [split for split, size in enumerate(profile.sizes[:-1], start=1)
+            if size <= MAX_SPLIT_VALUES]
+
+
+@lru_cache(maxsize=4096)
+def implant_options(workload: Workload, n_channels: int,
+                    deadline_s: float, tech: TechnologyNode,
+                    ) -> tuple[Option, ...]:
+    """Every on-implant candidate of the n-channel network: "no split"
+    first, then each admissible split in layer order.
+
+    A head's MAC profiles are the first ``split`` compute-layer profiles.
+    Only scalars are kept, so the table stays small across the many n a
+    ladder bisection probes; the SoC-dependent communication term is
+    :func:`output_stream_power_w`.
+    """
+    profile = network_profile(workload, n_channels)
+    heads = [(None, profile.profiles, profile.output_values)]
+    heads += [(split, profile.profiles[:split], profile.sizes[split - 1])
+              for split in admissible_splits(profile)]
+    options = []
+    for split, head, transmitted in heads:
+        schedule = best_schedule(head, deadline_s, tech)
+        power = math.inf if schedule is None else schedule.power_w(tech)
+        options.append((split, power, transmitted))
+    return tuple(options)
+
+
+def output_stream_power_w(soc: ScaledSoC, values: int) -> float:
+    """Eq. 8/9 power of streaming ``values`` per sampling period."""
+    return (values * soc.sample_bits * soc.sampling_hz
+            * soc.implied_energy_per_bit_j)
 
 
 @dataclass(frozen=True)
@@ -62,26 +141,25 @@ class CompCentricPoint:
         soc_name: design name.
         workload: which DNN runs on the implant.
         n_channels: NI channel count (also the DNN's input channel count).
+        split_layer: 1-based compute layer kept on the implant (None means
+            the full network runs on-implant).
+        transmitted_values: values streamed per sampling period.
         sensing_power_w: Eq. 5 sensing power.
         comp_power_w: Eq. 13 lower bound (``inf`` if no schedule meets the
             deadline).
         comm_power_w: Eq. 8/9 output-transmission power.
         budget_w: Eq. 3 budget over sensing area + frozen non-sensing area.
-        schedule: the winning MAC schedule (None when infeasible).
-        total_macs: accumulate steps per inference.
-        model_parameters: trainable parameter count ("model size").
     """
 
     soc_name: str
     workload: Workload
     n_channels: int
+    split_layer: int | None
+    transmitted_values: int
     sensing_power_w: float
     comp_power_w: float
     comm_power_w: float
     budget_w: float
-    schedule: Schedule | None
-    total_macs: int
-    model_parameters: int
 
     @property
     def total_power_w(self) -> float:
@@ -103,7 +181,7 @@ def evaluate_comp_centric(soc: ScaledSoC,
                           workload: Workload,
                           n_channels: int,
                           tech: TechnologyNode = TECH_45NM,
-                          ) -> CompCentricPoint:
+                          rule: str = "none") -> CompCentricPoint:
     """Project a scaled SoC running a DNN workload at ``n_channels``.
 
     Args:
@@ -112,79 +190,97 @@ def evaluate_comp_centric(soc: ScaledSoC,
         n_channels: target channel count (the DNN input scales with it).
         tech: MAC technology node (45 nm in Fig. 10; 12 nm for the
             technology-scaling optimization).
+        rule: which on-implant head runs (see :data:`RULES`).
 
-    The network's MAC profile comes from the workload's layer widths
-    (:func:`_workload_profile`); no network is built.
+    Raises:
+        ValueError: for unknown rules or non-positive channel counts.
     """
     if n_channels <= 0:
         raise ValueError("channel count must be positive")
-    profile = _workload_profile(workload, n_channels)
-    deadline = 1.0 / soc.sampling_hz
-    schedule = cached_best_schedule(profile.profiles, deadline, tech)
-    comp_power = schedule.power_w(tech) if schedule else math.inf
+    if rule not in RULES:
+        raise ValueError(f"unknown partitioning rule {rule!r}")
+    options = implant_options(workload, n_channels, 1.0 / soc.sampling_hz,
+                              tech)
+    if rule == "optimal":
+        split, comp, transmitted = min(
+            options, key=lambda option: (
+                option[1] + output_stream_power_w(soc, option[2])))
+    elif rule == "earliest":
+        # The earliest admissible split, or no split when nothing but
+        # the final layer fits the transmission cap.
+        split, comp, transmitted = options[1 if len(options) > 1 else 0]
+    else:
+        split, comp, transmitted = options[0]
 
-    comm_power = (profile.output_values * soc.sample_bits * soc.sampling_hz
-                  * soc.implied_energy_per_bit_j)
     area = soc.sensing_area_m2(n_channels) + soc.non_sensing_area_m2
     return CompCentricPoint(
         soc_name=soc.name,
         workload=workload,
         n_channels=n_channels,
+        split_layer=split,
+        transmitted_values=transmitted,
         sensing_power_w=soc.sensing_power_w(n_channels),
-        comp_power_w=comp_power,
-        comm_power_w=comm_power,
+        comp_power_w=comp,
+        comm_power_w=output_stream_power_w(soc, transmitted),
         budget_w=area * SAFE_POWER_DENSITY,
-        schedule=schedule,
-        total_macs=profile.total_macs,
-        model_parameters=profile.n_parameters,
     )
-
-
-def power_ratio_curve(soc: ScaledSoC,
-                      workload: Workload,
-                      channel_counts: np.ndarray,
-                      tech: TechnologyNode = TECH_45NM) -> np.ndarray:
-    """P_soc/P_budget over a channel grid (the Fig. 10 y-axis).
-
-    Network profiles and MAC schedules are memoized
-    (:func:`_workload_profile`,
-    :func:`repro.accel.schedule.cached_best_schedule`), so sweeping the
-    same grid across several SoCs costs one schedule search per distinct
-    (workload, n, deadline, technology) rather than one per point.
-    """
-    return np.array([
-        evaluate_comp_centric(soc, workload, int(n), tech).power_ratio
-        for n in np.asarray(channel_counts).tolist()])
 
 
 def max_feasible_channels(soc: ScaledSoC,
                           workload: Workload,
                           tech: TechnologyNode = TECH_45NM,
+                          rule: str = "none",
                           step: int = 64,
-                          n_limit: int = 16384,
-                          chunk: int = 16) -> int:
+                          n_limit: int = 16384) -> int:
     """Largest n at which the workload still fits the power budget.
 
-    Scans upward in ``step`` increments from ``step`` (the feasibility
-    frontier is effectively monotone — compute power grows quadratically
-    while the budget grows linearly — but depth changes make it only
-    piecewise smooth, so scanning beats bisection for robustness).  The
-    grid is evaluated in ``chunk``-sized batches through
-    :func:`power_ratio_curve`, stopping at the first failure after a
-    feasible point exactly like the historical scalar scan.
+    Scans upward in ``step`` increments from ``step`` and stops at the
+    first failure after a feasible point (the feasibility frontier is
+    effectively monotone — compute power grows quadratically while the
+    budget grows linearly — but depth changes make it only piecewise
+    smooth, so scanning beats bisection for robustness).
 
     Returns:
         The maximum feasible channel count, or 0 when the workload never
         fits this SoC.
     """
-    grid = np.arange(step, n_limit + 1, step, dtype=np.int64)
-    best = 0
-    for start in range(0, grid.size, chunk):
-        block = grid[start:start + chunk]
-        fits = power_ratio_curve(soc, workload, block, tech) <= 1.0
-        for n, ok in zip(block.tolist(), fits.tolist()):
-            if ok:
-                best = n
-            elif best:
-                return best
-    return best
+    grid = range(step, n_limit + 1, step)
+    return first_run_frontier(
+        grid, (evaluate_comp_centric(soc, workload, n, tech, rule).fits
+               for n in grid))
+
+
+@dataclass(frozen=True)
+class PartitioningGain:
+    """Fig. 11 bar: channel-count gain from layer reduction.
+
+    Attributes:
+        soc_name: design name.
+        workload: the DNN workload.
+        max_channels_full: feasibility limit with the whole DNN on-implant.
+        max_channels_partitioned: limit with layer reduction.
+    """
+
+    soc_name: str
+    workload: Workload
+    max_channels_full: int
+    max_channels_partitioned: int
+
+    @property
+    def gain_ratio(self) -> float:
+        """Partitioned / full limit (1.0 = no benefit); 0 when the full
+        design never fits."""
+        if self.max_channels_full == 0:
+            return 0.0
+        return self.max_channels_partitioned / self.max_channels_full
+
+
+def partitioning_gain(soc: ScaledSoC,
+                      workload: Workload,
+                      tech: TechnologyNode = TECH_45NM) -> PartitioningGain:
+    """Compute the Fig. 11 gain for one SoC and workload."""
+    return PartitioningGain(
+        soc_name=soc.name, workload=workload,
+        max_channels_full=max_feasible_channels(soc, workload, tech),
+        max_channels_partitioned=max_feasible_channels(
+            soc, workload, tech, rule="optimal"))

@@ -31,9 +31,9 @@ from repro.core.comm_centric import (
 )
 from repro.core.comp_centric import (
     Workload,
-    _workload_profile,
     evaluate_comp_centric,
     max_feasible_channels,
+    workload_profile,
 )
 from repro.core.event_stream import (
     EventStreamConfig,
@@ -41,10 +41,6 @@ from repro.core.event_stream import (
     max_channels_event_stream,
 )
 from repro.core.frontier import grid_frontier
-from repro.core.partitioning import (
-    evaluate_partitioned,
-    max_feasible_channels_partitioned,
-)
 from repro.core.qam_design import (
     evaluate_qam_design,
     max_channels_at_efficiency,
@@ -175,8 +171,8 @@ def _strategy_limits(soc: ScaledSoC,
         limits.append((f"on-implant {workload.value}",
                        max_feasible_channels(soc, workload, tech)))
         limits.append((f"partitioned {workload.value}",
-                       max_feasible_channels_partitioned(soc, workload,
-                                                         tech)))
+                       max_feasible_channels(soc, workload, tech,
+                                             rule="optimal")))
     limits.append(("closed loop (mlp, no telemetry)",
                    max_channels_closed_loop(soc, Workload.MLP, tech)))
     return tuple(limits)
@@ -232,13 +228,13 @@ def explore(soc: ScaledSoC,
     for workload in Workload:
         ratios.append(evaluate_comp_centric(soc, workload, target_channels,
                                             tech).power_ratio)
-        ratios.append(evaluate_partitioned(soc, workload, target_channels,
-                                           tech).power_ratio)
+        ratios.append(evaluate_comp_centric(soc, workload, target_channels,
+                                            tech, rule="optimal").power_ratio)
 
     # Closed loop: decode once per decision, stimulate, no telemetry —
     # a different application class with a far looser compute deadline.
     loop = evaluate_closed_loop(
-        soc, _workload_profile(Workload.MLP, target_channels).profiles,
+        soc, workload_profile(Workload.MLP, target_channels).profiles,
         target_channels, tech=tech)
     ratios.append(loop.power_ratio if loop.meets_deadline else math.inf)
 

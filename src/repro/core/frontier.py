@@ -1,22 +1,22 @@
-"""Vectorized feasibility-frontier search over channel grids.
+"""Feasibility-frontier searches over channel grids.
 
 The strategy evaluators all reduce "how far does this design scale?" to
 finding the largest channel count n satisfying some feasibility predicate.
 Historically each caller ran its own scalar doubling-plus-bisection or
-step-scan loop; this module centralizes two array-based replacements:
+step-scan loop; this module holds the two searches they share:
 
 * :func:`grid_frontier` — for strategies whose power-ratio curve is
   monotone in n (all the linear dataflows), locates the *exact* integer
   frontier by evaluating whole grids of candidates per round instead of
   one scalar point per iteration.
-* :func:`first_run_frontier` — reproduces the step-scan-with-early-break
-  semantics (used where feasibility is only piecewise smooth) from a
-  vectorized feasibility mask.
+* :func:`first_run_frontier` — the step scan with an early break (used
+  where feasibility is only piecewise smooth), reading a feasibility
+  sequence lazily so it can stop evaluating at the frontier.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -67,11 +67,10 @@ def grid_frontier(ratio_curve: Callable[[np.ndarray], np.ndarray],
     return int(dense[np.flatnonzero(fits)[-1]])
 
 
-def first_run_frontier(grid: np.ndarray, fits: np.ndarray) -> int:
+def first_run_frontier(grid: Iterable[int], fits: Iterable[bool]) -> int:
     """End of the first contiguous feasible run over a scanned grid.
 
-    Mirrors the scalar scan idiom used where feasibility is only
-    piecewise smooth::
+    The step scan used where feasibility is only piecewise smooth::
 
         for n in grid:
             if fits(n): best = n
@@ -79,17 +78,19 @@ def first_run_frontier(grid: np.ndarray, fits: np.ndarray) -> int:
 
     Args:
         grid: scanned channel counts, ascending.
-        fits: boolean feasibility per grid point.
+        fits: feasibility per grid point.  It is read in step with
+            ``grid`` and not past the first failure after a feasible
+            point, so a generator evaluates only the points the scan
+            needs.
 
     Returns:
         The grid value ending the first feasible run, or 0 when no point
         fits.
     """
-    fits = np.asarray(fits, dtype=bool)
-    feasible = np.flatnonzero(fits)
-    if feasible.size == 0:
-        return 0
-    start = int(feasible[0])
-    failures = np.flatnonzero(~fits[start:])
-    end = start + int(failures[0]) - 1 if failures.size else fits.size - 1
-    return int(np.asarray(grid)[end])
+    best = 0
+    for n, ok in zip(grid, fits):
+        if ok:
+            best = int(n)
+        elif best:
+            break
+    return best

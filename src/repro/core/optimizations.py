@@ -22,14 +22,16 @@ y-axis).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 
-from repro.accel.schedule import best_schedule
 from repro.accel.tech import TECH_12NM, TECH_45NM, TechnologyNode
-from repro.core.comp_centric import _PROFILES, Workload, _workload_profile
-from repro.core.partitioning import split_candidates
+from repro.core.comp_centric import (
+    Workload,
+    implant_options,
+    network_profile,
+    output_stream_power_w,
+    workload_profile,
+)
 from repro.core.scaling import ScaledSoC
 from repro.units import SAFE_POWER_DENSITY
 
@@ -65,31 +67,6 @@ LADDER: tuple[tuple[str, OptimizationConfig], ...] = (
 )
 
 
-@lru_cache(maxsize=4096)
-def _implant_options(workload: Workload, active_channels: int,
-                     deadline_s: float, tech: TechnologyNode,
-                     ) -> tuple[tuple[float | None, int], ...]:
-    """(compute power, transmitted values) of every on-implant candidate
-    of the n'-channel network: "no split" first, then each admissible
-    split in layer order.
-
-    The n'-channel profile is computed from the layer widths
-    (``_PROFILES``); no network is built.  Compute power is ``None`` when
-    no schedule meets the deadline.  Only scalars are kept, so the table
-    stays small across the many n' a ladder bisection probes; the
-    SoC-dependent communication term is added by the caller.
-    """
-    # Read past the ``_workload_profile`` memo: a bisection probes many
-    # n' and the profile tuples would pile up.
-    profile = _PROFILES[workload](active_channels)
-    options = []
-    for _, head, transmitted in split_candidates(profile):
-        schedule = best_schedule(head, deadline_s, tech)
-        power = None if schedule is None else schedule.power_w(tech)
-        options.append((power, transmitted))
-    return tuple(options)
-
-
 def densified_sensing_area_m2(soc: ScaledSoC, n_channels: int,
                               density_factor: float) -> float:
     """Sensing area under the +Dense optimization.
@@ -110,16 +87,17 @@ def densified_sensing_area_m2(soc: ScaledSoC, n_channels: int,
 
 def _design_fits(soc: ScaledSoC, workload: Workload, n_channels: int,
                  active_channels: int, config: OptimizationConfig) -> bool:
-    """Feasibility of sensing n channels while computing on n' of them."""
-    options = _implant_options(workload, active_channels,
-                               1.0 / soc.sampling_hz, config.tech)
+    """Feasibility of sensing n channels while computing on n' of them.
+
+    Reads the on-implant candidate table of the n'-channel network
+    directly: this is the ladder's hot path, so no point is built.
+    """
+    options = implant_options(workload, active_channels,
+                              1.0 / soc.sampling_hz, config.tech)
     if not config.layer_reduction:
         options = options[:1]
-    non_sensing = min(
-        math.inf if power is None
-        else power + (transmitted * soc.sample_bits * soc.sampling_hz
-                      * soc.implied_energy_per_bit_j)
-        for power, transmitted in options)
+    non_sensing = min(power + output_stream_power_w(soc, transmitted)
+                      for _, power, transmitted in options)
 
     sensing_area = densified_sensing_area_m2(soc, n_channels,
                                              config.density_factor)
@@ -185,8 +163,8 @@ def evaluate_ladder_step(soc: ScaledSoC, n_channels: int, step_name: str,
     else:
         # The target n is a grid point the sweeps share; the probed n'
         # stays out of the memo, like the probe itself.
-        full = _workload_profile(workload, n_channels).n_parameters
-        reduced = _PROFILES[workload](active).n_parameters
+        full = workload_profile(workload, n_channels).n_parameters
+        reduced = network_profile(workload, active).n_parameters
         fraction = reduced / full
     return OptimizedDesign(soc_name=soc.name, step_name=step_name,
                            n_channels=n_channels, active_channels=active,

@@ -74,14 +74,7 @@ def evaluate_qam_design(soc: ScaledSoC, n_channels: int,
         raise ValueError(f"QAM scaling explores n >= {soc.n_channels}")
     budget = budget or LinkBudget()
     bits = bits_per_symbol_for(n_channels, soc.n_channels)
-    try:
-        energy = budget.transmit_energy_per_bit(bits_per_symbol=bits,
-                                                efficiency=1.0,
-                                                scheme="qam")
-    except ValueError:
-        # Absurd constellation orders (hundreds of bits/symbol) overflow
-        # the Eb/N0 bracket — physically they are simply unreachable.
-        energy = math.inf
+    energy = _ideal_energy_per_bit(bits, budget)
     throughput = soc.sensing_throughput_bps(n_channels)
     comm_power = throughput * energy
 

@@ -8,8 +8,7 @@ intermediate feature map exceeds the 1024-value transmission budget.
 
 from __future__ import annotations
 
-from repro.core.comp_centric import Workload
-from repro.core.partitioning import partitioning_gain
+from repro.core.comp_centric import Workload, partitioning_gain
 from repro.core.scaling import scale_to_standard
 from repro.core.socs import wireless_socs
 from repro.experiments.base import ExperimentResult, mean_of

@@ -20,7 +20,6 @@ from repro.accel.tech import TECH_45NM
 from repro.core import comp_centric
 from repro.core.comp_centric import Workload, max_feasible_channels
 from repro.core.explorer import _max_channels_compressed
-from repro.core.partitioning import max_feasible_channels_partitioned
 from repro.core.qam_design import max_channels_at_efficiency
 from repro.dnn.models import build_speech_mlp, speech_mlp_profile
 from repro.link.budget import LinkBudget
@@ -51,28 +50,26 @@ def test_lower_noise_figure_buys_more_channels(bisc):
 
 
 def test_optimal_partition_never_trails_earliest(bisc):
-    earliest = max_feasible_channels_partitioned(bisc, Workload.MLP,
-                                                 rule="earliest")
-    optimal = max_feasible_channels_partitioned(bisc, Workload.MLP,
-                                                rule="optimal")
+    earliest = max_feasible_channels(bisc, Workload.MLP, rule="earliest")
+    optimal = max_feasible_channels(bisc, Workload.MLP, rule="optimal")
     assert optimal >= earliest
 
 
 def test_input_window_shrinks_mlp_frontier_sublinearly(bisc, monkeypatch):
     # Doubling the input window widens the first layer, so the MLP
     # frontier shrinks, but by less than half: later layers dominate at
-    # scale.  The profiles are memoized per (workload, n), so the memo
-    # is cleared around every profile swap.
+    # scale.  The candidate table is memoized per (workload, n), so it is
+    # cleared around every profile swap.
     def frontier(window: int) -> int:
         monkeypatch.setitem(comp_centric._PROFILES, Workload.MLP,
                             partial(speech_mlp_profile, window=window))
-        comp_centric._workload_profile.cache_clear()
+        comp_centric.implant_options.cache_clear()
         return max_feasible_channels(bisc, Workload.MLP)
 
     try:
         results = {window: frontier(window) for window in (2, 4)}
     finally:
-        comp_centric._workload_profile.cache_clear()
+        comp_centric.implant_options.cache_clear()
     assert results[4] < results[2]
     assert results[4] > results[2] / 2
 

@@ -6,8 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import comm_centric, event_stream, qam_design
-from repro.core.comm_centric import DesignHypothesis, evaluate_comm_centric
+from repro.core import event_stream, qam_design
 from repro.core.event_stream import EventStreamConfig, evaluate_event_stream
 from repro.core.explorer import (
     _compressed_stream_ratio,
@@ -16,15 +15,6 @@ from repro.core.explorer import (
 from repro.core.frontier import first_run_frontier, grid_frontier
 from repro.core.qam_design import evaluate_qam_design
 from repro.link.budget import LinkBudget
-
-
-@pytest.mark.parametrize("hypothesis", list(DesignHypothesis))
-def test_comm_centric_curve_matches_scalar(bisc, hypothesis):
-    grid = np.array([1024, 1536, 2048, 4096, 9999], dtype=np.int64)
-    curve = comm_centric.power_ratio_curve(bisc, grid, hypothesis)
-    scalar = [evaluate_comm_centric(bisc, int(n), hypothesis).power_ratio
-              for n in grid]
-    np.testing.assert_array_equal(curve, scalar)
 
 
 def test_event_stream_curve_matches_scalar(bisc):
@@ -86,6 +76,17 @@ def test_first_run_frontier_matches_scan_semantics():
     assert first_run_frontier(grid, [False, True, True, False, True]) == 30
     assert first_run_frontier(grid, [True] * 5) == 50
     assert first_run_frontier(grid, [False] * 5) == 0
+    # A generator is read in step with the grid and not past the first
+    # failure after a feasible point.
+    read = []
+
+    def fits():
+        for ok in (False, True, True, False, True):
+            read.append(ok)
+            yield ok
+
+    assert first_run_frontier(grid, fits()) == 30
+    assert len(read) == 4
 
 
 def test_max_channels_event_stream_is_exact_frontier(bisc):

@@ -1,12 +1,14 @@
-"""Tests for Section 6.1 DNN partitioning (Fig. 11)."""
+"""Tests for Section 6.1 DNN partitioning (Fig. 11): the "optimal" and
+"earliest" rules of :mod:`repro.core.comp_centric`."""
 
 import pytest
 
-from repro.core.comp_centric import Workload
-from repro.core.partitioning import (
+from repro.core.comp_centric import (
+    PartitioningGain,
+    Workload,
     admissible_splits,
-    evaluate_partitioned,
-    max_feasible_channels_partitioned,
+    evaluate_comp_centric,
+    max_feasible_channels,
     partitioning_gain,
 )
 from repro.dnn.models import build_speech_dncnn, build_speech_mlp
@@ -23,13 +25,13 @@ class TestSplitSelection:
 
     def test_earliest_rule_returns_first(self, bisc):
         net = build_speech_mlp(2048)
-        point = evaluate_partitioned(bisc, Workload.MLP, 2048,
-                                     rule="earliest")
+        point = evaluate_comp_centric(bisc, Workload.MLP, 2048,
+                                      rule="earliest")
         assert point.split_layer == admissible_splits(net.profile())[0]
 
     def test_earliest_rule_none_for_dncnn(self, bisc):
-        point = evaluate_partitioned(bisc, Workload.DNCNN, 2048,
-                                     rule="earliest")
+        point = evaluate_comp_centric(bisc, Workload.DNCNN, 2048,
+                                      rule="earliest")
         assert point.split_layer is None
 
     def test_split_output_within_transmission_cap(self):
@@ -48,39 +50,37 @@ class TestEvaluatePartitioned:
     def test_never_worse_than_full(self, wireless_scaled):
         # The optimal rule includes "no split", so partitioned implant
         # power is at most the full on-implant power.
-        from repro.core.comp_centric import evaluate_comp_centric
         for soc in wireless_scaled:
             for workload in Workload:
                 full = evaluate_comp_centric(soc, workload, 2048)
-                part = evaluate_partitioned(soc, workload, 2048)
+                part = evaluate_comp_centric(soc, workload, 2048,
+                                             rule="optimal")
                 assert part.total_power_w <= full.total_power_w * (1 + 1e-9)
 
     def test_mlp_split_reduces_compute(self, bisc):
-        from repro.core.comp_centric import evaluate_comp_centric
         full = evaluate_comp_centric(bisc, Workload.MLP, 2048)
-        part = evaluate_partitioned(bisc, Workload.MLP, 2048)
+        part = evaluate_comp_centric(bisc, Workload.MLP, 2048, rule="optimal")
         assert part.split_layer is not None
         assert part.comp_power_w < full.comp_power_w
 
     def test_split_increases_comm(self, bisc):
-        from repro.core.comp_centric import evaluate_comp_centric
         full = evaluate_comp_centric(bisc, Workload.MLP, 2048)
-        part = evaluate_partitioned(bisc, Workload.MLP, 2048)
+        part = evaluate_comp_centric(bisc, Workload.MLP, 2048, rule="optimal")
         assert part.comm_power_w > full.comm_power_w
 
     def test_dncnn_falls_back_to_full_network(self, bisc):
-        part = evaluate_partitioned(bisc, Workload.DNCNN, 2048)
+        part = evaluate_comp_centric(bisc, Workload.DNCNN, 2048,
+                                     rule="optimal")
         assert part.split_layer is None
         assert part.transmitted_values == 40
 
     def test_earliest_rule_supported(self, bisc):
-        part = evaluate_partitioned(bisc, Workload.MLP, 2048,
-                                    rule="earliest")
+        part = evaluate_comp_centric(bisc, Workload.MLP, 2048, rule="earliest")
         assert part.split_layer is not None
 
     def test_rejects_unknown_rule(self, bisc):
         with pytest.raises(ValueError):
-            evaluate_partitioned(bisc, Workload.MLP, 2048, rule="latest")
+            evaluate_comp_centric(bisc, Workload.MLP, 2048, rule="latest")
 
 
 class TestFig11Claims:
@@ -109,14 +109,13 @@ class TestFig11Claims:
             assert gain.gain_ratio == pytest.approx(1.0), soc.name
 
     def test_partitioned_max_channels_never_lower(self, wireless_scaled):
-        from repro.core.comp_centric import max_feasible_channels
         for soc in wireless_scaled[:3]:
             full = max_feasible_channels(soc, Workload.MLP)
-            part = max_feasible_channels_partitioned(soc, Workload.MLP)
+            part = max_feasible_channels(soc, Workload.MLP,
+                                         rule="optimal")
             assert part >= full, soc.name
 
     def test_gain_ratio_zero_when_never_fits(self, bisc):
-        from repro.core.partitioning import PartitioningGain
         gain = PartitioningGain(soc_name="x", workload=Workload.MLP,
                                 max_channels_full=0,
                                 max_channels_partitioned=0)

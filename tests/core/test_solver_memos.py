@@ -8,7 +8,7 @@ import pytest
 
 from repro.accel.schedule import cached_best_schedule
 from repro.cli import main
-from repro.core import comp_centric, explorer, optimizations
+from repro.core import comp_centric, explorer
 from repro.core.comp_centric import Workload
 from repro.core.explorer import explore
 from repro.core.optimizations import evaluate_ladder
@@ -19,8 +19,8 @@ from repro.link import ber
 #: Every memoized pure solver function.
 SOLVER_MEMOS = (
     cached_best_schedule,
-    comp_centric._workload_profile,
-    optimizations._implant_options,
+    comp_centric.workload_profile,
+    comp_centric.implant_options,
     explorer._strategy_limits,
     ber._solve_ebn0,
 )
@@ -32,7 +32,6 @@ STRATEGY_SEARCHES = (
     "_max_channels_compressed",
     "max_channels_event_stream",
     "max_feasible_channels",
-    "max_feasible_channels_partitioned",
     "max_channels_closed_loop",
 )
 
@@ -83,7 +82,7 @@ def test_ladder_probes_stay_out_of_the_profile_memo(wireless_scaled):
                for n_channels in CHANNEL_COUNTS
                for design in evaluate_ladder(soc, n_channels)]
     assert any(0 < d.active_channels < d.n_channels for d in designs)
-    memo = comp_centric._workload_profile
+    memo = comp_centric.workload_profile
     for n_channels in CHANNEL_COUNTS:
         memo(Workload.MLP, n_channels)
     # Looking the targets up added no entry beyond them, so they are all

@@ -3,7 +3,7 @@
 An implant/wearable split of a DNN is a downward-closed cut of its
 dataflow DAG, and the edges crossing the cut carry the activations that
 must be transmitted.  For the paper's sequential stacks the cuts are
-exactly the prefixes :mod:`repro.core.partitioning` scans, so a
+exactly the prefixes :mod:`repro.core.comp_centric` scans, so a
 brute-force cut search over the dataflow graph is an independent oracle
 for it.  The graph is two plain dicts: node -> MACs, and
 (tail, head) -> activation values on that edge.
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.core.partitioning import admissible_splits
+from repro.core.comp_centric import MAX_SPLIT_VALUES, admissible_splits
 from repro.dnn.layers import Dense, ReLU
 from repro.dnn.models import build_speech_dncnn, build_speech_mlp
 from repro.dnn.network import Network
@@ -195,8 +195,9 @@ class TestPrefixEquivalence:
         # For n > 1024 the raw input no longer fits, so the graph cut
         # must agree with the Section 6.1 prefix machinery.
         net = build_speech_mlp(2048)
-        prefix, macs = prefix_cut_equivalence(net, max_values=1024)
-        splits = admissible_splits(net.profile(), max_values=1024)
+        prefix, macs = prefix_cut_equivalence(net,
+                                              max_values=MAX_SPLIT_VALUES)
+        splits = admissible_splits(net.profile())
         # The graph's optimum is the bottleneck split (least implant MACs
         # among admissible prefixes); check consistency.
         assert prefix in splits

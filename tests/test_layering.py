@@ -116,12 +116,14 @@ def test_fleet_does_not_load_the_fault_injector():
 
 #: Modules deleted because no command reached them, the static
 #: analyzer whose unique checks became tests/test_source_rules.py, the
-#: timeline analytics that byte comparisons replaced, and the
-#: waveform-level neural-interface model only examples used; none may
-#: return.
+#: timeline analytics that byte comparisons replaced, the
+#: waveform-level neural-interface model only examples used, and the
+#: partitioned DNN evaluator that ``repro.core.comp_centric`` absorbed;
+#: none may return.
 DELETED = ("repro.wearable", "repro.dnn.snn", "repro.dnn.quantize",
            "repro.decoders.lda", "repro.accel.simulate", "repro.ni",
-           "repro.signals.audio", "repro.analysis", "repro.obs.analyze")
+           "repro.signals.audio", "repro.analysis", "repro.obs.analyze",
+           "repro.core.partitioning")
 
 
 def test_cli_loads_neither_the_heat_grid_nor_a_deleted_module():

@@ -1,6 +1,6 @@
 """Source rules that no behavioural test sees until a run breaks.
 
-Five per-file ``ast`` scans of ``src/``:
+Six per-file ``ast`` scans of ``src/``:
 
 * **Threaded randomness.**  A seeded run writes the same bytes every
   time only if every draw flows from the run seed (:mod:`repro.seeds`).
@@ -23,6 +23,9 @@ Five per-file ``ast`` scans of ``src/``:
   docstring and nothing else, so every name has one import path: its
   defining module.  A re-export would also let a module that only the
   root imports look reached from the CLI.
+* **Public shared names.**  No module imports a ``_``-prefixed name
+  from another one: a helper or memo that two modules share gets a
+  public name in its defining module, so its callers are visible there.
 
 Allowed sites are named in the constants below, never in comments in
 the code they allow.
@@ -193,6 +196,13 @@ def _root_code(name: str, tree: ast.Module) -> list[int]:
     return [stmt.lineno for stmt in body[1:]]
 
 
+def _private_imports(name: str, tree: ast.Module) -> list[int]:
+    """Lines naming a ``_``-prefixed import from another module."""
+    return sorted({alias.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)
+                   for alias in node.names if alias.name.startswith("_")})
+
+
 def _test_texts(tests: Path) -> list[str]:
     """Every test module except this one, whose toy sources would
     otherwise cover their own pairs."""
@@ -239,6 +249,11 @@ def test_parity_oracles_are_tested():
 def test_package_roots_are_docstrings():
     assert _scan(_root_code) == [], (
         "import the name from its defining module instead")
+
+
+def test_shared_names_are_public():
+    assert _scan(_private_imports) == [], (
+        "give the shared name a public name in its defining module")
 
 
 def test_randomness_rule_on_toy_sources():
@@ -331,3 +346,21 @@ def test_root_rule_on_toy_sources():
     assert _root_code("repro/experiments/__init__.py", planted) == []
     assert _root_code("repro/core/__init__.py",
                       ast.parse('"""Only docs."""\n')) == []
+
+
+def test_private_import_rule_on_toy_sources():
+    planted = ast.parse(
+        "from __future__ import annotations\n"
+        "from repro.core.comp_centric import Workload, _PROFILES\n"
+        "from repro.core import explorer\n"
+        "from repro.link.ber import (\n"
+        "    required_ebn0,\n"
+        "    _solve_ebn0,\n"
+        ")\n"
+        "def limits(soc):\n"
+        "    from repro.core.frontier import _DENSE_LIMIT\n"
+        "    return explorer.explore(soc), _DENSE_LIMIT\n")
+    assert _private_imports("repro/core/x.py", planted) == [2, 6, 9]
+    assert _private_imports("repro/core/x.py", ast.parse(
+        "from repro.core.comp_centric import workload_profile\n"
+        "def _local():\n    return workload_profile\n")) == []
