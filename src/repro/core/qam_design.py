@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.frontier import first_run_frontier
 from repro.core.scaling import ScaledSoC
 from repro.link.budget import LinkBudget
@@ -107,36 +105,6 @@ def _ideal_energy_per_bit(bits_per_symbol: int,
         return math.inf
 
 
-def min_efficiency_curve(soc: ScaledSoC,
-                         channel_counts: np.ndarray,
-                         budget: LinkBudget | None = None) -> np.ndarray:
-    """Vectorized Fig. 7 y-axis over a whole channel grid.
-
-    The expensive Eb/N0 inversion is evaluated once per distinct QAM
-    order (one per 1024-channel block) instead of once per channel count;
-    otherwise the result is numerically identical, point for point, to
-    ``evaluate_qam_design(soc, n, budget).min_efficiency``.
-    """
-    budget = budget or LinkBudget()
-    n = np.asarray(channel_counts, dtype=np.int64)
-    if n.size and int(n.min()) < soc.n_channels:
-        raise ValueError(f"QAM scaling explores n >= {soc.n_channels}")
-    bits = np.ceil(n / soc.n_channels).astype(np.int64)
-    energy_by_order = {b: _ideal_energy_per_bit(b, budget)
-                       for b in np.unique(bits).tolist()}
-    energy = np.array([energy_by_order[b] for b in bits.tolist()])
-    throughput = float(soc.sample_bits) * n * soc.sampling_hz
-    comm_power = throughput * energy
-    area = (soc.sensing_area_anchor_m2 * n / soc.n_channels
-            + soc.non_sensing_area_m2)
-    available = (area * SAFE_POWER_DENSITY
-                 - soc.sensing_power_anchor_w * n / soc.n_channels)
-    starved = available <= 0.0
-    with np.errstate(invalid="ignore"):
-        efficiency = comm_power / np.where(starved, 1.0, available)
-    return np.where(starved, math.inf, efficiency)
-
-
 def max_channels_at_efficiency(soc: ScaledSoC,
                                efficiency: float,
                                budget: LinkBudget | None = None,
@@ -146,9 +114,10 @@ def max_channels_at_efficiency(soc: ScaledSoC,
 
     Scans in ``step``-channel increments (the efficiency requirement is
     piecewise smooth with jumps at 1024-channel block boundaries, so a
-    plain scan is robust where bisection is not).  The whole scan grid is
-    evaluated in one :func:`min_efficiency_curve` pass; results match the
-    historical scalar scan exactly.
+    plain scan is robust where bisection is not).  The scan is lazy: it
+    evaluates :func:`evaluate_qam_design` point by point and stops at
+    the first infeasible point after a feasible run, so it solves Eb/N0
+    only for the QAM orders the scan reaches.
 
     Returns:
         The last channel count of the first feasible run on the
@@ -158,8 +127,7 @@ def max_channels_at_efficiency(soc: ScaledSoC,
     if not 0.0 < efficiency <= 1.0:
         raise ValueError("efficiency must lie in (0, 1]")
     budget = budget or LinkBudget()
-    grid = np.arange(soc.n_channels, n_limit + 1, step, dtype=np.int64)
-    if grid.size == 0:
-        return 0
-    curve = min_efficiency_curve(soc, grid, budget)
-    return first_run_frontier(grid, curve <= efficiency)
+    grid = range(soc.n_channels, n_limit + 1, step)
+    return first_run_frontier(
+        grid, (evaluate_qam_design(soc, n, budget).min_efficiency
+               <= efficiency for n in grid))

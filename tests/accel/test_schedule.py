@@ -86,6 +86,29 @@ class TestPipelined:
         schedule = schedule_pipelined(profiles_simple(), 1e-5, TECH_45NM)
         assert schedule.runtime_s <= 1e-5
 
+    def test_float_quotient_never_overruns_the_deadline(self):
+        # 2e-5 / fl(125 * 2 ns) rounds to exactly 80, but 80 rounds of
+        # fl(125 * 2 ns) take 2.0000000000000005e-05 s.  A layer with
+        # #MACop equal to its round budget runs all of those rounds on
+        # one unit, so every such budget must fit the deadline.
+        overruns = []
+        for tech in (TECH_45NM, TECH_12NM):
+            for mac_seq in range(1, 401):
+                for micros in range(1, 101):
+                    deadline = micros / 1e6
+                    budget = math.floor(deadline / (mac_seq * tech.t_mac_s))
+                    if budget < 1:
+                        continue
+                    profiles = [LayerMacs(mac_seq=mac_seq, mac_ops=budget)]
+                    schedule = schedule_pipelined(profiles, deadline, tech)
+                    if schedule.runtime_s > deadline:
+                        overruns.append((tech.name, mac_seq, micros))
+        assert overruns == []
+        schedule = schedule_pipelined([LayerMacs(mac_seq=125, mac_ops=159)],
+                                      2e-5, TECH_45NM)
+        assert schedule.mac_units == 3
+        assert schedule.runtime_s <= 2e-5
+
     def test_infeasible_when_sequence_exceeds_deadline(self):
         profiles = [LayerMacs(mac_seq=10_000, mac_ops=1)]
         # 10k steps * 2 ns = 20 us > 10 us deadline, unparallelizable.

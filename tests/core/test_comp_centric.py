@@ -4,11 +4,15 @@ import math
 
 import pytest
 
-from repro.accel.tech import TECH_12NM
+from repro.accel.schedule import best_schedule
+from repro.accel.tech import TECH_12NM, TECH_45NM
 from repro.core.comp_centric import (
     Workload,
+    admissible_splits,
     evaluate_comp_centric,
+    implant_options,
     max_feasible_channels,
+    network_profile,
 )
 from repro.dnn.models import build_speech_dncnn, build_speech_mlp
 
@@ -106,3 +110,33 @@ class TestEvaluation:
     def test_rejects_non_positive_channels(self, bisc):
         with pytest.raises(ValueError):
             evaluate_comp_centric(bisc, Workload.MLP, 0)
+
+
+class TestImplantOptions:
+    @pytest.mark.parametrize("workload", list(Workload))
+    def test_every_head_matches_its_own_schedule(self, workload,
+                                                 wireless_scaled):
+        # The one-pass pricing against best_schedule run on each head,
+        # every 16th n' a ladder may probe, at every wireless deadline.
+        # The memo is bypassed so the scan leaves it as it was.
+        deadlines = sorted({1.0 / soc.sampling_hz
+                            for soc in wireless_scaled})
+        price = implant_options.__wrapped__
+        for n_channels in range(16, 16384 + 1, 16):
+            profile = network_profile(workload, n_channels)
+            splits = admissible_splits(profile)
+            ends = [len(profile.profiles)] + splits
+            transmitted = ([profile.output_values]
+                           + [profile.sizes[split - 1] for split in splits])
+            for tech in (TECH_45NM, TECH_12NM):
+                for deadline in deadlines:
+                    expected = []
+                    for end in ends:
+                        schedule = best_schedule(profile.profiles[:end],
+                                                 deadline, tech)
+                        expected.append(math.inf if schedule is None
+                                        else schedule.power_w(tech))
+                    options = price(workload, n_channels, deadline, tech)
+                    assert options == tuple(zip([None] + splits, expected,
+                                                transmitted)), (
+                        n_channels, deadline, tech.name)

@@ -6,15 +6,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import event_stream, qam_design
+from repro.core import event_stream
 from repro.core.event_stream import EventStreamConfig, evaluate_event_stream
 from repro.core.explorer import (
     _compressed_stream_ratio,
     _max_channels_compressed,
 )
 from repro.core.frontier import first_run_frontier, grid_frontier
-from repro.core.qam_design import evaluate_qam_design
-from repro.link.budget import LinkBudget
 
 
 def test_event_stream_curve_matches_scalar(bisc):
@@ -22,15 +20,6 @@ def test_event_stream_curve_matches_scalar(bisc):
     grid = np.array([64, 1024, 3000, 8192], dtype=np.int64)
     curve = event_stream.power_ratio_curve(bisc, grid, config)
     scalar = [evaluate_event_stream(bisc, int(n), config).power_ratio
-              for n in grid]
-    np.testing.assert_array_equal(curve, scalar)
-
-
-def test_qam_curve_matches_scalar(bisc):
-    budget = LinkBudget()
-    grid = np.array([1024, 2048, 4096, 5000], dtype=np.int64)
-    curve = qam_design.min_efficiency_curve(bisc, grid, budget)
-    scalar = [evaluate_qam_design(bisc, int(n), budget).min_efficiency
               for n in grid]
     np.testing.assert_array_equal(curve, scalar)
 

@@ -9,6 +9,8 @@ from repro.core.qam_design import (
     evaluate_qam_design,
     max_channels_at_efficiency,
 )
+from repro.experiments import fig7
+from repro.link import ber
 
 
 class TestBitsPerSymbol:
@@ -92,3 +94,29 @@ class TestHeadlineMultipliers:
             max_channels_at_efficiency(bisc, 0.0)
         with pytest.raises(ValueError):
             max_channels_at_efficiency(bisc, 1.5)
+
+
+class TestLazyScan:
+    @pytest.mark.parametrize("efficiency", [0.1, 0.2, 1.0])
+    def test_matches_a_full_grid_scan(self, wireless_scaled, efficiency):
+        # Every grid point evaluated, then the end of the first feasible
+        # run read off the whole list.
+        for soc in wireless_scaled:
+            grid = list(range(soc.n_channels, 32768 + 1, 64))
+            fits = [evaluate_qam_design(soc, n).min_efficiency <= efficiency
+                    for n in grid]
+            expected = 0
+            if True in fits:
+                end = fits.index(True)
+                while end + 1 < len(fits) and fits[end + 1]:
+                    end += 1
+                expected = grid[end]
+            assert max_channels_at_efficiency(soc, efficiency) == expected, (
+                soc.name, efficiency)
+
+    def test_fig7_solves_only_the_orders_it_reaches(self):
+        # The sweep reaches b = 6 (6144 channels) and no frontier scan
+        # goes past it; a full-grid scan to 32768 channels solved all 32.
+        ber._solve_ebn0.cache_clear()
+        fig7.run()
+        assert ber._solve_ebn0.cache_info().misses <= 6

@@ -271,6 +271,9 @@ UNREACHED_PACKAGES = {
 UNREFERENCED_KEEP = {
     "repro.core.multi_implant.channels_vs_single_implant":
         "Multi-implant tiling",
+    "repro.accel.schedule.schedule_non_pipelined":
+        "plain-bisection reference the pool search of best_schedule is "
+        "checked against (tests/properties/test_schedule_properties.py)",
     "repro.dnn.models.build_speech_dncnn":
         "PARITY_ORACLES pair with speech_dncnn_profile: the layer stack "
         "its width arithmetic is checked against",

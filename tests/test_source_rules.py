@@ -1,6 +1,7 @@
 """Source rules that no behavioural test sees until a run breaks.
 
-Six per-file ``ast`` scans of ``src/``:
+Seven per-file ``ast`` scans of ``src/`` (the last one of ``tests/``
+too):
 
 * **Threaded randomness.**  A seeded run writes the same bytes every
   time only if every draw flows from the run seed (:mod:`repro.seeds`).
@@ -26,6 +27,11 @@ Six per-file ``ast`` scans of ``src/``:
 * **Public shared names.**  No module imports a ``_``-prefixed name
   from another one: a helper or memo that two modules share gets a
   public name in its defining module, so its callers are visible there.
+* **Used imports, short lines.**  In ``src/`` and ``tests/``, every
+  module-level import binds a name the module reads (or lists in
+  ``__all__``), and no line is longer than 79 characters; a ``# noqa``
+  line is exempt.  These are CI's ruff F401 and E501, so a deletion
+  that orphans an import fails here too.
 
 Allowed sites are named in the constants below, never in comments in
 the code they allow.
@@ -203,6 +209,65 @@ def _private_imports(name: str, tree: ast.Module) -> list[int]:
                    for alias in node.names if alias.name.startswith("_")})
 
 
+#: Longest line ruff allows (``line-length`` in pyproject.toml).
+MAX_LINE = 79
+
+
+def _bound_names(stmt: ast.stmt) -> list[tuple[int, str]]:
+    """(line, name) of each name an import statement binds; none for
+    ``__future__`` and star imports."""
+    if isinstance(stmt, ast.Import):
+        return [(alias.lineno, alias.asname or alias.name.partition(".")[0])
+                for alias in stmt.names]
+    if isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__":
+        return [(alias.lineno, alias.asname or alias.name)
+                for alias in stmt.names if alias.name != "*"]
+    return []
+
+
+def _annotations(tree: ast.Module):
+    """Every annotation expression in a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            yield from (arg.annotation for arg in (
+                args.posonlyargs + args.args + args.kwonlyargs
+                + [args.vararg, args.kwarg]) if arg and arg.annotation)
+            if node.returns:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _read_names(tree: ast.AST) -> set[str]:
+    """Names a module reads, string annotations included."""
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read |= _read_names(ast.parse(node.value, mode="eval"))
+    return read
+
+
+def _lint_errors(text: str) -> list[int]:
+    """Lines of unused module-level imports and of over-long lines."""
+    tree = ast.parse(text)
+    lines = text.splitlines()
+    read = _read_names(tree)
+    read |= {node.value for stmt in tree.body
+             if isinstance(stmt, ast.Assign)
+             and any(isinstance(target, ast.Name)
+                     and target.id == "__all__" for target in stmt.targets)
+             for node in ast.walk(stmt.value)
+             if isinstance(node, ast.Constant)}
+    unused = {line for stmt in tree.body
+              for line, name in _bound_names(stmt) if name not in read}
+    long = {number for number, line in enumerate(lines, start=1)
+            if len(line) > MAX_LINE}
+    return sorted(line for line in unused | long
+                  if "# noqa" not in lines[line - 1])
+
+
 def _test_texts(tests: Path) -> list[str]:
     """Every test module except this one, whose toy sources would
     otherwise cover their own pairs."""
@@ -254,6 +319,13 @@ def test_package_roots_are_docstrings():
 def test_shared_names_are_public():
     assert _scan(_private_imports) == [], (
         "give the shared name a public name in its defining module")
+
+
+def test_imports_are_used_and_lines_fit():
+    hits = [f"{root.name}/{path.relative_to(root).as_posix()}:{line}"
+            for root in (SRC, TESTS) for path in sorted(root.rglob("*.py"))
+            for line in _lint_errors(path.read_text())]
+    assert hits == [], "drop the unused import or wrap the line"
 
 
 def test_randomness_rule_on_toy_sources():
@@ -364,3 +436,19 @@ def test_private_import_rule_on_toy_sources():
     assert _private_imports("repro/core/x.py", ast.parse(
         "from repro.core.comp_centric import workload_profile\n"
         "def _local():\n    return workload_profile\n")) == []
+
+
+def test_lint_rule_on_toy_sources():
+    planted = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from math import ceil, floor\n"
+        "from repro.units import mw  # noqa: F401\n"
+        "from repro.units import cm2\n"
+        "__all__ = ['cm2']\n"
+        "from typing import Any\n"
+        "def f(x: np.ndarray) -> 'Any':\n"
+        "    return ceil(x)  " + "#" * 70 + "\n")
+    assert _lint_errors(planted) == [2, 4, 10]
+    assert _lint_errors("import os\nprint(os.sep)\n") == []
