@@ -32,10 +32,11 @@ Determinism contract (tests/fleet/):
 
 Sharding: with ``jobs > 1``, :func:`run_fleet` runs each cohort in its
 own forked child (:class:`repro.perf.parallel.Launcher`), which
-pickles the :class:`CohortResult` back.  The engine emits no telemetry;
-the ``fleet`` driver (:mod:`repro.experiments.fleet`) records its spans
-and gauges in the parent, so ``events.jsonl`` is byte-identical between
-serial and ``--jobs N`` fleet runs.
+pickles the :class:`CohortResult` (spec, seed and rows) back.  The
+engine emits no telemetry; the ``fleet`` driver
+(:mod:`repro.experiments.fleet`) records its spans and gauges in the
+parent, so ``events.jsonl`` is byte-identical between serial and
+``--jobs N`` fleet runs.
 """
 
 from __future__ import annotations
@@ -252,12 +253,12 @@ def simulate_cohort(spec: CohortSpec,
 
 def run_cohort(spec: CohortSpec,
                base_seed: int | None = None) -> CohortResult:
-    """Simulate one cohort and collect its rows."""
-    sessions = simulate_cohort(spec, base_seed)
+    """Simulate one cohort and keep only its rows (the sessions they
+    come from are dropped, so a sharded child pickles rows alone)."""
     return CohortResult(spec=spec,
                         seed=cohort_seed(base_seed, spec.name),
-                        rows=[s.to_row() for s in sessions],
-                        sessions=sessions)
+                        rows=[s.to_row()
+                              for s in simulate_cohort(spec, base_seed)])
 
 
 def _run_fleet_sharded(fleet: FleetSpec, base_seed: int | None,

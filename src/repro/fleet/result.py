@@ -118,13 +118,14 @@ class CohortResult:
     """One cohort's outcome: per-session rows plus the dashboard row.
 
     A sharded run pickles the whole result back from its child, so
-    serial and ``--jobs N`` runs hold the same rows and sessions.
+    serial and ``--jobs N`` runs hold the same rows.  Only the rows
+    cross the pipe: nothing reads the :class:`SessionResult` objects
+    they are built from.
     """
 
     spec: CohortSpec
     seed: int | None
     rows: list[dict[str, Any]]
-    sessions: list[SessionResult]
 
     def summary_row(self) -> dict[str, Any]:
         return summarize_cohort(self.spec, self.rows)

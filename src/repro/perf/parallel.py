@@ -12,8 +12,11 @@ back over a pipe, and exits.  The parent waits on the pipes with
 Forking (not spawning) is deliberate: a child starts with the parent's
 imports loaded, so a task is any callable — it closes over cohort specs
 directly, and nothing is re-imported or pickled on the way in.  The
-engine starts no threads of its own.  A fresh child per task also means
-no RNG state can leak from one task into the next.
+launcher starts no threads, and :mod:`repro.__main__` pins OpenBLAS to
+one thread per process (unless ``OPENBLAS_NUM_THREADS`` is already
+set), so ``jobs`` children keep ``jobs`` cores busy, not ``jobs`` times
+the CPU count.  A fresh child per task also means no RNG state can leak
+from one task into the next.
 
 :func:`repro.fleet.engine.run_fleet` (``fleet --jobs N``) shards cohorts with
 it.  Tasks carry no telemetry: the science a child runs emits none, and

@@ -1,5 +1,10 @@
 """Fleet determinism: replay, common random numbers, and sharding."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -117,3 +122,27 @@ class TestSharding:
         assert isinstance(row["bitrate_bps"], float)
         assert not any(isinstance(v, np.generic)
                        for v in row.values())
+
+
+def _sharded_wiener_csv(tmp_path: Path, blas_threads: str | None) -> bytes:
+    """``fleet.csv`` of a cold sharded Wiener-only CLI run, with
+    ``OPENBLAS_NUM_THREADS`` unset (the entry point's default) or set."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).parents[2] / "src"))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    out_dir = tmp_path / f"blas-{blas_threads}"
+    subprocess.run(
+        [sys.executable, "-m", "repro", "fleet", "--decoder", "wiener",
+         "--sessions", "32", "--jobs", "2", "--seed", str(BASE_SEED),
+         "--quiet", "--output-dir", str(out_dir)],
+        env=env, check=True, capture_output=True, timeout=300)
+    return (out_dir / "fleet.csv").read_bytes()
+
+
+def test_fleet_csv_does_not_depend_on_blas_threads(tmp_path):
+    """The Wiener ridge fits are the fleet's largest BLAS calls; two
+    BLAS threads must write the same bytes as the pinned one."""
+    assert (_sharded_wiener_csv(tmp_path, "2")
+            == _sharded_wiener_csv(tmp_path, None))

@@ -10,7 +10,9 @@ of these cases imports one package in a fresh interpreter and inspects
 ``sys.modules``; a default ``evaluate`` run must load no scipy either.
 ``repro.fleet`` forks through the launcher only inside
 ``run_fleet(jobs > 1)``, with a function-local import, so importing it
-loads neither the launcher nor the fault injector.
+loads neither the launcher nor the fault injector.  ``import repro``
+loads no numpy, so the entry point's one-BLAS-thread pin
+(``repro.__main__``) takes effect, and a preset value wins.
 
 No science module imports ``repro.obs`` at all, not even inside a
 function: the drivers under ``repro.experiments`` and the CLI own every
@@ -100,6 +102,34 @@ def test_cli_loads_neither_the_launcher_nor_multiprocessing():
               if _within(name, ("repro.perf",))]
     assert leaked == [], f"repro.cli pulls in {leaked}"
     assert _loaded_after_import("repro.cli", "multiprocessing") == []
+
+
+def test_package_root_loads_no_numpy():
+    """``repro.__main__`` pins BLAS before numpy loads only while
+    ``import repro`` itself loads no numpy."""
+    assert _loaded_after_import("repro", "numpy") == []
+
+
+def _blas_threads_after_entry_import(preset: str | None) -> str | None:
+    """``OPENBLAS_NUM_THREADS`` after ``import repro.__main__`` in a
+    fresh interpreter started with it unset or set to ``preset``."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = ("import json, os, repro.__main__; "
+            "print(json.dumps(os.environ.get('OPENBLAS_NUM_THREADS')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
+def test_entry_point_pins_one_blas_thread():
+    assert _blas_threads_after_entry_import(None) == "1"
+
+
+def test_entry_point_keeps_a_preset_blas_thread_count():
+    assert _blas_threads_after_entry_import("3") == "3"
 
 
 def test_fleet_does_not_load_the_launcher():
@@ -241,7 +271,8 @@ def _unreferenced_definitions(src: Path, packages: tuple[str, ...],
 
 
 #: CLI entry points: ``python -m repro`` and the ``mindful-repro``
-#: console script.
+#: console script both start in ``repro.__main__`` (which pins BLAS to
+#: one thread, then imports ``repro.cli``).
 ENTRY_POINTS = ("repro.__main__", "repro.cli")
 
 #: Packages and modules no command reaches yet -> the ROADMAP item
