@@ -18,8 +18,9 @@ Commands:
 * ``explore SOC`` — run the full strategy comparison for one design.
 * ``roadmap SOC`` — years until the channel-count trend overtakes each
   strategy's frontier.
-* ``validate`` — score every machine-checkable paper claim against the
-  regenerated results (exit code 0 when all pass).
+* ``validate`` — score every machine-checkable paper claim and the
+  safety claims (power budget, tissue rise, link goodput) against the
+  regenerated results; exit code 1 only if a claim fails.
 * ``profile EXPERIMENT`` — run one experiment (or ``all``) with the
   telemetry recorder on and print the nested span tree plus the top-N
   hotspots.
@@ -30,11 +31,9 @@ Commands:
   :class:`repro.fault.plan.FaultPlan`, writing ``fault_log.json`` +
   ``chaos_report.json``; byte-identical for a fixed ``--seed``
   (docs/ROBUSTNESS.md).
-* ``obs {bench-gate,report}`` — the perf-trajectory regression gate
-  over ``results/bench_history.jsonl`` (:mod:`repro.obs.bench`, exit 1
-  on >20 % slowdown of a benchmark entry) and the markdown/HTML
-  safety-envelope dashboard (:mod:`repro.obs.report`); see
-  docs/OBSERVABILITY.md.
+* ``obs bench-gate`` — the perf-trajectory regression gate over
+  ``results/bench_history.jsonl`` (:mod:`repro.obs.bench`, exit 1 on
+  >20 % slowdown of a benchmark entry); see docs/OBSERVABILITY.md.
 
 Fault flags on ``evaluate``: ``--fault-plan PLAN.json`` injects the
 plan's faults and applies its retry policy; ``--max-retries N`` bounds
@@ -326,10 +325,10 @@ def _cmd_roadmap(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(_: argparse.Namespace) -> int:
-    from repro.experiments.validate import render_results, validate_all
+    from repro.experiments.validate import FAIL, render_results, validate_all
     results = validate_all()
     print(render_results(results))
-    return 0 if all(r.passed for r in results) else 1
+    return 1 if any(r.verdict == FAIL for r in results) else 0
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
@@ -441,26 +440,6 @@ def _cmd_obs_bench_gate(args: argparse.Namespace) -> int:
         return 1
     if args.input and args.append:
         bench.append_history(record, args.history)
-    return 0
-
-
-def _cmd_obs_report(args: argparse.Namespace) -> int:
-    from repro.obs import report as obs_report
-    dashboard = obs_report.build_dashboard(args.output_dir)
-    if args.format == "json":
-        rendered = json.dumps(dashboard, indent=2, sort_keys=True,
-                              default=str) + "\n"
-    elif args.format == "html":
-        rendered = obs_report.render_html(dashboard)
-    else:
-        rendered = obs_report.render_markdown(dashboard)
-    if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(rendered, encoding="utf-8")
-        print(f"dashboard written to {out}")
-    else:
-        print(rendered, end="" if rendered.endswith("\n") else "\n")
     return 0
 
 
@@ -615,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     obs_cmd = sub.add_parser(
         "obs",
-        help="benchmark regression gate and safety dashboards")
+        help="benchmark regression gate")
     obs_sub = obs_cmd.add_subparsers(dest="obs_command", required=True)
 
     obs_gate = obs_sub.add_parser(
@@ -643,19 +622,6 @@ def build_parser() -> argparse.ArgumentParser:
     obs_gate.add_argument("--format", choices=("text", "json"),
                           default="text")
     obs_gate.set_defaults(func=_cmd_obs_bench_gate)
-
-    obs_report = obs_sub.add_parser(
-        "report",
-        help="render the safety-envelope dashboard for a run directory")
-    obs_report.add_argument(
-        "--output-dir", default=str(DEFAULT_OUTPUT_DIR),
-        help="run output directory (fig4.csv/fig7.csv)")
-    obs_report.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="write the dashboard here instead of stdout")
-    obs_report.add_argument("--format", choices=("md", "html", "json"),
-                            default="md")
-    obs_report.set_defaults(func=_cmd_obs_report)
 
     for command in (list_cmd, evaluate, fleet_cmd, assess, explore_cmd,
                     roadmap_cmd, validate_cmd, profile_cmd,

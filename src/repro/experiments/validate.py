@@ -1,110 +1,214 @@
-"""Programmatic paper-claims validation (the EXPERIMENTS.md table as code).
+"""Programmatic claim validation (the EXPERIMENTS.md table as code).
 
-Each claim binds a published statement from the paper's evaluation to a
-predicate over the regenerated experiment summaries.  ``validate_all``
-runs every experiment once and scores every claim — the machine-checkable
-core of the reproduction, surfaced by ``python -m repro validate``.
+Each claim binds a statement to a scorer over the artifact's
+regenerated :class:`~repro.experiments.base.ExperimentResult`; the
+scorer returns the measured value and a verdict (``pass``, ``warn`` or
+``fail``).  Two kinds of claim share the one record:
+
+* the paper claims, each a predicate with its tolerance over the
+  artifact's summary;
+* the safety claims (Section 3.2), over the typed fig4 and fig7 rows:
+  the Eq. 3 power budget through :func:`repro.thermal.budget.assess`,
+  the Pennes tissue rise
+  (:meth:`repro.thermal.model.TissueThermalModel.steady_state_rise_k`)
+  and the ARQ goodput at the paper's BER target
+  (:func:`repro.link.protocol.effective_goodput`).
+
+``validate_all`` runs every experiment once and scores every claim;
+``python -m repro validate`` prints one line per claim, the count of
+each verdict and one ``Overall`` line, and exits 1 only if a claim
+fails.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
-from repro.experiments import ALL_EXPERIMENTS, run_module
+from repro.experiments import ALL_EXPERIMENTS, experiment_name, run_module
+from repro.experiments.base import ExperimentResult
+from repro.link.budget import DEFAULT_BER
+from repro.link.packetizer import Packetizer
+from repro.link.protocol import effective_goodput
 from repro.obs.recorder import inc, span
+from repro.thermal.budget import assess
+from repro.thermal.model import TissueThermalModel
+from repro.units import SAFE_TEMPERATURE_RISE_K, mm2, mw, to_mw
+
+PASS, WARN, FAIL = "pass", "warn", "fail"
+
+#: Upper edge of the paper's safe heating window (Section 3.2: 1-2 degC).
+#: A rise up to SAFE_TEMPERATURE_RISE_K passes; between the two it
+#: warns; above it fails.
+UPPER_TEMPERATURE_RISE_K = 2.0
 
 
 @dataclass(frozen=True)
 class Claim:
-    """One paper claim and its verification predicate.
+    """One claim and its scorer.
 
     Attributes:
-        artifact: the paper artifact it comes from ("fig7"...).
+        artifact: the paper artifact it reads ("fig7"...).
         statement: the claim, paraphrased from the paper.
-        check: predicate over that artifact's summary dict.
-        measured: function extracting the comparable measured value.
+        score: maps that artifact's result to ``(measured, verdict)``.
     """
 
     artifact: str
     statement: str
-    check: Callable[[Mapping[str, Any]], bool]
-    measured: Callable[[Mapping[str, Any]], Any]
+    score: Callable[[ExperimentResult], tuple[Any, str]]
 
 
 def _within(value: float, target: float, rel: float) -> bool:
     return abs(value - target) <= rel * abs(target)
 
 
-CLAIMS: tuple[Claim, ...] = (
-    Claim("fig4",
-          "all SoCs scaled to 1024 channels fall below the power budget",
-          lambda s: bool(s["all_safe"]),
-          lambda s: s["max_density_mw_cm2"]),
-    Claim("fig5",
-          "naive designs keep a constant P_soc/P_budget ratio",
-          lambda s: bool(s["naive_ratio_constant"]),
-          lambda s: s["naive_ratio_constant"]),
-    Claim("fig5",
-          "high-margin designs eventually exceed the budget on all SoCs",
-          lambda s: bool(s["high_margin_all_cross"]),
-          lambda s: s["high_margin_crossings"]),
-    Claim("fig6",
-          "high-margin sensing-area fraction grows toward dominance",
-          lambda s: bool(s["high_margin_monotone"])
-          and s["high_margin_mean_at_8192"] > 0.8,
-          lambda s: s["high_margin_mean_at_8192"]),
-    Claim("fig7",
-          "20% QAM efficiency supports ~2x the channel standard",
-          lambda s: _within(s["multiplier_at_20pct"], 2.0, 0.15),
-          lambda s: s["multiplier_at_20pct"]),
-    Claim("fig7",
-          "ideal (100%) QAM supports ~4x the channel standard",
-          lambda s: _within(s["multiplier_at_100pct"], 4.0, 0.20),
-          lambda s: s["multiplier_at_100pct"]),
-    Claim("fig9",
-          "PE power is ~25% of layer power in small designs (1-5)",
-          lambda s: _within(s["pe_fraction_designs_1_5"], 0.25, 0.2),
-          lambda s: s["pe_fraction_designs_1_5"]),
-    Claim("fig9",
-          "PE power reaches ~96% of layer power in the largest design",
-          lambda s: _within(s["pe_fraction_design_12"], 0.96, 0.05),
-          lambda s: s["pe_fraction_design_12"]),
-    Claim("fig10",
-          "the flagship SoCs (1, 2) integrate the DN-CNN at 1024 ch",
-          lambda s: {"BISC", "Gilhotra"} <= set(s["dncnn_fits_at_1024"]),
-          lambda s: s["dncnn_fits_at_1024"]),
-    Claim("fig10",
-          "average max channels ~1800 for the MLP (fitting SoCs)",
-          lambda s: _within(s["mlp_avg_max_channels"], 1800, 0.25),
-          lambda s: s["mlp_avg_max_channels"]),
-    Claim("fig10",
-          "average max channels ~1400 for the DN-CNN (fitting SoCs)",
-          lambda s: _within(s["dncnn_avg_max_channels"], 1400, 0.25),
-          lambda s: s["dncnn_avg_max_channels"]),
-    Claim("fig11",
-          "layer reduction buys the MLP ~20% more channels on average",
-          lambda s: _within(s["mlp_avg_gain"], 1.2, 0.1),
-          lambda s: s["mlp_avg_gain"]),
-    Claim("fig11",
-          "the DN-CNN shows no benefit from layer reduction",
-          lambda s: not s["dncnn_any_benefit"],
-          lambda s: s["dncnn_avg_gain"]),
-    Claim("fig12",
-          "channel dropout reduces the 2048-ch model to ~32% on average",
-          lambda s: _within(s["avg_model_size_pct_2048_ChDr"], 32.0,
-                            0.35),
-          lambda s: s["avg_model_size_pct_2048_ChDr"]),
-    Claim("fig12",
-          "adding 12nm technology scaling recovers ~72% at 2048 channels",
-          lambda s: _within(s["avg_model_size_pct_2048_La+ChDr+Tech"],
-                            72.0, 0.2),
-          lambda s: s["avg_model_size_pct_2048_La+ChDr+Tech"]),
-    Claim("fig12",
-          "at 8192 channels only ~2% of the model survives dropout",
-          lambda s: abs(s["avg_model_size_pct_8192_ChDr"] - 2.0) <= 3.0,
-          lambda s: s["avg_model_size_pct_8192_ChDr"]),
+def _paper(artifact: str, statement: str,
+           check: Callable[[Mapping[str, Any]], bool],
+           measured: Callable[[Mapping[str, Any]], Any]) -> Claim:
+    """A paper claim: ``check`` and ``measured`` read the summary."""
+    def score(result: ExperimentResult) -> tuple[Any, str]:
+        summary = result.summary
+        return measured(summary), PASS if check(summary) else FAIL
+    return Claim(artifact, statement, score)
+
+
+PAPER_CLAIMS: tuple[Claim, ...] = (
+    _paper("fig4",
+           "all SoCs scaled to 1024 channels fall below the power budget",
+           lambda s: bool(s["all_safe"]),
+           lambda s: s["max_density_mw_cm2"]),
+    _paper("fig5",
+           "naive designs keep a constant P_soc/P_budget ratio",
+           lambda s: bool(s["naive_ratio_constant"]),
+           lambda s: s["naive_ratio_constant"]),
+    _paper("fig5",
+           "high-margin designs eventually exceed the budget on all SoCs",
+           lambda s: bool(s["high_margin_all_cross"]),
+           lambda s: s["high_margin_crossings"]),
+    _paper("fig6",
+           "high-margin sensing-area fraction grows toward dominance",
+           lambda s: bool(s["high_margin_monotone"])
+           and s["high_margin_mean_at_8192"] > 0.8,
+           lambda s: s["high_margin_mean_at_8192"]),
+    _paper("fig7",
+           "20% QAM efficiency supports ~2x the channel standard",
+           lambda s: _within(s["multiplier_at_20pct"], 2.0, 0.15),
+           lambda s: s["multiplier_at_20pct"]),
+    _paper("fig7",
+           "ideal (100%) QAM supports ~4x the channel standard",
+           lambda s: _within(s["multiplier_at_100pct"], 4.0, 0.20),
+           lambda s: s["multiplier_at_100pct"]),
+    _paper("fig9",
+           "PE power is ~25% of layer power in small designs (1-5)",
+           lambda s: _within(s["pe_fraction_designs_1_5"], 0.25, 0.2),
+           lambda s: s["pe_fraction_designs_1_5"]),
+    _paper("fig9",
+           "PE power reaches ~96% of layer power in the largest design",
+           lambda s: _within(s["pe_fraction_design_12"], 0.96, 0.05),
+           lambda s: s["pe_fraction_design_12"]),
+    _paper("fig10",
+           "the flagship SoCs (1, 2) integrate the DN-CNN at 1024 ch",
+           lambda s: {"BISC", "Gilhotra"} <= set(s["dncnn_fits_at_1024"]),
+           lambda s: s["dncnn_fits_at_1024"]),
+    _paper("fig10",
+           "average max channels ~1800 for the MLP (fitting SoCs)",
+           lambda s: _within(s["mlp_avg_max_channels"], 1800, 0.25),
+           lambda s: s["mlp_avg_max_channels"]),
+    _paper("fig10",
+           "average max channels ~1400 for the DN-CNN (fitting SoCs)",
+           lambda s: _within(s["dncnn_avg_max_channels"], 1400, 0.25),
+           lambda s: s["dncnn_avg_max_channels"]),
+    _paper("fig11",
+           "layer reduction buys the MLP ~20% more channels on average",
+           lambda s: _within(s["mlp_avg_gain"], 1.2, 0.1),
+           lambda s: s["mlp_avg_gain"]),
+    _paper("fig11",
+           "the DN-CNN shows no benefit from layer reduction",
+           lambda s: not s["dncnn_any_benefit"],
+           lambda s: s["dncnn_avg_gain"]),
+    _paper("fig12",
+           "channel dropout reduces the 2048-ch model to ~32% on average",
+           lambda s: _within(s["avg_model_size_pct_2048_ChDr"], 32.0,
+                             0.35),
+           lambda s: s["avg_model_size_pct_2048_ChDr"]),
+    _paper("fig12",
+           "adding 12nm technology scaling recovers ~72% at 2048 channels",
+           lambda s: _within(s["avg_model_size_pct_2048_La+ChDr+Tech"],
+                             72.0, 0.2),
+           lambda s: s["avg_model_size_pct_2048_La+ChDr+Tech"]),
+    _paper("fig12",
+           "at 8192 channels only ~2% of the model survives dropout",
+           lambda s: abs(s["avg_model_size_pct_8192_ChDr"] - 2.0) <= 3.0,
+           lambda s: s["avg_model_size_pct_8192_ChDr"]),
 )
+
+
+def _power_budget(result: ExperimentResult) -> tuple[str, str]:
+    """Eq. 3: each fig4 design re-assessed against 40 mW/cm^2."""
+    reports = [(row["name"], assess(mw(row["power_mw"]),
+                                    mm2(row["area_mm2"])))
+               for row in result.rows]
+    n_safe = sum(report.safe for _, report in reports)
+    name, worst = min(reports, key=lambda item: item[1].margin_w)
+    measured = (f"{n_safe}/{len(reports)} within; worst {name}, "
+                f"margin {to_mw(worst.margin_w):+.2f} mW")
+    return measured, PASS if n_safe == len(reports) else FAIL
+
+
+def _thermal_rise(result: ExperimentResult) -> tuple[str, str]:
+    """Pennes steady-state rise of each fig4 design's power density."""
+    model = TissueThermalModel()
+    rises = [(row["name"], model.steady_state_rise_k(
+                 mw(row["power_mw"]) / mm2(row["area_mm2"])))
+             for row in result.rows]
+    n_within = sum(rise <= SAFE_TEMPERATURE_RISE_K for _, rise in rises)
+    name, worst = max(rises, key=lambda item: item[1])
+    measured = (f"{n_within}/{len(rises)} within "
+                f"{SAFE_TEMPERATURE_RISE_K:g} K; worst {name}, "
+                f"{worst:.3f} K")
+    if worst <= SAFE_TEMPERATURE_RISE_K:
+        return measured, PASS
+    # Inside the paper's 1-2 degC window but above the conservative
+    # 1 K line: acceptable, flagged.
+    return measured, WARN if worst <= UPPER_TEMPERATURE_RISE_K else FAIL
+
+
+def _link_goodput(result: ExperimentResult) -> tuple[str, str]:
+    """ARQ goodput at the BER target, fig7 feasibility as context.
+
+    The verdict is the link's own safety property: the fraction of the
+    raw rate delivered as payload with the default packet geometry must
+    stay within 1 % of the pure framing efficiency.  The paper itself
+    finds some SoCs unrealizable at today's QAM efficiency, which is a
+    result, not a failure, so per-SoC feasibility is reported only.
+    """
+    feasible: dict[str, bool] = {}
+    for row in result.rows:
+        feasible[row["soc"]] = (feasible.get(row["soc"], False)
+                                or bool(row["feasible"]))
+    payload_bits = Packetizer().payload_bytes * 8
+    overhead_bits = (Packetizer.HEADER_BYTES + Packetizer.CRC_BYTES) * 8
+    goodput = effective_goodput(1.0, DEFAULT_BER, payload_bits,
+                                overhead_bits)
+    framing = payload_bits / (payload_bits + overhead_bits)
+    measured = (f"goodput {goodput:.4f}; {sum(feasible.values())}/"
+                f"{len(feasible)} SoCs feasible")
+    return measured, PASS if goodput >= framing * 0.99 else FAIL
+
+
+SAFETY_CLAIMS: tuple[Claim, ...] = (
+    Claim("fig4", "every scaled design is within the Eq. 3 budget "
+                  "(40 mW/cm^2)", _power_budget),
+    Claim("fig4", f"Pennes tissue rise within "
+                  f"{SAFE_TEMPERATURE_RISE_K:g} K "
+                  f"(warn to {UPPER_TEMPERATURE_RISE_K:g} K)",
+          _thermal_rise),
+    Claim("fig7", f"ARQ penalty under 1% at BER {DEFAULT_BER:g}",
+          _link_goodput),
+)
+
+CLAIMS: tuple[Claim, ...] = PAPER_CLAIMS + SAFETY_CLAIMS
 
 
 @dataclass(frozen=True)
@@ -112,48 +216,60 @@ class ClaimResult:
     """Verdict on one claim.
 
     Attributes:
-        claim: the validated claim.
-        passed: predicate outcome.
+        claim: the scored claim.
+        verdict: ``pass``, ``warn`` or ``fail``.
         measured: the measured value shown next to the verdict.
     """
 
     claim: Claim
-    passed: bool
+    verdict: str
     measured: Any
 
 
-def validate_all(claims: tuple[Claim, ...] = CLAIMS) -> list[ClaimResult]:
-    """Run all experiments once and score every claim."""
-    summaries = {}
-    needed = {claim.artifact for claim in claims}
-    with span("validate.run_experiments", n_experiments=len(needed)):
-        for module in ALL_EXPERIMENTS:
-            name = module.__name__.rsplit(".", 1)[-1]
-            if name in needed:
-                summaries[name] = run_module(module).summary
-    results = []
+def score_claims(claims: tuple[Claim, ...],
+                 results: Mapping[str, ExperimentResult]
+                 ) -> list[ClaimResult]:
+    """Score each claim against its artifact's result."""
+    scored = []
     with span("validate.score_claims", n_claims=len(claims)):
         for claim in claims:
-            summary = summaries[claim.artifact]
-            passed = bool(claim.check(summary))
+            measured, verdict = claim.score(results[claim.artifact])
             inc("validate.claims_checked")
-            if passed:
+            if verdict == PASS:
                 inc("validate.claims_passed")
-            results.append(ClaimResult(claim=claim, passed=passed,
-                                       measured=claim.measured(summary)))
-    return results
+            scored.append(ClaimResult(claim=claim, verdict=verdict,
+                                      measured=measured))
+    return scored
+
+
+def validate_all(claims: tuple[Claim, ...] = CLAIMS) -> list[ClaimResult]:
+    """Run every experiment a claim reads once and score every claim."""
+    needed = {claim.artifact for claim in claims}
+    with span("validate.run_experiments", n_experiments=len(needed)):
+        results = {experiment_name(module): run_module(module)
+                   for module in ALL_EXPERIMENTS
+                   if experiment_name(module) in needed}
+    return score_claims(claims, results)
 
 
 def render_results(results: list[ClaimResult]) -> str:
-    """Human-readable validation report."""
+    """One line per claim, the verdict counts and the overall verdict."""
     lines = []
     for result in results:
-        verdict = "PASS" if result.passed else "FAIL"
         measured = result.measured
         if isinstance(measured, float):
             measured = f"{measured:.3g}"
-        lines.append(f"[{verdict}] {result.claim.artifact:6s} "
+        lines.append(f"[{result.verdict.upper()}] "
+                     f"{result.claim.artifact:6s} "
                      f"{result.claim.statement}  (measured: {measured})")
-    passed = sum(1 for r in results if r.passed)
-    lines.append(f"\n{passed}/{len(results)} claims reproduced")
+    counts = Counter(result.verdict for result in results)
+    if counts[FAIL]:
+        overall = "FAIL"
+    elif counts[WARN]:
+        overall = "PASS with warnings"
+    else:
+        overall = "PASS"
+    lines.append(f"\n{counts[PASS]} pass, {counts[WARN]} warn, "
+                 f"{counts[FAIL]} fail")
+    lines.append(f"Overall: {overall}")
     return "\n".join(lines)

@@ -44,7 +44,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.fleet.decoders import calibrate_batch
-from repro.fleet.result import CohortResult, SessionResult
+from repro.fleet.result import CohortResult, CohortTally
 from repro.fleet.spec import CohortSpec, FleetSpec
 from repro.seeds import derive_fault_seed, derive_stream_seed, seeded_rng
 
@@ -111,7 +111,7 @@ def _calibration_chunks(spec: CohortSpec, preferred: np.ndarray,
 
 def _simulate(spec: CohortSpec, rng: np.random.Generator,
               drop_rng: np.random.Generator | None,
-              decoder_seed: int | None) -> list[SessionResult]:
+              decoder_seed: int | None) -> CohortTally:
     """The lockstep cohort simulation (see module docstring).
 
     ``drop_rng`` is only drawn from when ``spec.drop_rate > 0`` — the
@@ -220,27 +220,14 @@ def _simulate(spec: CohortSpec, rng: np.random.Generator,
 
     difficulty = float(np.log2(2.0 * task.target_distance
                                / task.target_radius))
-    sessions = []
-    for i in range(n):
-        tmask = ~np.isnan(times[i])
-        emask = ~np.isnan(effs[i])
-        sessions.append(SessionResult(
-            session=i,
-            hits=int(hits[i]),
-            trials=spec.n_trials,
-            times_to_target_s=[float(v) for v in times[i][tmask]],
-            mean_path_efficiency=(float(np.mean(effs[i][emask]))
-                                  if bool(emask.any()) else 0.0),
-            dropped_windows=int(dropped[i]),
-            total_windows=int(total[i]),
-            difficulty_bits=difficulty,
-            dt_s=task.dt_s))
-    return sessions
+    return CohortTally(hits=hits, dropped=dropped, total=total,
+                       times_s=times, efficiencies=effs,
+                       difficulty_bits=difficulty, dt_s=task.dt_s)
 
 
 def simulate_cohort(spec: CohortSpec,
-                    base_seed: int | None = None) -> list[SessionResult]:
-    """Simulate one cohort; returns its per-session results.
+                    base_seed: int | None = None) -> CohortTally:
+    """Simulate one cohort; returns its per-session tallies.
 
     All randomness flows from ``cohort_seed(base_seed, spec.name)``
     (session stream) and ``cohort_fault_seed`` (drop stream) — the
@@ -253,12 +240,11 @@ def simulate_cohort(spec: CohortSpec,
 
 def run_cohort(spec: CohortSpec,
                base_seed: int | None = None) -> CohortResult:
-    """Simulate one cohort and keep only its rows (the sessions they
+    """Simulate one cohort and keep only its rows (the tallies they
     come from are dropped, so a sharded child pickles rows alone)."""
     return CohortResult(spec=spec,
                         seed=cohort_seed(base_seed, spec.name),
-                        rows=[s.to_row()
-                              for s in simulate_cohort(spec, base_seed)])
+                        rows=simulate_cohort(spec, base_seed).rows())
 
 
 def _run_fleet_sharded(fleet: FleetSpec, base_seed: int | None,

@@ -1,11 +1,15 @@
 """Per-session and per-cohort results of a fleet run.
 
-:class:`SessionResult` mirrors
-:class:`repro.simulate.cursor_task.TaskOutcome` (the single-session
-parity oracle's container) but adds the fleet dashboard quantities:
-active time, Fitts index of difficulty, and the resulting bitrate.
-Every derived metric is total/zero-safe — a session with no trials or
-no hits reports 0.0, never NaN.
+:class:`CohortTally` holds what the lockstep simulation counts per
+session as ``(n_sessions, ...)`` arrays; :meth:`CohortTally.rows`
+turns them into the per-session rows, adding the fleet dashboard
+quantities (active time, Fitts bitrate from the task's index of
+difficulty).  Every derived metric is total/zero-safe — a session
+with no trials or no hits reports 0.0, never NaN.
+:meth:`CohortTally.sessions` gives the same sessions as
+:class:`SessionResult` objects, the container the single-session
+parity oracle (:class:`repro.simulate.cursor_task.TaskOutcome`) is
+compared against.
 
 :func:`summarize_cohort` reduces per-session rows to the one dashboard
 row per cohort the fleet artifacts carry (throughput, bitrate, and
@@ -17,15 +21,15 @@ byte-identical summaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
 from repro.fleet.spec import CohortSpec
 
-__all__ = ["SessionResult", "CohortResult", "SESSION_COLUMNS",
-           "summarize_cohort"]
+__all__ = ["CohortTally", "SessionResult", "CohortResult",
+           "SESSION_COLUMNS", "summarize_cohort"]
 
 #: Per-session row keys, in emission order.
 SESSION_COLUMNS = ("session", "hits", "trials", "hit_rate",
@@ -47,20 +51,15 @@ class SessionResult:
             hits (0.0 when no trial hit).
         dropped_windows: control windows lost to link faults.
         total_windows: control windows executed across all trials.
-        difficulty_bits: Fitts index of difficulty of the task
-            geometry, ``log2(2 * distance / radius)``.
-        dt_s: control timestep (converts windows to active seconds).
     """
 
     session: int
     hits: int
     trials: int
-    times_to_target_s: list[float] = field(default_factory=list)
-    mean_path_efficiency: float = 0.0
-    dropped_windows: int = 0
-    total_windows: int = 0
-    difficulty_bits: float = 0.0
-    dt_s: float = 0.02
+    times_to_target_s: list[float]
+    mean_path_efficiency: float
+    dropped_windows: int
+    total_windows: int
 
     @property
     def hit_rate(self) -> float:
@@ -76,41 +75,91 @@ class SessionResult:
             return 0.0
         return float(np.mean(self.times_to_target_s))
 
-    @property
-    def dropped_fraction(self) -> float:
-        """Fraction of control windows lost (0.0 when none ran)."""
-        if self.total_windows == 0:
-            return 0.0
-        return self.dropped_windows / self.total_windows
 
-    @property
-    def time_active_s(self) -> float:
-        """Wall-clock control time the session actually ran."""
-        return self.total_windows * self.dt_s
+def _row_means(values: np.ndarray) -> np.ndarray:
+    """``np.mean`` of each row's non-NaN entries, in column order (0.0
+    for a row with none).
 
-    @property
-    def bitrate_bps(self) -> float:
-        """Fitts throughput: acquired difficulty bits per active
-        second (0.0 for an idle or hitless session)."""
-        if self.total_windows == 0 or self.hits == 0:
-            return 0.0
-        return self.hits * self.difficulty_bits / self.time_active_s
+    Rows with the same count are gathered into one block and reduced
+    along its last axis, which sums each row exactly as ``np.mean`` of
+    that row alone does, so the result is bitwise equal to the per-row
+    means.
+    """
+    keep = ~np.isnan(values)
+    counts = keep.sum(axis=1)
+    means = np.zeros(len(values))
+    for count in np.unique(counts[counts > 0]):
+        rows = np.flatnonzero(counts == count)
+        block = values[rows][keep[rows]].reshape(len(rows), count)
+        means[rows] = np.mean(block, axis=1)
+    return means
 
-    def to_row(self) -> dict[str, Any]:
-        """Numeric row form (keys = :data:`SESSION_COLUMNS`)."""
-        return {
-            "session": self.session,
-            "hits": self.hits,
-            "trials": self.trials,
-            "hit_rate": float(self.hit_rate),
-            "mean_time_to_target_s": float(self.mean_time_to_target_s),
-            "mean_path_efficiency": float(self.mean_path_efficiency),
-            "dropped_windows": self.dropped_windows,
-            "total_windows": self.total_windows,
-            "dropped_pct": float(self.dropped_fraction * 100.0),
-            "time_active_s": float(self.time_active_s),
-            "bitrate_bps": float(self.bitrate_bps),
-        }
+
+@dataclass(frozen=True)
+class CohortTally:
+    """What one cohort's lockstep simulation counts per session.
+
+    Attributes:
+        hits: ``(n_sessions,)`` trials that acquired the target.
+        dropped: ``(n_sessions,)`` control windows lost to link faults.
+        total: ``(n_sessions,)`` control windows executed.
+        times_s: ``(n_sessions, n_trials)`` acquisition time per trial,
+            NaN where the trial missed.
+        efficiencies: ``(n_sessions, n_trials)`` straight-line /
+            travelled distance per hit, NaN where there is none.
+        difficulty_bits: Fitts index of difficulty of the task
+            geometry, ``log2(2 * distance / radius)``.
+        dt_s: control timestep (converts windows to active seconds).
+    """
+
+    hits: np.ndarray
+    dropped: np.ndarray
+    total: np.ndarray
+    times_s: np.ndarray
+    efficiencies: np.ndarray
+    difficulty_bits: float
+    dt_s: float
+
+    def rows(self) -> list[dict[str, Any]]:
+        """Per-session rows (keys = :data:`SESSION_COLUMNS`)."""
+        trials = self.times_s.shape[1]
+        hits, total = self.hits, self.total
+        ran = total > 0
+        active_s = total * self.dt_s
+        scored = ran & (hits > 0)
+        bitrate = np.zeros(len(hits))
+        bitrate[scored] = (hits[scored] * self.difficulty_bits
+                           / active_s[scored])
+        dropped_pct = np.zeros(len(hits))
+        dropped_pct[ran] = self.dropped[ran] / total[ran] * 100.0
+        columns = (
+            range(len(hits)),
+            hits.tolist(),
+            [trials] * len(hits),
+            (hits / trials if trials else np.zeros(len(hits))).tolist(),
+            _row_means(self.times_s).tolist(),
+            _row_means(self.efficiencies).tolist(),
+            self.dropped.tolist(),
+            total.tolist(),
+            dropped_pct.tolist(),
+            active_s.tolist(),
+            bitrate.tolist(),
+        )
+        return [dict(zip(SESSION_COLUMNS, values))
+                for values in zip(*columns)]
+
+    def sessions(self) -> list[SessionResult]:
+        """The same sessions as :class:`SessionResult` objects."""
+        efficiency = _row_means(self.efficiencies).tolist()
+        return [SessionResult(
+                    session=i,
+                    hits=int(self.hits[i]),
+                    trials=self.times_s.shape[1],
+                    times_to_target_s=times[~np.isnan(times)].tolist(),
+                    mean_path_efficiency=efficiency[i],
+                    dropped_windows=int(self.dropped[i]),
+                    total_windows=int(self.total[i]))
+                for i, times in enumerate(self.times_s)]
 
 
 @dataclass
@@ -119,8 +168,8 @@ class CohortResult:
 
     A sharded run pickles the whole result back from its child, so
     serial and ``--jobs N`` runs hold the same rows.  Only the rows
-    cross the pipe: nothing reads the :class:`SessionResult` objects
-    they are built from.
+    cross the pipe: nothing reads the :class:`CohortTally` they are
+    built from.
     """
 
     spec: CohortSpec

@@ -1,4 +1,4 @@
-"""Observability: one telemetry recorder, run manifests and reports.
+"""Observability: one telemetry recorder, run manifests, the bench gate.
 
 The experiment drivers, the CLI and the infrastructure (cache, fault
 injector) report into this package; the science packages import
@@ -13,6 +13,6 @@ nothing from it.
   experiment CSV.
 * :mod:`repro.obs.profile` — hotspot aggregation over recorded spans,
   backing ``python -m repro profile <experiment>``.
-* :mod:`repro.obs.bench`, :mod:`repro.obs.report` — the benchmark
-  regression gate and safety dashboard behind ``python -m repro obs``.
+* :mod:`repro.obs.bench` — the benchmark regression gate behind
+  ``python -m repro obs bench-gate``.
 """

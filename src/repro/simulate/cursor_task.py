@@ -245,7 +245,7 @@ def run_closed_loop_cohort(spec, base_seed=None):
     """
     from repro.fleet.engine import simulate_cohort
 
-    return simulate_cohort(spec, base_seed)
+    return simulate_cohort(spec, base_seed).sessions()
 
 
 #: Batched entry points and the scalar oracles they must match

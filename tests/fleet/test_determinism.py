@@ -20,8 +20,8 @@ from repro.seeds import seeded_rng
 BASE_SEED = 99
 
 
-def rows_of(sessions):
-    return [s.to_row() for s in sessions]
+def rows_of(tally):
+    return tally.rows()
 
 
 class TestReplay:
@@ -72,8 +72,8 @@ class TestCommonRandomNumbers:
             CohortSpec(name="crn2", drop_rate=0.0, **base), BASE_SEED)
         lossy = simulate_cohort(
             CohortSpec(name="crn2", drop_rate=0.4, **base), BASE_SEED)
-        assert sum(s.dropped_windows for s in clean) == 0
-        assert sum(s.dropped_windows for s in lossy) > 0
+        assert clean.dropped.sum() == 0
+        assert lossy.dropped.sum() > 0
 
     def test_drift_zero_is_exact_base_path(self):
         base = dict(n_sessions=6, n_trials=3, train_timesteps=120,

@@ -153,28 +153,3 @@ class TestObsBenchGate:
         assert main(["obs", "bench-gate", "--history", str(history),
                      *flags]) == 2
         assert "obs:" in capsys.readouterr().err
-
-
-class TestObsReport:
-    def test_markdown_report(self, events_run, capsys):
-        out_dir, _ = events_run
-        assert main(["obs", "report", "--output-dir",
-                     str(out_dir)]) == 0
-        out = capsys.readouterr().out
-        assert "power_budget" in out and "Overall" in out
-
-    def test_html_report_written(self, events_run, tmp_path, capsys):
-        out_dir, _ = events_run
-        target = tmp_path / "dash.html"
-        assert main(["obs", "report", "--output-dir", str(out_dir),
-                     "--format", "html", "--out", str(target)]) == 0
-        assert target.read_text(encoding="utf-8").startswith(
-            "<!DOCTYPE html>")
-
-    def test_sessions_option_is_gone(self, tmp_path, capsys):
-        # The dashboard reads one run directory's safety envelopes.
-        with pytest.raises(SystemExit) as exc:
-            main(["obs", "report", "--output-dir", str(tmp_path),
-                  "--sessions", str(tmp_path)])
-        assert exc.value.code == 2
-        assert "--sessions" in capsys.readouterr().err

@@ -107,24 +107,53 @@ class TestRoadmap:
 
 class TestValidate:
     @staticmethod
-    def _fake_results(passed):
+    def _fake_results(verdict):
         from repro.experiments.validate import CLAIMS, ClaimResult
-        return [ClaimResult(claim=CLAIMS[0], passed=passed,
+        return [ClaimResult(claim=CLAIMS[0], verdict=verdict,
                             measured=1.0)]
+
+    @staticmethod
+    def _safety_results(power_mw):
+        """The real safety claims scored on one fig4 design of
+        ``power_mw`` over 1 cm^2 and one feasible fig7 SoC."""
+        from repro.experiments.base import ExperimentResult
+        from repro.experiments.validate import SAFETY_CLAIMS, score_claims
+        fig4 = ExperimentResult("fig4", "one design", rows=[
+            {"name": "demo", "power_mw": power_mw, "area_mm2": 100.0}])
+        fig7 = ExperimentResult("fig7", "one SoC", rows=[
+            {"soc": "demo", "channels": 1024, "feasible": True}])
+        return score_claims(SAFETY_CLAIMS, {"fig4": fig4, "fig7": fig7})
 
     def test_validate_all_pass_exits_zero(self, capsys, monkeypatch):
         import repro.experiments.validate as validate_mod
         monkeypatch.setattr(validate_mod, "validate_all",
-                            lambda: self._fake_results(True))
+                            lambda: self._fake_results("pass"))
         assert main(["validate"]) == 0
-        assert "1/1 claims reproduced" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "1 pass, 0 warn, 0 fail" in out
+        assert out.rstrip().endswith("Overall: PASS")
 
     def test_validate_failure_exits_one(self, capsys, monkeypatch):
         import repro.experiments.validate as validate_mod
         monkeypatch.setattr(validate_mod, "validate_all",
-                            lambda: self._fake_results(False))
+                            lambda: self._fake_results("fail"))
         assert main(["validate"]) == 1
         assert "[FAIL]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("power_mw, code, overall", [
+        (500.0, 1, "Overall: FAIL"),
+        (35.0, 0, "Overall: PASS with warnings"),
+    ])
+    def test_safety_verdict_sets_exit_code(self, capsys, monkeypatch,
+                                           power_mw, code, overall):
+        # 500 mW/cm^2 breaks the budget and the 2 K line; 35 mW/cm^2
+        # is within budget but rises between 1 and 2 K: a warning,
+        # which still exits 0.
+        import repro.experiments.validate as validate_mod
+        monkeypatch.setattr(validate_mod, "validate_all",
+                            lambda: self._safety_results(power_mw))
+        assert main(["validate"]) == code
+        assert capsys.readouterr().out.rstrip().endswith(overall)
 
 
 class TestObservabilityFlags:

@@ -148,12 +148,13 @@ def test_fleet_does_not_load_the_fault_injector():
 #: analyzer whose unique checks became tests/test_source_rules.py, the
 #: timeline analytics that byte comparisons replaced, the
 #: waveform-level neural-interface model only examples used, and the
-#: partitioned DNN evaluator that ``repro.core.comp_centric`` absorbed;
+#: partitioned DNN evaluator that ``repro.core.comp_centric`` absorbed,
+#: and the safety dashboard whose verdicts ``validate`` now scores;
 #: none may return.
 DELETED = ("repro.wearable", "repro.dnn.snn", "repro.dnn.quantize",
            "repro.decoders.lda", "repro.accel.simulate", "repro.ni",
            "repro.signals.audio", "repro.analysis", "repro.obs.analyze",
-           "repro.core.partitioning")
+           "repro.core.partitioning", "repro.obs.report")
 
 
 def test_cli_loads_neither_the_heat_grid_nor_a_deleted_module():
